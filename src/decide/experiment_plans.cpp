@@ -57,14 +57,15 @@ local::ExperimentPlan construct_then_decide_plan(
   plan.base_seed = base_seed;
   if (inst.is_implicit()) {
     // Streaming construct-then-decide: an implicit instance has no O(n)
-    // labeling to fill, so each node's verdict recomputes the outputs of
-    // its decision ball's members from their own construction balls.
-    // Outputs are pure functions of (ball, identities, construction
-    // coins), and the conjunction over nodes is taken WITHOUT early exit,
-    // so the trial result and the telemetry charges (each node charges
-    // its construction ball once and its decision ball once;
-    // recomputation is not communication) are bit-identical to the
-    // materialized path's.
+    // labeling to fill, so each node's verdict reads the outputs of its
+    // decision ball's members from the worker's construction memo,
+    // computing a member's output from its own construction ball only on
+    // a miss. Outputs are pure functions of (ball, identities,
+    // construction coins), and the conjunction over nodes is taken
+    // WITHOUT early exit, so the trial result and the telemetry charges
+    // (each node charges its construction ball once — from its memo slot,
+    // hit or miss — and its decision ball once; recomputation is not
+    // communication) are bit-identical to the materialized path's.
     LNC_EXPECTS(mode == local::ExecMode::kBalls);
     LNC_EXPECTS(!options.far_from.has_value());
     LNC_EXPECTS(!fault_requested(options) &&
@@ -76,6 +77,8 @@ local::ExperimentPlan construct_then_decide_plan(
       local::WorkerArena& arena = *env.arena;
       local::BallWorkspace& dec_ws = arena.ball_workspace();
       local::BallWorkspace& member_ws = arena.member_ball_workspace();
+      local::ConstructionMemo& memo = arena.construction_memo();
+      memo.clear();  // the construction coins change per trial
       local::Labeling& member_outputs = arena.ball_outputs();
       const graph::Topology& topology = inst.topology();
       const graph::NodeId n = inst.node_count();
@@ -83,6 +86,8 @@ local::ExperimentPlan construct_then_decide_plan(
       const int t_dec = decider.radius();
       std::uint64_t announcements = 0;
       std::uint64_t encoded_words = 0;
+      std::uint64_t computes = 0;
+      std::uint64_t reuses = 0;
       bool accepted = true;
       // Observability over the streaming loop: the node sweep is chunked
       // so giga-scale trials emit node-range trace spans and live
@@ -113,18 +118,27 @@ local::ExperimentPlan construct_then_decide_plan(
           encoded_words += dec_ball.encoded_words();
           member_outputs.assign(dec_ball.size(), 0);
           for (graph::NodeId m = 0; m < dec_ball.size(); ++m) {
-            member_ws.ball.collect(topology, dec_ball.to_original(m), t_cons,
-                                   member_ws.scratch);
-            local::View member_view;
-            member_view.ball = &member_ws.ball;
-            member_view.instance = &inst;
-            if (options.grant_n) member_view.n_nodes = n;
-            member_outputs[m] = algo.compute(member_view, c_coins);
+            const graph::NodeId u = dec_ball.to_original(m);
+            local::ConstructionMemo::Entry& entry = memo.slot(u);
+            if (entry.node == u) {
+              ++reuses;
+            } else {
+              ++computes;
+              member_ws.ball.collect(topology, u, t_cons, member_ws.scratch);
+              local::View member_view;
+              member_view.ball = &member_ws.ball;
+              member_view.instance = &inst;
+              if (options.grant_n) member_view.n_nodes = n;
+              entry = {u, member_ws.ball.size(),
+                       algo.compute(member_view, c_coins),
+                       member_ws.ball.encoded_words()};
+            }
+            member_outputs[m] = entry.label;
             if (m == 0) {
               // The center's construction ball IS node v's construction-
               // phase visit; charge it exactly once.
-              announcements += member_ws.ball.size();
-              encoded_words += member_ws.ball.encoded_words();
+              announcements += entry.ball_size;
+              encoded_words += entry.encoded_words;
             }
           }
           local::View view;
@@ -144,6 +158,11 @@ local::ExperimentPlan construct_then_decide_plan(
           static_cast<std::uint64_t>(std::max(t_cons, 1)) +
           static_cast<std::uint64_t>(std::max(t_dec, 1));
       telemetry.ball_expansions += 2 * static_cast<std::uint64_t>(n);
+      if (obs_metrics != nullptr) {
+        // Once per trial: add_counter builds a string key.
+        obs_metrics->add_counter("stream_construction_computes", computes);
+        obs_metrics->add_counter("stream_construction_reuses", reuses);
+      }
       return accepted == success_on_accept;
     };
     return plan;

@@ -20,6 +20,7 @@
 // (construction algorithms) and decide/experiment_plans.h (deciders).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,6 +60,35 @@ struct SampledConfiguration {
   }
 };
 
+/// Direct-mapped memo of one trial's construction outputs, for the
+/// streaming implicit path (decide/experiment_plans.cpp). Slot
+/// u & (kSlots - 1) holds the last node u stored there: its construction
+/// label plus the size and encoded words of its construction ball (the
+/// node's construction-phase charge). Neighbouring decision balls share
+/// members, so on families with local ids (ring, path, grid, torus) most
+/// lookups hit; a collision simply evicts. Entries are pure functions of
+/// the trial's construction coins: clear() before every trial.
+class ConstructionMemo {
+ public:
+  static constexpr std::size_t kSlots = std::size_t{1} << 10;
+
+  struct Entry {
+    graph::NodeId node = graph::kInvalidNode;  ///< empty slot
+    graph::NodeId ball_size = 0;
+    Label label = 0;
+    std::uint64_t encoded_words = 0;
+  };
+  static_assert(sizeof(Entry) == 24, "the table is kSlots * 24 bytes");
+
+  /// Empties every slot; the first call allocates the fixed table
+  /// (kSlots * 24 bytes), so arenas that never stream pay nothing.
+  void clear() { slots_.assign(kSlots, Entry{}); }
+  Entry& slot(graph::NodeId u) noexcept { return slots_[u & (kSlots - 1)]; }
+
+ private:
+  std::vector<Entry> slots_;
+};
+
 /// Per-worker reusable scratch: engine arenas, a labeling buffer, and
 /// knowledge tables survive from one trial to the next, so the steady-state
 /// trial allocates (almost) nothing. Not thread-safe; the runner hands each
@@ -76,12 +106,16 @@ class WorkerArena {
 
   /// Second reusable ball slot for trial bodies that hold two balls at
   /// once: the streaming implicit path (decide/experiment_plans.cpp)
-  /// re-expands each decision-ball member's construction ball while the
-  /// decision ball stays live.
+  /// expands a decision-ball member's construction ball, on a
+  /// construction_memo() miss, while the decision ball stays live.
   BallWorkspace& member_ball_workspace() noexcept { return member_ball_; }
 
+  /// The streaming implicit path's per-trial construction memo.
+  ConstructionMemo& construction_memo() noexcept { return memo_; }
+
   /// Ball-local output buffer for the streaming implicit path — sized by
-  /// the current ball, never by n.
+  /// the current decision ball, never by n; filled from
+  /// construction_memo().
   Labeling& ball_outputs() noexcept { return ball_outputs_; }
 
   /// This worker's telemetry accumulator (lives in the engine scratch so
@@ -126,6 +160,7 @@ class WorkerArena {
   std::vector<Knowledge> knowledge_;
   BallWorkspace ball_;
   BallWorkspace member_ball_;
+  ConstructionMemo memo_;
   Labeling ball_outputs_;
   VectorScratch vector_;
   obs::MetricsRegistry metrics_;

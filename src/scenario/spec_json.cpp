@@ -59,8 +59,17 @@ class Parser {
 
   Json parse_value() {
     const char ch = peek();
-    if (ch == '{') return parse_object();
-    if (ch == '[') return parse_array();
+    if (ch == '{' || ch == '[') {
+      // Containers recurse; refuse to nest past the cap instead of
+      // running out of stack on hostile input.
+      if (depth_ == Json::kMaxDepth) {
+        fail(pos_, "nesting deeper than " + std::to_string(Json::kMaxDepth));
+      }
+      ++depth_;
+      Json value = ch == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (ch == '"') {
       Json value;
       value.kind = Json::Kind::kString;
@@ -210,6 +219,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers currently open
 };
 
 [[noreturn]] void type_error(const std::string& what) {

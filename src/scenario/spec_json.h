@@ -19,6 +19,10 @@ namespace lnc::scenario {
 /// spec errors surface as readable messages instead of silent defaults.
 struct Json {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  /// Deepest container nesting parse() accepts. The stack's own artifacts
+  /// nest under 10 deep (a traced sweep JSON: 6); deeper input is a parse
+  /// error at the offset of the first container past the cap.
+  static constexpr int kMaxDepth = 64;
   using Array = std::vector<Json>;
   using Object = std::map<std::string, Json>;
 

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "algo/weak_color_mc.h"
 #include "local/engine.h"
@@ -590,6 +591,37 @@ TEST(SpecJson, MalformedInputThrowsWithOffset) {
                std::runtime_error);
   EXPECT_THROW(scenario::spec_from_json("{\"success\": \"maybe\"}"),
                std::runtime_error);
+}
+
+TEST(SpecJson, DeepNestingIsDiagnosedWithOffset) {
+  constexpr std::size_t cap = scenario::Json::kMaxDepth;
+  // 200,000 open brackets used to overflow the parser's stack; now the
+  // first bracket past the cap is reported where it stands.
+  try {
+    scenario::Json::parse(std::string(200000, '['));
+    FAIL() << "deep nesting parsed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("JSON error at offset " + std::to_string(cap) + ":"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW(scenario::spec_from_json(std::string(cap + 1, '{')),
+               std::runtime_error);
+
+  // Exactly at the cap, both container kinds still parse.
+  const scenario::Json arrays =
+      scenario::Json::parse(std::string(cap, '[') + std::string(cap, ']'));
+  std::size_t depth = 1;
+  for (const scenario::Json* at = &arrays; !at->array.empty();
+       at = &at->array.front()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, cap);
+  std::string objects;
+  for (std::size_t i = 1; i < cap; ++i) objects += "{\"k\": ";
+  objects += "{}" + std::string(cap - 1, '}');
+  EXPECT_NO_THROW(scenario::Json::parse(objects));
 }
 
 TEST(Recycling, ScratchReuseAcrossFactoriesStaysCorrect) {

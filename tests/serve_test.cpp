@@ -538,4 +538,19 @@ TEST(DaemonProtocol, RejectsBadRequestsWithoutDying) {
   EXPECT_EQ(service.stats().trials_computed, 0u);
 }
 
+TEST(DaemonProtocol, DeeplyNestedRequestIsAnErrorNotACrash) {
+  serve::ServiceOptions options;
+  options.threads = 1;
+  serve::SweepService service(fresh_dir("deepreq"), options);
+  const std::string response =
+      serve::handle_request_line(service, std::string(200000, '['));
+  EXPECT_NE(response.find("\"status\": \"error\""), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("JSON error at offset " +
+                          std::to_string(scenario::Json::kMaxDepth)),
+            std::string::npos)
+      << response;
+  EXPECT_EQ(response.find('\n'), response.size() - 1);
+}
+
 }  // namespace

@@ -8,10 +8,14 @@
 //      generator's graph exactly.
 //   2. A full ball-mode sweep produces bit-identical tallies and
 //      deterministic telemetry whether the grid point materializes or
-//      streams, at 1 and at 8 threads.
-//   3. Execution is representation, not semantics: all three Execution
+//      streams, at 1 and at 8 threads — on one workload per way the
+//      streaming loop's construction memo behaves (all hits, reuse
+//      across torus rows, random misses and evictions, wrapping balls).
+//   3. On the ring the memo computes each construction output about
+//      once per trial (its metrics counters say so).
+//   4. Execution is representation, not semantics: all three Execution
 //      values of one spec share a single serve cache key.
-//   4. Validation rejects implicit execution for scenarios that cannot
+//   5. Validation rejects implicit execution for scenarios that cannot
 //      stream, with actionable diagnostics.
 #include <gtest/gtest.h>
 
@@ -21,6 +25,7 @@
 
 #include "graph/ball.h"
 #include "graph/implicit.h"
+#include "obs/metrics.h"
 #include "rand/splitmix.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -160,31 +165,92 @@ void expect_sweeps_equal(const scenario::SweepResult& a,
   }
 }
 
+/// One streaming workload per way the construction memo can behave.
+struct StreamingCase {
+  const char* label;
+  const char* topology;
+  std::uint64_t n;
+  int phases;
+  std::uint64_t trials;
+};
+
+scenario::ScenarioSpec streaming_spec(const StreamingCase& c) {
+  scenario::ScenarioSpec spec = streaming_spec();
+  spec.topology = c.topology;
+  spec.params["random-ids"] = 0;
+  spec.params["phases"] = c.phases;
+  spec.n_grid = {c.n};
+  spec.trials = c.trials;
+  return spec;
+}
+
 TEST(ImplicitTopology, SweepBitIdenticalAcrossExecutionAndThreads) {
-  scenario::ScenarioSpec materialized = streaming_spec();
-  materialized.execution = scenario::Execution::kMaterialized;
-  ASSERT_EQ(scenario::validate(materialized), "");
-  const scenario::SweepResult reference =
-      scenario::run_sweep(scenario::compile(materialized));
-  ASSERT_TRUE(reference.complete());
-  // A degenerate tally (0 or all successes) would let an
-  // always-reject/accept bug slip through the comparison.
-  ASSERT_GT(reference.rows[0].tally.successes, 0u);
-  ASSERT_LT(reference.rows[0].tally.successes, reference.rows[0].tally.trials);
-
-  scenario::ScenarioSpec implicit = streaming_spec();
-  implicit.execution = scenario::Execution::kImplicit;
-  ASSERT_EQ(scenario::validate(implicit), "");
-  const scenario::CompiledScenario compiled = scenario::compile(implicit);
-  ASSERT_TRUE(compiled.points()[0].instance->is_implicit());
-
-  expect_sweeps_equal(reference, scenario::run_sweep(compiled),
-                      "implicit sequential");
   const stats::ThreadPool pool(8);
+  for (const StreamingCase& c : {
+           // Every reuse hits: a decision ball's members were the
+           // previous node's members.
+           StreamingCase{"ring: every reuse hits", "ring", 4096, 4, 64},
+           // Reuse at id distance +-1 and +-64 (the row above/below).
+           StreamingCase{"torus: reuse across rows", "torus", 4096, 5, 8},
+           // Random neighbours: mostly misses and slot evictions. Its
+           // balls span most of the graph, so 4 trials (3 successes)
+           // keep the test fast.
+           StreamingCase{"random-regular: misses and evictions",
+                         "random-regular", 4096, 5, 4},
+           // Balls wrap around, and n is below the memo size.
+           StreamingCase{"ring n=5: wrapping balls", "ring", 5, 2, 16},
+       }) {
+    SCOPED_TRACE(c.label);
+    scenario::ScenarioSpec materialized = streaming_spec(c);
+    materialized.execution = scenario::Execution::kMaterialized;
+    ASSERT_EQ(scenario::validate(materialized), "");
+    const scenario::SweepResult reference =
+        scenario::run_sweep(scenario::compile(materialized));
+    ASSERT_TRUE(reference.complete());
+    // A degenerate tally (0 or all successes) would let an
+    // always-reject/accept bug slip through the comparison.
+    ASSERT_GT(reference.rows[0].tally.successes, 0u);
+    ASSERT_LT(reference.rows[0].tally.successes,
+              reference.rows[0].tally.trials);
+
+    scenario::ScenarioSpec implicit = streaming_spec(c);
+    implicit.execution = scenario::Execution::kImplicit;
+    ASSERT_EQ(scenario::validate(implicit), "");
+    const scenario::CompiledScenario compiled = scenario::compile(implicit);
+    ASSERT_TRUE(compiled.points()[0].instance->is_implicit());
+
+    expect_sweeps_equal(reference, scenario::run_sweep(compiled),
+                        "implicit sequential");
+    scenario::SweepOptions options;
+    options.pool = &pool;
+    expect_sweeps_equal(reference, scenario::run_sweep(compiled, options),
+                        "implicit 8 threads");
+  }
+}
+
+TEST(ImplicitTopology, RingComputesEachConstructionOutputOnce) {
+  scenario::ScenarioSpec spec = streaming_spec();
+  spec.execution = scenario::Execution::kImplicit;
+  spec.trials = 8;
+  const std::uint64_t n = spec.n_grid[0];
+  const stats::ThreadPool pool(4);
   scenario::SweepOptions options;
   options.pool = &pool;
-  expect_sweeps_equal(reference, scenario::run_sweep(compiled, options),
-                      "implicit 8 threads");
+  obs::set_metrics_enabled(true);
+  const scenario::SweepResult result =
+      scenario::run_sweep(scenario::compile(spec), options);
+  obs::set_metrics_enabled(false);
+
+  const auto& counters = result.metrics.counters();
+  ASSERT_EQ(counters.count("stream_construction_computes"), 1u);
+  ASSERT_EQ(counters.count("stream_construction_reuses"), 1u);
+  const std::uint64_t computes = counters.at("stream_construction_computes");
+  const std::uint64_t reuses = counters.at("stream_construction_reuses");
+  // Per trial: one output per node, plus the two wrap-around members
+  // (node n-1 and node 0) whose slots were evicted by the time they
+  // recur; every other lookup of the sum over v of |B(v, 1)| = 3n hits.
+  EXPECT_LE(computes, spec.trials * (n + 2));
+  EXPECT_EQ(computes + reuses, spec.trials * 3 * n);
 }
 
 TEST(ImplicitTopology, ExecutionSharesOneCacheKey) {
