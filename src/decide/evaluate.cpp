@@ -112,7 +112,7 @@ DecisionOutcome evaluate(const local::Instance& inst,
                          const EvaluateOptions& options) {
   return evaluate_impl(inst, options, decider.radius(),
                        [&](const local::View& view) {
-                         DeciderView dv{view, output};
+                         DeciderView dv{view, output, {}};
                          return decider.accept(dv);
                        });
 }
@@ -124,7 +124,7 @@ DecisionOutcome evaluate(const local::Instance& inst,
                          const EvaluateOptions& options) {
   return evaluate_impl(inst, options, decider.radius(),
                        [&](const local::View& view) {
-                         DeciderView dv{view, output};
+                         DeciderView dv{view, output, {}};
                          return decider.accept(dv, coins);
                        });
 }

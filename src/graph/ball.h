@@ -27,7 +27,8 @@ namespace lnc::graph {
 /// edge_blocked must be symmetric in its arguments; both receive
 /// ORIGINAL graph indices. A blocked node never joins the ball (the
 /// center itself is exempt — callers decide what a failed center means);
-/// a blocked edge is traversed by neither BFS nor the adjacency pass.
+/// a blocked edge is never traversed and appears in neither endpoint's
+/// row (a boundary member's row is probed from the interior side only).
 class BallFilter {
  public:
   virtual ~BallFilter() = default;
@@ -35,7 +36,9 @@ class BallFilter {
   virtual bool edge_blocked(NodeId a, NodeId b) const = 0;
 };
 
-/// Reusable working storage for BallView::collect. The visited map is
+/// Reusable working storage for BallView::collect: the visited map
+/// (original -> local index) of the one-pass collection kernel, plus the
+/// fill cursors of the boundary rows. The CSR path's map is
 /// stamp-versioned, so successive collections touch only the nodes of the
 /// ball being built instead of clearing an O(n) array each time; the
 /// Monte-Carlo paths keep one scratch per worker (local/batch_runner.h)
@@ -44,20 +47,17 @@ class BallFilter {
 ///
 /// The generic Topology path (implicit topologies) must NOT touch the
 /// O(n) stamp arrays — ball-bounded memory at n = 10^8+ is the point —
-/// so it keeps its own ball-sized open-addressing visited map and a
-/// per-collect memo of the members' host neighbor lists instead.
+/// so its visited map is a ball-sized open-addressing table instead.
 class BallScratch {
  private:
   friend class BallView;
   std::vector<NodeId> local_of_;     // node -> local index (when stamped)
   std::vector<std::uint64_t> stamp_; // node -> version of last visit
-  std::vector<std::size_t> cursor_;  // per-local CSR fill cursor
+  std::vector<std::size_t> cursor_;  // per-boundary-member fill cursor
   std::uint64_t version_ = 0;
   // Generic-path state (sized by the ball, never by n).
   std::vector<NodeId> map_keys_;     // open addressing: original index
   std::vector<NodeId> map_vals_;     //   -> local index
-  std::vector<std::size_t> host_offsets_;  // per-member memo rows
-  std::vector<NodeId> host_adj_;
   std::vector<NodeId> fetch_;        // neighbors_of synthesis buffer
 };
 
@@ -75,19 +75,22 @@ class BallView {
   /// Re-collects B_G(center, radius) into this view, reusing this view's
   /// vector capacity and the scratch's visited map. Bit-identical to a
   /// freshly constructed BallView (tests/graph_test.cpp asserts this);
-  /// only the allocations differ. A non-null `filter` censors the
-  /// collection: blocked nodes and blocked edges are invisible to BFS and
-  /// adjacency alike, i.e. the ball is collected in the realized fault
-  /// subgraph (host_degrees_ still report the intact host graph — the
-  /// algorithm knows its port count even when links misbehave).
+  /// only the allocations differ. One pass: the BFS reads each member's
+  /// host row once and builds the in-ball adjacency as it goes (interior
+  /// rows from the scan itself, boundary rows as the reversed interior
+  /// edges). A non-null `filter` censors the collection: blocked nodes
+  /// and blocked edges are invisible to BFS and adjacency alike, i.e. the
+  /// ball is collected in the realized fault subgraph (host_degrees_
+  /// still report the intact host graph — the algorithm knows its port
+  /// count even when links misbehave).
   void collect(const Graph& g, NodeId center, int radius,
                BallScratch& scratch, const BallFilter* filter = nullptr);
 
   /// Collects the ball from any Topology. A materialized Graph takes the
-  /// CSR fast path above; anything else expands through neighbors_of with
-  /// ball-bounded scratch (no O(n) visited arrays), producing a view
-  /// bit-identical to collecting from the materialized graph of the same
-  /// topology (tests/topology_test.cpp).
+  /// CSR path above; anything else runs the same kernel through
+  /// neighbors_of with ball-bounded scratch (no O(n) visited arrays),
+  /// producing a view bit-identical to collecting from the materialized
+  /// graph of the same topology (tests/topology_test.cpp).
   void collect(const Topology& topology, NodeId center, int radius,
                BallScratch& scratch, const BallFilter* filter = nullptr);
 
@@ -150,8 +153,12 @@ class BallView {
   std::uint64_t structure_signature() const;
 
  private:
-  void collect_generic(const Topology& topology, NodeId center, int radius,
-                       BallScratch& scratch, const BallFilter* filter);
+  // The one-pass kernel behind both collect overloads: `rows(v)` yields
+  // v's sorted host row, `visited` maps original -> local index.
+  template <typename Rows, typename Visited>
+  void collect_one_pass(NodeId center, int radius, const Rows& rows,
+                        Visited& visited, const BallFilter* filter,
+                        std::vector<std::size_t>& cursor);
 
   int radius_ = 0;
   std::vector<NodeId> members_;     // local -> original

@@ -91,10 +91,14 @@ class ImplicitCycle final : public ImplicitTopology {
 
   std::span<const NodeId> neighbors_of(
       NodeId v, std::vector<NodeId>& scratch) const override {
-    scratch.clear();
-    scratch.push_back(v == 0 ? n_ - 1 : v - 1);
-    scratch.push_back(v + 1 == n_ ? 0 : v + 1);
-    return sorted_unique(scratch);
+    // n >= 3 keeps the two neighbors distinct, so ordering them needs
+    // no sort.
+    const NodeId prev = v == 0 ? n_ - 1 : v - 1;
+    const NodeId next = v + 1 == n_ ? 0 : v + 1;
+    scratch.resize(2);
+    scratch[0] = std::min(prev, next);
+    scratch[1] = std::max(prev, next);
+    return scratch;
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -12,6 +13,7 @@
 #include "graph/io.h"
 #include "graph/metrics.h"
 #include "graph/ops.h"
+#include "rand/splitmix.h"
 
 namespace lnc::graph {
 namespace {
@@ -243,6 +245,166 @@ TEST(Ball, ScratchReuseIsBitIdenticalToFreshConstruction) {
       }
     }
   }
+}
+
+// The paper's ball (section 2.1.1) in the realized subgraph of a filter,
+// transcribed naively: BFS over unblocked nodes (the center exempt) and
+// unblocked edges, members in discovery order over ascending ids, and
+// rows = the realized edges among members minus pairs with both ends at
+// distance r, sorted by local index.
+struct ReferenceBall {
+  std::vector<NodeId> members;
+  std::vector<int> distance;
+  std::vector<std::vector<NodeId>> rows;
+};
+
+ReferenceBall reference_ball(const Graph& g, NodeId center, int radius,
+                             const BallFilter* filter) {
+  auto present = [&](NodeId v) {
+    return v == center || filter == nullptr || !filter->node_blocked(v);
+  };
+  auto realized = [&](NodeId a, NodeId b) {
+    return g.has_edge(a, b) &&
+           (filter == nullptr || !filter->edge_blocked(a, b));
+  };
+  ReferenceBall ball;
+  std::map<NodeId, NodeId> local;
+  ball.members.push_back(center);
+  ball.distance.push_back(0);
+  local[center] = 0;
+  for (std::size_t head = 0; head < ball.members.size(); ++head) {
+    const NodeId u = ball.members[head];
+    if (ball.distance[head] == radius) continue;
+    for (NodeId w : g.neighbors(u)) {
+      if (local.count(w) != 0 || !present(w) || !realized(u, w)) continue;
+      local[w] = static_cast<NodeId>(ball.members.size());
+      ball.members.push_back(w);
+      ball.distance.push_back(ball.distance[head] + 1);
+    }
+  }
+  const std::size_t size = ball.members.size();
+  ball.rows.resize(size);
+  for (NodeId a = 0; a < size; ++a) {
+    for (NodeId b = 0; b < size; ++b) {
+      if (ball.distance[a] == radius && ball.distance[b] == radius) continue;
+      if (realized(ball.members[a], ball.members[b])) ball.rows[a].push_back(b);
+    }
+  }
+  return ball;
+}
+
+// The signature serialization documented on structure_signature().
+std::uint64_t reference_signature(const ReferenceBall& ball) {
+  std::uint64_t h = 0x62616C6C7369676EULL;
+  h = rand::mix_keys(h, ball.members.size());
+  for (std::size_t i = 0; i < ball.members.size(); ++i) {
+    h = rand::mix_keys(h, static_cast<std::uint64_t>(ball.distance[i]));
+    for (NodeId j : ball.rows[i]) h = rand::mix_keys(h, j);
+    h = rand::mix_keys(h, 0xFFFFFFFFULL);
+  }
+  return h;
+}
+
+// Blocks a seeded ~`share` of nodes and of edges (symmetric, pure).
+class SeededFilter final : public BallFilter {
+ public:
+  SeededFilter(std::uint64_t seed, double share)
+      : seed_(seed),
+        cutoff_(static_cast<std::uint64_t>(share * 18446744073709551615.0)) {}
+
+  bool node_blocked(NodeId v) const override {
+    return rand::mix_keys(seed_, v) < cutoff_;
+  }
+  bool edge_blocked(NodeId a, NodeId b) const override {
+    const std::uint64_t key =
+        (std::uint64_t{std::min(a, b)} << 32) | std::max(a, b);
+    return rand::mix_keys(seed_ ^ 0xED6EULL, key) < cutoff_;
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t cutoff_;
+};
+
+// The same graph behind the bare Topology interface, so collect() takes
+// the generic (implicit) path. Rows are synthesized into `scratch` as an
+// implicit topology would, so a kernel holding a row across the next
+// neighbors_of call would read the wrong row.
+class WrappedGraph final : public Topology {
+ public:
+  explicit WrappedGraph(const Graph& g) : g_(g) {}
+  NodeId node_count() const noexcept override { return g_.node_count(); }
+  std::span<const NodeId> neighbors_of(
+      NodeId v, std::vector<NodeId>& scratch) const override {
+    const std::span<const NodeId> row = g_.neighbors(v);
+    scratch.assign(row.begin(), row.end());
+    return scratch;
+  }
+
+ private:
+  const Graph& g_;
+};
+
+void expect_matches_reference(const BallView& got, const ReferenceBall& want,
+                              const Graph& g, const std::string& where) {
+  ASSERT_EQ(got.size(), want.members.size()) << where;
+  std::uint64_t words = 1 + 4 * want.members.size();
+  for (NodeId i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.to_original(i), want.members[i]) << where;
+    ASSERT_EQ(got.distance(i), want.distance[i]) << where;
+    ASSERT_EQ(got.host_degree(i), g.degree(want.members[i])) << where;
+    const auto row = got.neighbors(i);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), want.rows[i].begin(),
+                           want.rows[i].end()))
+        << where << " row " << i;
+    words += want.rows[i].size();
+  }
+  EXPECT_EQ(got.encoded_words(), words) << where;
+  EXPECT_EQ(got.structure_signature(), reference_signature(want)) << where;
+}
+
+TEST(Ball, CollectionMatchesThePaperDefinitionUnderFilters) {
+  const Graph graphs[] = {gnp_hash(100, 0.04, 6, 11),
+                          random_tree_bounded(100, 4, 12), grid(10, 10),
+                          hypercube(7)};
+  const SeededFilter filters[] = {{21, 0.1}, {22, 0.1}};
+  BallView csr;
+  BallView generic;
+  BallScratch scratch;
+  int blocked_centers = 0;
+  int blocked_member_edges = 0;
+  for (std::size_t gi = 0; gi < std::size(graphs); ++gi) {
+    const Graph& g = graphs[gi];
+    const WrappedGraph wrapped(g);
+    for (int radius = 0; radius <= 4; ++radius) {
+      for (NodeId center = 0; center < g.node_count(); ++center) {
+        for (int fi = -1; fi < static_cast<int>(std::size(filters)); ++fi) {
+          const BallFilter* filter = fi < 0 ? nullptr : &filters[fi];
+          const std::string where = "graph " + std::to_string(gi) + " r" +
+                                    std::to_string(radius) + " center " +
+                                    std::to_string(center) + " filter " +
+                                    std::to_string(fi);
+          const ReferenceBall want = reference_ball(g, center, radius, filter);
+          csr.collect(g, center, radius, scratch, filter);
+          expect_matches_reference(csr, want, g, where + " csr");
+          generic.collect(wrapped, center, radius, scratch, filter);
+          expect_matches_reference(generic, want, g, where + " generic");
+          if (filter == nullptr) continue;
+          blocked_centers += filter->node_blocked(center) ? 1 : 0;
+          for (NodeId a : want.members) {
+            for (NodeId b : want.members) {
+              blocked_member_edges +=
+                  a < b && g.has_edge(a, b) && filter->edge_blocked(a, b);
+            }
+          }
+        }
+      }
+    }
+  }
+  // The filters really exercised the exempt center and the symmetric
+  // drop of an edge between two visited members.
+  EXPECT_GT(blocked_centers, 0);
+  EXPECT_GT(blocked_member_edges, 0);
 }
 
 TEST(Ops, DisjointUnion) {

@@ -4,6 +4,7 @@
 // recycling.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "algo/weak_color_mc.h"
 #include "local/engine.h"
@@ -88,6 +90,99 @@ TEST(Presets, EveryScenarioResolvesAndRunsOneTrialSweep) {
     ASSERT_EQ(result.rows.size(), 1u) << spec.name;
     EXPECT_EQ(result.rows[0].tally.trials, 1u) << spec.name;
     EXPECT_LE(result.rows[0].tally.successes, 1u) << spec.name;
+  }
+}
+
+// ExactSum::to_hex() as its significant digits plus the count of
+// trailing zeros (the fixed-point fraction makes up most of the string).
+struct PinnedHex {
+  const char* digits;
+  std::size_t zeros;
+
+  std::string hex() const { return digits + std::string(zeros, '0'); }
+};
+
+struct PinnedRow {
+  const char* preset;
+  std::uint64_t n;
+  std::uint64_t successes;
+  PinnedHex value_sum;
+  PinnedHex value_sum_sq;
+  std::vector<std::uint64_t> counts;
+  // messages, words, rounds, ball expansions, dropped, crashed, churned.
+  std::array<std::uint64_t, 7> telemetry;
+};
+
+TEST(Presets, ResultsMatchThePinnedTable) {
+  // Every preset as shrunk(preset, 32), sequential. The values were
+  // generated before the one-pass ball-collection kernel landed and pin
+  // the catalogue's results across it: unlike the thread, shard, backend
+  // and representation gates, this notices a change that shifts results
+  // the same way in every run. A change that moves results on purpose
+  // regenerates the table and says so.
+  const PinnedRow pinned[] = {
+      {"ring-slack-coloring", 24, 18, {"0", 0}, {"0", 0}, {},
+       {3072, 16896, 64, 1536, 0, 0, 0}},
+      {"hard-ring-resilient-coloring", 12, 3, {"0", 0}, {"0", 0}, {},
+       {1536, 8448, 64, 768, 0, 0, 0}},
+      {"hard-ring-beta", 12, 31, {"0", 0}, {"0", 0}, {},
+       {384, 1920, 32, 384, 0, 0, 0}},
+      {"ring-amos-yes", 16, 20, {"0", 0}, {"0", 0}, {},
+       {1024, 5120, 64, 1024, 0, 0, 0}},
+      {"ring-amos-no", 16, 18, {"0", 0}, {"0", 0}, {},
+       {1024, 5120, 64, 1024, 0, 0, 0}},
+      {"grid-lll-resilient", 49, 17, {"0", 0}, {"0", 0}, {},
+       {8512, 41664, 64, 1568, 0, 0, 0}},
+      {"gnp-weak-coloring", 64, 30, {"0", 0}, {"0", 0}, {},
+       {24768, 74880, 256, 2048, 0, 0, 0}},
+      {"random-regular-mis-luby", 64, 32, {"0", 0}, {"0", 0}, {},
+       {20864, 79360, 232, 2048, 0, 0, 0}},
+      {"tree-matching", 64, 32, {"0", 0}, {"0", 0}, {},
+       {31360, 132398, 490, 0, 0, 0, 0}},
+      {"hard-ring-cole-vishkin", 16, 32, {"0", 0}, {"0", 0}, {},
+       {4608, 11776, 224, 512, 0, 0, 0}},
+      {"ring-mis-implicit", 4096, 23, {"0", 0}, {"0", 0}, {},
+       {1572864, 9175040, 160, 262144, 0, 0, 0}},
+      {"luby-mis-rounds", 64, 0, {"33", 269}, {"152", 269}, {},
+       {13056, 33664, 204, 0, 0, 0, 0}},
+      {"ring-mis-luby-rounds", 256, 0, {"3", 270}, {"128", 269}, {},
+       {49152, 126976, 192, 0, 0, 0, 0}},
+      {"rand-matching-rounds", 64, 0, {"7e", 269}, {"81d", 269}, {},
+       {32256, 137652, 504, 0, 0, 0, 0}},
+      {"gnp-weak-coloring-quality", 64, 0, {"2a", 269}, {"10a", 269}, {},
+       {2048, 2048, 32, 0, 0, 0, 0}},
+      {"ring-amos-words", 16, 0, {"0", 0}, {"0", 0}, {2560},
+       {512, 2560, 32, 512, 0, 0, 0}},
+      {"ring-amos-drop", 16, 23, {"0", 0}, {"0", 0}, {},
+       {1024, 5120, 64, 1024, 56, 0, 0}},
+      {"luby-mis-crash", 64, 17, {"0", 0}, {"0", 0}, {},
+       {10847, 28092, 178, 0, 0, 99, 0}},
+      {"rand-matching-churn", 64, 0, {"0", 0}, {"0", 0}, {},
+       {38144, 163081, 596, 0, 0, 0, 3711}},
+  };
+  const auto& presets = scenario::preset_scenarios();
+  ASSERT_EQ(presets.size(), std::size(pinned));
+  for (std::size_t i = 0; i < presets.size(); ++i) {
+    const PinnedRow& want = pinned[i];
+    ASSERT_EQ(presets[i].name, want.preset);
+    const scenario::SweepResult result =
+        scenario::run_sweep(scenario::compile(shrunk(presets[i], 32)));
+    ASSERT_EQ(result.rows.size(), 1u) << want.preset;
+    const scenario::SweepRow& row = result.rows[0];
+    const local::ShardTally& got = row.tally;
+    const local::Telemetry& t = got.telemetry;
+    EXPECT_EQ(row.actual_n, want.n) << want.preset;
+    EXPECT_EQ(got.trials, 32u) << want.preset;
+    EXPECT_EQ(got.successes, want.successes) << want.preset;
+    EXPECT_EQ(got.value_sum.to_hex(), want.value_sum.hex()) << want.preset;
+    EXPECT_EQ(got.value_sum_sq.to_hex(), want.value_sum_sq.hex())
+        << want.preset;
+    EXPECT_EQ(got.counts, want.counts) << want.preset;
+    const std::array<std::uint64_t, 7> counters = {
+        t.messages_sent,   t.words_sent,       t.rounds_executed,
+        t.ball_expansions, t.messages_dropped, t.nodes_crashed,
+        t.edges_churned};
+    EXPECT_EQ(counters, want.telemetry) << want.preset;
   }
 }
 
