@@ -94,9 +94,11 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 /// saturating.
 std::uint64_t multiset_count(std::uint64_t alphabet, std::uint64_t d) {
   // Product formula with interleaved division keeps intermediates exact.
+  // The numerator saturates too: a saturated alphabet must not wrap it
+  // to zero.
   std::uint64_t result = 1;
   for (std::uint64_t i = 1; i <= d; ++i) {
-    const std::uint64_t numerator = alphabet + i - 1;
+    const std::uint64_t numerator = sat_add(alphabet, i - 1);
     if (result > std::numeric_limits<std::uint64_t>::max() / numerator) {
       return std::numeric_limits<std::uint64_t>::max();
     }

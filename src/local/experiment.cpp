@@ -192,6 +192,13 @@ const char* to_string(ExecMode mode) noexcept {
   return "?";
 }
 
+std::optional<ExecMode> exec_mode_from_string(std::string_view text) noexcept {
+  if (text == "balls") return ExecMode::kBalls;
+  if (text == "messages") return ExecMode::kMessages;
+  if (text == "two-phase") return ExecMode::kTwoPhase;
+  return std::nullopt;
+}
+
 void run_construction_into(const Instance& inst, const BallAlgorithm& algo,
                            ExecMode mode, Labeling& output,
                            const ExecOptions& options) {

@@ -33,6 +33,10 @@ enum class ExecMode { kBalls, kMessages, kTwoPhase };
 
 const char* to_string(ExecMode mode) noexcept;
 
+/// Inverse of to_string — the one parser behind spec files and --mode.
+/// Nullopt on an unknown tag (callers own the error message).
+std::optional<ExecMode> exec_mode_from_string(std::string_view text) noexcept;
+
 struct ExecOptions {
   bool grant_n = false;
   /// Reusable per-worker storage; null uses call-local scratch.

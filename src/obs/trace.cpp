@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ostream>
 
 #include "util/file_util.h"
 
@@ -151,6 +152,19 @@ bool TraceRecorder::write_file(const std::string& path,
     if (error != nullptr) *error = problem;
     return false;
   }
+  return true;
+}
+
+bool TraceRecorder::write_file_and_report(const std::string& path,
+                                          std::ostream& report) const {
+  std::string error;
+  if (!write_file(path, &error)) {
+    report << "cannot write trace: " << error << "\n";
+    return false;
+  }
+  report << "trace: wrote " << path << " (" << event_count() << " spans";
+  if (dropped_count() > 0) report << ", " << dropped_count() << " dropped";
+  report << ")\n";
   return true;
 }
 

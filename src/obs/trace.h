@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,6 +62,13 @@ class TraceRecorder {
   /// Atomically writes to_json() to `path`. Returns false and fills
   /// `*error` on failure.
   bool write_file(const std::string& path, std::string* error) const;
+
+  /// write_file, reporting the outcome in one line on `report`: "trace:
+  /// wrote PATH (N spans[, D dropped])", or "cannot write trace: WHY"
+  /// and a false return — the --trace epilogue of lnc_sweep and
+  /// lnc_launch.
+  bool write_file_and_report(const std::string& path,
+                             std::ostream& report) const;
 
   std::size_t event_count() const;
   std::size_t dropped_count() const;

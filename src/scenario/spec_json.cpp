@@ -345,17 +345,13 @@ ScenarioSpec spec_from_json(const Json& root) {
       }
       spec.execution = *execution;
     } else if (key == "mode") {
-      const std::string& mode = value.as_string();
-      if (mode == "balls") {
-        spec.mode = local::ExecMode::kBalls;
-      } else if (mode == "messages") {
-        spec.mode = local::ExecMode::kMessages;
-      } else if (mode == "two-phase") {
-        spec.mode = local::ExecMode::kTwoPhase;
-      } else {
+      const std::optional<local::ExecMode> mode =
+          local::exec_mode_from_string(value.as_string());
+      if (!mode) {
         throw std::runtime_error(
             "spec 'mode' must be balls|messages|two-phase");
       }
+      spec.mode = *mode;
     } else {
       throw std::runtime_error("unknown spec key '" + key + "'");
     }

@@ -222,7 +222,9 @@ int listen_tcp(int port, std::string* error) {
 
 // One connection: read request lines, answer each, until EOF or the
 // request budget trips. The 1-second receive timeout keeps the thread
-// responsive to a daemon-wide stop even under an idle client.
+// responsive to a daemon-wide stop even under an idle client. A line
+// longer than kMaxRequestLine gets one error line and the connection is
+// closed, so no client can grow the daemon's memory without bound.
 void serve_connection(int fd, SweepService& service,
                       std::atomic<std::uint64_t>& served,
                       std::uint64_t max_requests) {
@@ -254,6 +256,13 @@ void serve_connection(int fd, SweepService& service,
     }
     if (n == 0) break;  // client closed
     buffer.append(chunk, static_cast<std::size_t>(n));
+    if (buffer.size() > kMaxRequestLine &&
+        buffer.find('\n') == std::string::npos) {
+      write_all(fd, error_response("request line exceeds " +
+                                   std::to_string(kMaxRequestLine) +
+                                   " bytes; connection closed"));
+      break;
+    }
   }
   ::close(fd);
 }

@@ -27,6 +27,7 @@
 // locking makes concurrent identical queries share one computation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -34,6 +35,12 @@
 #include "serve/service.h"
 
 namespace lnc::serve {
+
+/// Longest request line the daemon buffers, newline excluded. Past it the
+/// daemon answers one {"status": "error", ...} line naming the cap and
+/// closes the connection. Spec lines stay far below it (the longest
+/// preset's is under 1 KiB).
+inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
 /// Answers one request line with one response line (newline-terminated).
 /// Never throws: malformed requests become {"status": "error", ...}.

@@ -1,10 +1,12 @@
 #include "serve/service.h"
 
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "serve/cache_key.h"
 #include "util/assert.h"
+#include "util/build_info.h"
 #include "util/timer.h"
 
 namespace lnc::serve {
@@ -16,6 +18,17 @@ const char* to_string(CacheOutcome outcome) noexcept {
     case CacheOutcome::kTopUp: return "topup";
   }
   return "?";
+}
+
+std::string cache_line(const std::string& scenario, CacheOutcome outcome,
+                       std::uint64_t trials_reused,
+                       std::uint64_t trials_computed, const CacheKey& key) {
+  std::ostringstream os;
+  os << "cache[" << scenario << "]: outcome=" << to_string(outcome)
+     << " trials_reused=" << trials_reused
+     << " trials_computed=" << trials_computed << " key=" << key.substr(0, 16)
+     << " epoch=" << util::seed_stream_epoch();
+  return os.str();
 }
 
 SweepService::SweepService(std::string cache_dir, ServiceOptions options)

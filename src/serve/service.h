@@ -36,6 +36,14 @@ namespace lnc::serve {
 enum class CacheOutcome { kMiss, kHit, kTopUp };
 const char* to_string(CacheOutcome outcome) noexcept;
 
+/// The grep-stable decision line lnc_sweep --cache and lnc_launch --cache
+/// print (CI's cache gate keys off it), without a newline:
+///   cache[name]: outcome=topup trials_reused=30 trials_computed=30
+///   key=<first 16 hex digits> epoch=<seed-stream epoch>
+std::string cache_line(const std::string& scenario, CacheOutcome outcome,
+                       std::uint64_t trials_reused,
+                       std::uint64_t trials_computed, const CacheKey& key);
+
 struct ServiceOptions {
   /// Worker threads per computed sweep: 0 = hardware concurrency,
   /// 1 = sequential in the calling thread.

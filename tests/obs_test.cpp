@@ -187,6 +187,25 @@ TEST(Trace, DisabledSpansRecordNothing) {
   EXPECT_EQ(recorder.event_count(), 0u);
 }
 
+TEST(Trace, WriteFileAndReportPrintsOneLine) {
+  TraceRecorder& recorder = TraceRecorder::instance();
+  recorder.clear();
+  recorder.enable();
+  { const Span span("one"); }
+  recorder.disable();
+  const std::string path = ::testing::TempDir() + "lnc-obs-trace.json";
+  std::ostringstream report;
+  EXPECT_TRUE(recorder.write_file_and_report(path, report));
+  EXPECT_EQ(report.str(), "trace: wrote " + path + " (1 spans)\n");
+
+  std::ostringstream failure;
+  EXPECT_FALSE(
+      recorder.write_file_and_report("/no/such/dir/trace.json", failure));
+  EXPECT_EQ(failure.str().rfind("cannot write trace: ", 0), 0u)
+      << failure.str();
+  recorder.clear();
+}
+
 TEST(Trace, MultiThreadedSpansEmitWellFormedChromeJson) {
   TraceRecorder& recorder = TraceRecorder::instance();
   recorder.clear();

@@ -6,10 +6,15 @@
 // contract — miss seeds the cache, repeat hits run zero trials, top-up
 // computes only the missing range and is BIT-identical to a cold run,
 // concurrent identical queries share one computation — plus the daemon
-// protocol via handle_request_line (no sockets needed).
+// protocol via handle_request_line (no sockets needed), and the socket
+// loop's request-line cap through a real run_daemon.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <cctype>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -551,6 +556,111 @@ TEST(DaemonProtocol, DeeplyNestedRequestIsAnErrorNotACrash) {
             std::string::npos)
       << response;
   EXPECT_EQ(response.find('\n'), response.size() - 1);
+}
+
+TEST(DaemonProtocol, SpecRequestsShareTheirPresetFormsCacheEntry) {
+  // lnc_serve --query resolves its flags into {"spec": ...}; the preset
+  // form with overrides still parses, and both name one cache entry.
+  serve::ServiceOptions options;
+  options.threads = 1;
+  serve::SweepService service(fresh_dir("specform"), options);
+  const auto key_of = [](const std::string& response) {
+    const std::size_t at = response.find("\"key\": \"");
+    EXPECT_NE(at, std::string::npos) << response;
+    return at == std::string::npos ? std::string()
+                                   : response.substr(at + 8, 64);
+  };
+  const std::string preset_form =
+      "{\"scenario\": \"luby-mis-rounds\", \"trials\": 6, \"n\": [64], "
+      "\"params\": {\"degree\": 3}}";
+  ScenarioSpec spec = shrunk("luby-mis-rounds", 6, 64);
+  spec.params["degree"] = 3;
+  std::string spec_json = scenario::spec_to_json(spec);
+  spec_json.pop_back();  // the trailing newline
+
+  const std::string first = serve::handle_request_line(service, preset_form);
+  const std::string second =
+      serve::handle_request_line(service, "{\"spec\": " + spec_json + "}");
+  EXPECT_EQ(key_of(first), key_of(second));
+  EXPECT_NE(second.find("\"outcome\": \"hit\""), std::string::npos)
+      << second;
+}
+
+TEST(CacheLine, IsTheGrepStableDecisionLine) {
+  EXPECT_EQ(serve::cache_line("luby-mis-rounds", CacheOutcome::kTopUp, 30, 30,
+                              std::string(64, 'a')),
+            "cache[luby-mis-rounds]: outcome=topup trials_reused=30 "
+            "trials_computed=30 key=aaaaaaaaaaaaaaaa epoch=" +
+                std::to_string(util::seed_stream_epoch()));
+}
+
+// -------------------------------------------------------- socket loop --
+
+TEST(Daemon, OverlongRequestLineIsRefusedAndTheDaemonSurvives) {
+  const std::string dir = fresh_dir("linecap");
+  std::filesystem::create_directories(dir);
+  serve::DaemonOptions options;
+  options.socket_path = dir + "/sock";
+  options.cache_dir = dir + "/store";
+  options.threads = 1;
+  options.max_requests = 2;  // the two well-formed queries below
+  int daemon_rc = -1;
+  std::thread daemon([&] { daemon_rc = serve::run_daemon(options); });
+
+  serve::Endpoint endpoint;
+  endpoint.socket_path = options.socket_path;
+  const std::string query =
+      "{\"scenario\": \"ring-amos-yes\", \"trials\": 8, \"n\": [16]}";
+  std::string response;
+  std::string error;
+  // Also waits for the daemon to bind its socket.
+  ASSERT_TRUE(serve::query_daemon(endpoint, query, 10.0, response, error))
+      << error;
+  EXPECT_NE(response.find("\"status\": \"ok\""), std::string::npos);
+
+  // Twice the cap with no newline: one error line naming the cap, then
+  // the daemon hangs up (the rest of the send fails).
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, options.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  timeval timeout{};
+  timeout.tv_sec = 10;  // a regression fails the test instead of hanging it
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const std::string flood(2 * serve::kMaxRequestLine, 'x');
+  std::size_t sent = 0;
+  while (sent < flood.size()) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char chunk[4096];
+  while (reply.find('\n') == std::string::npos) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(reply.find("\"status\": \"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find(std::to_string(serve::kMaxRequestLine) + " bytes"),
+            std::string::npos)
+      << reply;
+
+  // A new connection is still answered; it is the second counted
+  // request, so the daemon then exits on its own.
+  ASSERT_TRUE(serve::query_daemon(endpoint, query, 10.0, response, error))
+      << error;
+  EXPECT_NE(response.find("\"outcome\": \"hit\""), std::string::npos)
+      << response;
+  daemon.join();
+  EXPECT_EQ(daemon_rc, 0);
 }
 
 }  // namespace

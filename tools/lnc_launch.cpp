@@ -8,9 +8,12 @@
 // and deterministic telemetry counters are bit-identical — the same
 // merge contract `lnc_sweep --merge` obeys).
 //
-//   lnc_launch --scenario NAME --shards K [options] [overrides]
-//   lnc_launch --spec FILE.json --shards K [options] [overrides]
-//       Plan a fresh run directory and execute it.
+//   lnc_launch SPEC --shards K [overrides] [options]
+//       Plan a fresh run directory and execute it. SPEC and the overrides
+//       are scenario::SpecFlags, the flag table lnc_sweep and
+//       lnc_serve --query share: --scenario NAME, --spec FILE.json, or
+//       ad-hoc --topology/--language/--construction[/--decider], then
+//       --param k=v, --n, --trials, --seed, ... --fault-param.
 //   lnc_launch --resume DIR [options]
 //       Re-run only the missing/failed shards of an interrupted run,
 //       then merge.
@@ -55,18 +58,11 @@
 //   --inject-fail S[:T]  TEST HOOK: fail shard S's first T attempts
 //                        (default 1) before reaching the transport — CI
 //                        exercises the retry path with this.
-// Overrides (new runs only; the spec is frozen into the run directory):
-//   --param k=v | --n A,B,C | --trials N | --seed S
-//   --workload success|value|counter | --statistic NAME
-//   --success accept|reject | --mode balls|messages|two-phase
-//   --backend auto|naive|batched|vectorized
-//   --execution auto|materialized|implicit
+// --resume takes no spec flag: the spec is frozen into the run directory.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -75,12 +71,13 @@
 #include "orchestrate/manifest.h"
 #include "orchestrate/supervisor.h"
 #include "orchestrate/transport.h"
-#include "scenario/presets.h"
 #include "scenario/scenario.h"
+#include "scenario/spec_flags.h"
 #include "scenario/spec_json.h"
 #include "scenario/sweep.h"
 #include "serve/cache_key.h"
 #include "serve/result_store.h"
+#include "serve/service.h"
 #include "util/build_info.h"
 #include "util/file_util.h"
 #include "util/string_util.h"
@@ -90,10 +87,10 @@ namespace {
 using namespace lnc;
 
 int usage(std::ostream& os, int code) {
-  os << "usage: lnc_launch --scenario NAME --shards K [options]\n"
-        "       lnc_launch --spec FILE.json --shards K [options]\n"
+  os << "usage: lnc_launch SPEC --shards K [overrides] [options]\n"
         "       lnc_launch --resume DIR [options]\n"
-        "options: --run-dir DIR | --transport local|ssh\n"
+     << scenario::SpecFlags::usage()
+     << "options: --run-dir DIR | --transport local|ssh\n"
         "         --ssh-template 'ssh worker{shard} {cmd}'\n"
         "         --remote-sweep CMD | --sweep-bin PATH\n"
         "         --sweep-threads N | --jobs J | --timeout SEC\n"
@@ -105,13 +102,6 @@ int usage(std::ostream& os, int code) {
         "                        a cached prefix tops up only the missing\n"
         "                        trials; merged results are written back)\n"
         "         --inject-fail SHARD[:TIMES]   (test hook)\n"
-        "overrides (new runs): --param k=v | --n A,B,C | --trials N\n"
-        "         --seed S | --workload success|value|counter\n"
-        "         --statistic NAME | --success accept|reject\n"
-        "         --mode balls|messages|two-phase\n"
-        "         --backend auto|naive|batched|vectorized\n"
-        "         --execution auto|materialized|implicit\n"
-        "         --fault NAME | --fault-param k=v\n"
         "The merged result is bit-identical to the unsharded lnc_sweep\n"
         "run; failed shards never reach the merge (faulty runs included:\n"
         "fault draws are keyed per trial, never per process).\n"
@@ -120,8 +110,7 @@ int usage(std::ostream& os, int code) {
 }
 
 struct Options {
-  std::optional<std::string> scenario_name;
-  std::optional<std::string> spec_file;
+  scenario::SpecFlags spec;
   std::optional<std::string> resume_dir;
 
   unsigned shards = 0;
@@ -138,20 +127,6 @@ struct Options {
   std::optional<std::pair<unsigned, unsigned>> inject_fail;  // shard, times
   bool help = false;
   bool version = false;
-
-  // Spec overrides (new runs only).
-  scenario::ParamMap params;
-  std::optional<std::vector<std::uint64_t>> n_grid;
-  std::optional<std::uint64_t> trials;
-  std::optional<std::uint64_t> seed;
-  std::optional<bool> success_on_accept;
-  std::optional<local::ExecMode> mode;
-  std::optional<local::WorkloadKind> workload;
-  std::optional<std::string> statistic;
-  std::optional<local::OptimizationConfig::Backend> backend;
-  std::optional<scenario::Execution> execution;
-  std::optional<std::string> fault;
-  scenario::ParamMap fault_params;
 };
 
 /// Strict flag parses (util::parse_uint / parse_nonnegative_double) —
@@ -190,12 +165,8 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
-    if (arg == "--scenario") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.scenario_name = value;
-    } else if (arg == "--spec") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.spec_file = value;
+    if (options.spec.offer(argc, argv, i, error)) {
+      if (!error.empty()) return false;
     } else if (arg == "--resume") {
       if ((value = next_value(i, arg)) == nullptr) return false;
       options.resume_dir = value;
@@ -269,149 +240,12 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
               ? 1
               : parse_unsigned(text.substr(colon + 1), arg);
       options.inject_fail = {shard, times};
-    } else if (arg == "--param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.params[text.substr(0, eq)] = *param_value;
-    } else if (arg == "--n") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      std::vector<std::uint64_t> grid;
-      for (const std::string& part : util::split(value, ',')) {
-        const std::optional<std::uint64_t> n = util::parse_uint(part);
-        if (!n) {
-          error = "--n expects non-negative integers, got '" + part + "'";
-          return false;
-        }
-        grid.push_back(*n);
-      }
-      options.n_grid = std::move(grid);
-    } else if (arg == "--trials") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> trials = util::parse_uint(value);
-      if (!trials) {
-        error = std::string("--trials expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.trials = *trials;
-    } else if (arg == "--seed") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> seed = util::parse_uint(value);
-      if (!seed) {
-        error = std::string("--seed expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.seed = *seed;
-    } else if (arg == "--workload") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::WorkloadKind> kind =
-          local::workload_from_string(value);
-      if (!kind) {
-        error = "--workload expects success|value|counter";
-        return false;
-      }
-      options.workload = *kind;
-    } else if (arg == "--statistic") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.statistic = value;
-    } else if (arg == "--success") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string side = value;
-      if (side != "accept" && side != "reject") {
-        error = "--success expects accept|reject";
-        return false;
-      }
-      options.success_on_accept = side == "accept";
-    } else if (arg == "--mode") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string mode = value;
-      if (mode == "balls") {
-        options.mode = local::ExecMode::kBalls;
-      } else if (mode == "messages") {
-        options.mode = local::ExecMode::kMessages;
-      } else if (mode == "two-phase") {
-        options.mode = local::ExecMode::kTwoPhase;
-      } else {
-        error = "--mode expects balls|messages|two-phase";
-        return false;
-      }
-    } else if (arg == "--backend") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::OptimizationConfig::Backend> backend =
-          local::backend_from_string(value);
-      if (!backend) {
-        error = std::string("--backend expects "
-                            "auto|naive|batched|vectorized, got '") +
-                value + "'";
-        return false;
-      }
-      options.backend = *backend;
-    } else if (arg == "--execution") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<scenario::Execution> execution =
-          scenario::execution_from_string(value);
-      if (!execution) {
-        error = std::string("--execution expects "
-                            "auto|materialized|implicit, got '") +
-                value + "'";
-        return false;
-      }
-      options.execution = *execution;
-    } else if (arg == "--fault") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.fault = value;
-    } else if (arg == "--fault-param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--fault-param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--fault-param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.fault_params[text.substr(0, eq)] = *param_value;
     } else {
       error = "unknown flag '" + arg + "'";
       return false;
     }
   }
   return true;
-}
-
-void apply_overrides(const Options& options, scenario::ScenarioSpec& spec) {
-  for (const auto& [key, value] : options.params) spec.params[key] = value;
-  if (options.n_grid) spec.n_grid = *options.n_grid;
-  if (options.trials) spec.trials = *options.trials;
-  if (options.seed) spec.base_seed = *options.seed;
-  if (options.success_on_accept) {
-    spec.success_on_accept = *options.success_on_accept;
-  }
-  if (options.mode) spec.mode = *options.mode;
-  if (options.workload) spec.workload = *options.workload;
-  if (options.statistic) spec.statistic = *options.statistic;
-  if (options.backend) spec.backend = *options.backend;
-  if (options.execution) spec.execution = *options.execution;
-  if (options.fault) spec.fault = *options.fault;
-  for (const auto& [key, value] : options.fault_params) {
-    spec.fault_params[key] = value;
-  }
 }
 
 /// The lnc_sweep next to this binary — shards run the same build by
@@ -481,18 +315,6 @@ int report_outcome(const orchestrate::RunManifest& manifest,
   return 0;
 }
 
-/// The same grep-stable decision line lnc_sweep --cache prints, so CI
-/// and humans can watch cache behaviour identically across both CLIs:
-///   cache[name]: outcome=topup trials_reused=30 trials_computed=30 ...
-void print_cache_line(const std::string& scenario, const char* outcome,
-                      std::uint64_t reused, std::uint64_t computed,
-                      const serve::CacheKey& key) {
-  std::cout << "cache[" << scenario << "]: outcome=" << outcome
-            << " trials_reused=" << reused << " trials_computed="
-            << computed << " key=" << key.substr(0, 16)
-            << " epoch=" << util::seed_stream_epoch() << "\n";
-}
-
 /// Serves a cache hit: same report shape as a merged run, but no fleet
 /// ever launches and no run directory is created.
 int report_cached(const serve::CacheEntry& entry, const Options& options) {
@@ -559,14 +381,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int mode_count = (options.scenario_name ? 1 : 0) +
-                         (options.spec_file ? 1 : 0) +
-                         (options.resume_dir ? 1 : 0);
-  if (mode_count != 1) {
-    std::cerr << "pick exactly one of --scenario, --spec, --resume\n";
-    return usage(std::cerr, 2);
-  }
-
   std::unique_ptr<orchestrate::Transport> transport =
       make_transport(options, argv[0], error);
   if (transport == nullptr) {
@@ -598,18 +412,13 @@ int main(int argc, char** argv) {
 
     orchestrate::RunManifest manifest;
     if (options.resume_dir) {
-      // The spec is frozen in the run directory; accepting overrides
+      // The spec is frozen in the run directory; accepting spec flags
       // here would silently run different parameters than reported.
-      const bool has_overrides =
-          !options.params.empty() || options.n_grid || options.trials ||
-          options.seed || options.success_on_accept || options.mode ||
-          options.workload || options.statistic || options.backend ||
-          options.execution || options.fault || !options.fault_params.empty() ||
-          options.shards != 0 || options.run_dir.has_value();
-      if (has_overrides) {
+      if (options.spec.named() > 0 || options.spec.has_overrides() ||
+          options.shards != 0 || options.run_dir) {
         std::cerr << "--resume re-runs the FROZEN spec in its existing "
-                     "directory; --run-dir and spec overrides "
-                     "(--param/--n/--trials/--seed/--shards/...) cannot "
+                     "directory; --run-dir, --shards and spec flags "
+                     "(--scenario/--spec/--param/--n/--trials/...) cannot "
                      "change it — plan a new run directory instead\n";
         return usage(std::cerr, 2);
       }
@@ -629,27 +438,7 @@ int main(int argc, char** argv) {
         cache_spec = scenario::spec_from_json(text);
       }
     } else {
-      scenario::ScenarioSpec spec;
-      if (options.scenario_name) {
-        const scenario::ScenarioSpec* preset =
-            scenario::find_preset(*options.scenario_name);
-        if (preset == nullptr) {
-          std::cerr << "unknown scenario '" << *options.scenario_name
-                    << "' (see lnc_sweep --list)\n";
-          return 1;
-        }
-        spec = *preset;
-      } else {
-        std::string text;
-        const std::string read_error =
-            util::read_file(*options.spec_file, text);
-        if (!read_error.empty()) {
-          std::cerr << read_error << "\n";
-          return 1;
-        }
-        spec = scenario::spec_from_json(text);
-      }
-      apply_overrides(options, spec);
+      const scenario::ScenarioSpec spec = options.spec.resolve();
       if (options.shards == 0) {
         std::cerr << "--shards is required for a new run\n";
         return usage(std::cerr, 2);
@@ -683,9 +472,16 @@ int main(int argc, char** argv) {
           std::cerr << "note: cache: " << diagnostic << "\n";
         }
       }
+      const auto print_cache_line = [&](serve::CacheOutcome outcome,
+                                        std::uint64_t reused,
+                                        std::uint64_t computed) {
+        std::cout << serve::cache_line(spec.name, outcome, reused, computed,
+                                       key)
+                  << "\n";
+      };
       if (entry && entry->spec.trials >= spec.trials) {
         // Hit: the store already covers the request — serve it, no fleet.
-        print_cache_line(spec.name, "hit", entry->spec.trials, 0, key);
+        print_cache_line(serve::CacheOutcome::kHit, entry->spec.trials, 0);
         if (entry->spec.trials > spec.trials) {
           std::cerr << "note: serving the cached " << entry->spec.trials
                     << "-trial result, a superset of the requested "
@@ -718,8 +514,8 @@ int main(int argc, char** argv) {
                     << "using " << shards << " shard(s) instead of "
                     << options.shards << "\n";
         }
-        print_cache_line(spec.name, "topup", entry->spec.trials, width,
-                         key);
+        print_cache_line(serve::CacheOutcome::kTopUp, entry->spec.trials,
+                         width);
         manifest = orchestrate::plan_topup_run(run_spec, run_dir, shards,
                                                entry->result);
         cache_spec = run_spec;
@@ -728,7 +524,7 @@ int main(int argc, char** argv) {
                   << ", " << manifest.trial_end << ")) in " << run_dir
                   << "\n";
       } else {
-        if (store) print_cache_line(spec.name, "miss", 0, spec.trials, key);
+        if (store) print_cache_line(serve::CacheOutcome::kMiss, 0, spec.trials);
         manifest = orchestrate::plan_run(spec, run_dir, options.shards);
         if (store) cache_spec = spec;
         std::cerr << "planned " << options.shards << " shard(s) of '"
@@ -748,22 +544,15 @@ int main(int argc, char** argv) {
       write_back(*store, *cache_spec, outcome.merged);
     }
     int rc = report_outcome(manifest, outcome, options);
-    if (options.trace_file) {
-      obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
-      std::string trace_error;
-      if (recorder.write_file(*options.trace_file, &trace_error)) {
-        std::cerr << "trace: wrote " << *options.trace_file << " ("
-                  << recorder.event_count() << " spans";
-        if (recorder.dropped_count() > 0) {
-          std::cerr << ", " << recorder.dropped_count() << " dropped";
-        }
-        std::cerr << ")\n";
-      } else {
-        std::cerr << "trace: " << trace_error << "\n";
-        rc |= 1;
-      }
+    if (options.trace_file &&
+        !obs::TraceRecorder::instance().write_file_and_report(
+            *options.trace_file, std::cerr)) {
+      rc |= 1;
     }
     return rc;
+  } catch (const scenario::SpecFlags::UsageError& ex) {
+    std::cerr << ex.what() << "\n";
+    return usage(std::cerr, 2);
   } catch (const std::exception& ex) {
     std::cerr << ex.what() << "\n";
     return 1;

@@ -10,15 +10,15 @@
 //       range and merges it exactly (see src/serve/daemon.h for the
 //       wire format).
 //
-//   lnc_serve --query --socket PATH|--tcp PORT --scenario NAME
-//             [--trials N] [--seed S] [--n A,B,C] [--param k=v]...
-//   lnc_serve --query ... --spec FILE.json
+//   lnc_serve --query (--socket PATH | --tcp PORT) SPEC [overrides]
 //   lnc_serve --query ... --request '{"scenario": ...}'
-//       Client: build (or pass through) one request line, print the
-//       response JSON on stdout and a human-readable cache line on
-//       stderr. Exits nonzero when the daemon reports an error. The
-//       connect retries until --timeout seconds, so a script can start
-//       the daemon and query it with no sleep in between.
+//       Client: resolve the spec here and send {"spec": {...}} (or pass
+//       a --request line through), print the response JSON on stdout and
+//       a human-readable cache line on stderr. Exits nonzero when the
+//       daemon reports an error. SPEC and the overrides are
+//       scenario::SpecFlags, the flag table lnc_sweep and lnc_launch
+//       share. The connect retries until --timeout seconds, so a script
+//       can start the daemon and query it with no sleep in between.
 //
 //   lnc_serve --query-stats (--socket PATH | --tcp PORT)
 //       Ask a running daemon for its monotonic query totals and latency
@@ -26,14 +26,12 @@
 //       response JSON on stdout, a one-line summary on stderr.
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <vector>
 
+#include "scenario/spec_flags.h"
 #include "scenario/spec_json.h"
 #include "serve/daemon.h"
 #include "util/build_info.h"
-#include "util/file_util.h"
 #include "util/string_util.h"
 
 namespace {
@@ -44,12 +42,11 @@ int usage(std::ostream& os, int code) {
   os << "usage: lnc_serve --socket PATH --cache DIR [--tcp PORT]\n"
         "                 [--threads N] [--max-requests N]\n"
         "       lnc_serve --query (--socket PATH | --tcp PORT)\n"
-        "                 (--scenario NAME | --spec FILE.json |\n"
-        "                  --request JSONLINE)\n"
-        "                 [--trials N] [--seed S] [--n A,B,C]\n"
-        "                 [--param k=v]... [--timeout SECONDS]\n"
+        "                 (SPEC [overrides] | --request JSONLINE)\n"
+        "                 [--timeout SECONDS]\n"
         "       lnc_serve --query-stats (--socket PATH | --tcp PORT)\n"
-        "The daemon answers spec queries from a content-addressed cache\n"
+     << scenario::SpecFlags::usage()
+     << "The daemon answers spec queries from a content-addressed cache\n"
         "of merged sweep results: repeated queries hit without running a\n"
         "single trial, and a raised trial count computes only the missing\n"
         "range — bit-identical to a cold run at the full count.\n"
@@ -68,13 +65,8 @@ struct Options {
   unsigned threads = 0;
   std::uint64_t max_requests = 0;
   // Client-side request assembly.
-  std::optional<std::string> scenario_name;
-  std::optional<std::string> spec_file;
+  scenario::SpecFlags spec;
   std::optional<std::string> raw_request;
-  std::optional<std::uint64_t> trials;
-  std::optional<std::uint64_t> seed;
-  std::optional<std::vector<std::uint64_t>> n_grid;
-  std::vector<std::pair<std::string, double>> params;
   double timeout_seconds = 10.0;
 };
 
@@ -89,7 +81,9 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
-    if (arg == "--help") {
+    if (options.spec.offer(argc, argv, i, error)) {
+      if (!error.empty()) return false;
+    } else if (arg == "--help") {
       options.help = true;
     } else if (arg == "--version") {
       options.version = true;
@@ -130,60 +124,9 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
         return false;
       }
       options.max_requests = *count;
-    } else if (arg == "--scenario") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.scenario_name = value;
-    } else if (arg == "--spec") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.spec_file = value;
     } else if (arg == "--request") {
       if ((value = next_value(i, arg)) == nullptr) return false;
       options.raw_request = value;
-    } else if (arg == "--trials") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> trials = util::parse_uint(value);
-      if (!trials) {
-        error = std::string("--trials expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.trials = *trials;
-    } else if (arg == "--seed") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> seed = util::parse_uint(value);
-      if (!seed) {
-        error = std::string("--seed expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.seed = *seed;
-    } else if (arg == "--n") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      std::vector<std::uint64_t> grid;
-      for (const std::string& part : util::split(value, ',')) {
-        const std::optional<std::uint64_t> n = util::parse_uint(part);
-        if (!n) {
-          error = "--n expects non-negative integers, got '" + part + "'";
-          return false;
-        }
-        grid.push_back(*n);
-      }
-      options.n_grid = std::move(grid);
-    } else if (arg == "--param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.params.emplace_back(text.substr(0, eq), *param_value);
     } else if (arg == "--timeout") {
       if ((value = next_value(i, arg)) == nullptr) return false;
       const std::optional<double> seconds =
@@ -202,67 +145,32 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
   return true;
 }
 
-/// Assembles the client's request line from flags (unless --request gave
-/// it verbatim). The daemon re-validates everything; this only shapes
-/// the JSON.
-std::string build_request(const Options& options, std::string& error) {
-  if (options.raw_request) return *options.raw_request;
-  std::ostringstream os;
-  os << "{";
-  if (options.scenario_name) {
-    os << "\"scenario\": \"" << util::json_escape(*options.scenario_name)
-       << "\"";
-  } else if (options.spec_file) {
-    std::string text;
-    const std::string read_error = util::read_file(*options.spec_file, text);
-    if (!read_error.empty()) {
-      error = read_error;
-      return {};
+/// The client's request line: --request verbatim, else the resolved spec
+/// as {"spec": {...}}. Returns the exit code of a failure (2 for a usage
+/// error, 1 for an unknown preset or unreadable spec file) with `error`
+/// set, else 0.
+int build_request(const Options& options, std::string& request,
+                  std::string& error) {
+  if (options.raw_request) {
+    if (options.spec.named() > 0 || options.spec.has_overrides()) {
+      error = "--request carries the whole query; it takes no spec flags";
+      return 2;
     }
-    while (!text.empty() &&
-           (text.back() == '\n' || text.back() == ' ')) {
-      text.pop_back();
-    }
-    if (text.find('\n') != std::string::npos) {
-      // The wire protocol is line-delimited; re-serialize multi-line
-      // spec files into the canonical single-line form.
-      try {
-        text = scenario::spec_to_json(scenario::spec_from_json(text));
-      } catch (const std::exception& ex) {
-        error = "spec file '" + *options.spec_file + "': " + ex.what();
-        return {};
-      }
-      while (!text.empty() && text.back() == '\n') text.pop_back();
-    }
-    os << "\"spec\": " << text;
-  } else {
-    error = "--query needs one of --scenario, --spec, or --request";
-    return {};
+    request = *options.raw_request;
+    return 0;
   }
-  if (options.trials) os << ", \"trials\": " << *options.trials;
-  if (options.seed) os << ", \"seed\": " << *options.seed;
-  if (options.n_grid) {
-    os << ", \"n\": [";
-    for (std::size_t i = 0; i < options.n_grid->size(); ++i) {
-      if (i > 0) os << ", ";
-      os << (*options.n_grid)[i];
-    }
-    os << "]";
+  try {
+    std::string spec_json = scenario::spec_to_json(options.spec.resolve());
+    spec_json.pop_back();  // one line on the wire
+    request = "{\"spec\": " + spec_json + "}";
+    return 0;
+  } catch (const scenario::SpecFlags::UsageError& ex) {
+    error = ex.what();
+    return 2;
+  } catch (const std::exception& ex) {
+    error = ex.what();
+    return 1;
   }
-  if (!options.params.empty()) {
-    os << ", \"params\": {";
-    for (std::size_t i = 0; i < options.params.size(); ++i) {
-      if (i > 0) os << ", ";
-      std::ostringstream number;
-      number.precision(17);
-      number << options.params[i].second;
-      os << "\"" << util::json_escape(options.params[i].first)
-         << "\": " << number.str();
-    }
-    os << "}";
-  }
-  os << "}";
-  return os.str();
 }
 
 int query_mode(const Options& options) {
@@ -270,11 +178,11 @@ int query_mode(const Options& options) {
     std::cerr << "--query needs --socket PATH or --tcp PORT\n";
     return 2;
   }
+  std::string request;
   std::string error;
-  const std::string request = build_request(options, error);
-  if (!error.empty()) {
+  if (const int rc = build_request(options, request, error); rc != 0) {
     std::cerr << error << "\n";
-    return 2;
+    return rc;
   }
   serve::Endpoint endpoint;
   endpoint.socket_path = options.socket_path;

@@ -6,35 +6,26 @@
 //   lnc_sweep --list
 //       Catalogue: registered components (with parameter schemas) and the
 //       preset scenarios.
-//   lnc_sweep --scenario NAME [overrides]
-//       Run a preset (override --n/--trials/--seed/--param freely).
-//   lnc_sweep --spec FILE.json [overrides]
-//       Run a spec file (see scenarios/*.json for the format).
-//   lnc_sweep --topology T --language L --construction C [--decider D] ...
-//       Run an ad-hoc scenario assembled from flags.
-//   lnc_sweep --all
+//   lnc_sweep SPEC [overrides] [options]
+//       Run one spec: a preset (--scenario NAME), a spec file (--spec
+//       FILE.json, see scenarios/*.json), or an ad-hoc scenario
+//       (--topology T --language L --construction C [--decider D]).
+//   lnc_sweep --all [overrides] [options]
 //       Run every preset (CI trajectory mode).
 //   lnc_sweep --merge SHARD.json...
 //       Merge shard result files into the full estimate.
 //
-// Common flags:
-//   --param k=v      set a component parameter (repeatable)
-//   --n A,B,C        override the n-grid
-//   --trials N       override the trial count
-//   --seed S         override the base seed
-//   --success accept|reject
-//   --mode balls|messages|two-phase
-//   --backend auto|naive|batched|vectorized  trial-execution backend
-//   --execution auto|materialized|implicit   graph representation
+// SPEC and the overrides (--param k=v, --n A,B,C, --trials N, --seed S,
+// --workload, --statistic, --success, --mode, --backend, --execution,
+// --fault, --fault-param) are scenario::SpecFlags, the flag table
+// lnc_launch and lnc_serve --query share. Options:
 //   --shard i/k      run only trial slice i of k (emits a mergeable tally)
 //   --threads N      worker threads (0 = hardware concurrency; default 1)
 //   --out FILE       also write the result as JSON (shard or complete)
 //   --trace FILE     write a Chrome trace-event JSON span profile
 //   --progress       live heartbeat lines (throughput / ETA) on stderr
 #include <cmath>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -46,7 +37,7 @@
 #include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
-#include "scenario/spec_json.h"
+#include "scenario/spec_flags.h"
 #include "scenario/sweep.h"
 #include "serve/service.h"
 #include "stats/threadpool.h"
@@ -59,21 +50,13 @@ using namespace lnc;
 
 int usage(std::ostream& os, int code) {
   os << "usage: lnc_sweep --list\n"
-        "       lnc_sweep --scenario NAME [overrides]\n"
-        "       lnc_sweep --spec FILE.json [overrides]\n"
-        "       lnc_sweep --topology T --language L --construction C\n"
-        "                 [--decider D] [overrides]\n"
-        "       lnc_sweep --all [overrides]\n"
-        "       lnc_sweep --merge SHARD.json...\n"
-        "overrides: --param k=v | --n A,B,C | --trials N | --seed S\n"
-        "           --workload success|value|counter | --statistic NAME\n"
-        "           --success accept|reject | --mode balls|messages|two-phase\n"
-        "           --backend auto|naive|batched|vectorized\n"
-        "           --execution auto|materialized|implicit\n"
-        "           --fault NAME | --fault-param k=v\n"
-        "           --shard i/k | --threads N | --out FILE | --telemetry\n"
-        "           --trial-range B:E | --cache DIR | --trace FILE\n"
-        "           --progress | --help | --version\n"
+        "       lnc_sweep SPEC [overrides] [options]\n"
+        "       lnc_sweep --all [overrides] [options]\n"
+        "       lnc_sweep --merge SHARD.json... [--telemetry] [--out FILE]\n"
+     << scenario::SpecFlags::usage()
+     << "options: --shard i/k | --threads N | --out FILE | --telemetry\n"
+        "         --trial-range B:E | --cache DIR | --trace FILE\n"
+        "         --progress | --help | --version\n"
         "value/counter workloads measure a registered statistic of the\n"
         "construction's output (mean/stddev via exact sums, or exact\n"
         "integer totals) instead of a success probability; sharded value\n"
@@ -173,29 +156,8 @@ struct Options {
   bool all = false;
   bool help = false;
   bool version = false;
-  std::optional<std::string> scenario_name;
-  std::optional<std::string> spec_file;
   std::vector<std::string> merge_files;
-
-  // Ad-hoc component flags.
-  std::optional<std::string> topology;
-  std::optional<std::string> language;
-  std::optional<std::string> construction;
-  std::optional<std::string> decider;
-
-  // Overrides.
-  scenario::ParamMap params;
-  std::optional<std::vector<std::uint64_t>> n_grid;
-  std::optional<std::uint64_t> trials;
-  std::optional<std::uint64_t> seed;
-  std::optional<bool> success_on_accept;
-  std::optional<local::ExecMode> mode;
-  std::optional<local::WorkloadKind> workload;
-  std::optional<std::string> statistic;
-  std::optional<local::OptimizationConfig::Backend> backend;
-  std::optional<scenario::Execution> execution;
-  std::optional<std::string> fault;
-  scenario::ParamMap fault_params;
+  scenario::SpecFlags spec;
 
   unsigned shard = 0;
   unsigned shard_count = 1;
@@ -219,16 +181,12 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
-    if (arg == "--list") {
+    if (options.spec.offer(argc, argv, i, error)) {
+      if (!error.empty()) return false;
+    } else if (arg == "--list") {
       options.list = true;
     } else if (arg == "--all") {
       options.all = true;
-    } else if (arg == "--scenario") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.scenario_name = value;
-    } else if (arg == "--spec") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.spec_file = value;
     } else if (arg == "--merge") {
       while (i + 1 < argc && argv[i + 1][0] != '-') {
         options.merge_files.emplace_back(argv[++i]);
@@ -237,136 +195,6 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
         error = "--merge needs at least one shard file";
         return false;
       }
-    } else if (arg == "--topology") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.topology = value;
-    } else if (arg == "--language") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.language = value;
-    } else if (arg == "--construction") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.construction = value;
-    } else if (arg == "--decider") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.decider = value;
-    } else if (arg == "--param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.params[text.substr(0, eq)] = *param_value;
-    } else if (arg == "--n") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      std::vector<std::uint64_t> grid;
-      for (const std::string& part : util::split(value, ',')) {
-        const std::optional<std::uint64_t> n = util::parse_uint(part);
-        if (!n) {
-          error = "--n expects non-negative integers, got '" + part + "'";
-          return false;
-        }
-        grid.push_back(*n);
-      }
-      options.n_grid = std::move(grid);
-    } else if (arg == "--trials") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> trials = util::parse_uint(value);
-      if (!trials) {
-        error = std::string("--trials expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.trials = *trials;
-    } else if (arg == "--seed") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<std::uint64_t> seed = util::parse_uint(value);
-      if (!seed) {
-        error = std::string("--seed expects a non-negative integer, "
-                            "got '") + value + "'";
-        return false;
-      }
-      options.seed = *seed;
-    } else if (arg == "--workload") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::WorkloadKind> kind =
-          local::workload_from_string(value);
-      if (!kind) {
-        error = "--workload expects success|value|counter";
-        return false;
-      }
-      options.workload = *kind;
-    } else if (arg == "--statistic") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.statistic = value;
-    } else if (arg == "--success") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string side = value;
-      if (side != "accept" && side != "reject") {
-        error = "--success expects accept|reject";
-        return false;
-      }
-      options.success_on_accept = side == "accept";
-    } else if (arg == "--mode") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string mode = value;
-      if (mode == "balls") {
-        options.mode = local::ExecMode::kBalls;
-      } else if (mode == "messages") {
-        options.mode = local::ExecMode::kMessages;
-      } else if (mode == "two-phase") {
-        options.mode = local::ExecMode::kTwoPhase;
-      } else {
-        error = "--mode expects balls|messages|two-phase";
-        return false;
-      }
-    } else if (arg == "--backend") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<local::OptimizationConfig::Backend> backend =
-          local::backend_from_string(value);
-      if (!backend) {
-        error = std::string("--backend expects "
-                            "auto|naive|batched|vectorized, got '") +
-                value + "'";
-        return false;
-      }
-      options.backend = *backend;
-    } else if (arg == "--execution") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::optional<scenario::Execution> execution =
-          scenario::execution_from_string(value);
-      if (!execution) {
-        error = std::string("--execution expects "
-                            "auto|materialized|implicit, got '") +
-                value + "'";
-        return false;
-      }
-      options.execution = *execution;
-    } else if (arg == "--fault") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      options.fault = value;
-    } else if (arg == "--fault-param") {
-      if ((value = next_value(i, arg)) == nullptr) return false;
-      const std::string text = value;
-      const std::size_t eq = text.find('=');
-      if (eq == std::string::npos) {
-        error = "--fault-param expects k=v, got '" + text + "'";
-        return false;
-      }
-      const std::optional<double> param_value =
-          util::parse_finite_double(text.substr(eq + 1));
-      if (!param_value) {
-        error = "--fault-param " + text + " has a malformed numeric value";
-        return false;
-      }
-      options.fault_params[text.substr(0, eq)] = *param_value;
     } else if (arg == "--shard") {
       if ((value = next_value(i, arg)) == nullptr) return false;
       const std::string text = value;
@@ -469,25 +297,6 @@ bool parse_args(int argc, char** argv, Options& options, std::string& error) {
     return false;
   }
   return true;
-}
-
-void apply_overrides(const Options& options, scenario::ScenarioSpec& spec) {
-  for (const auto& [key, value] : options.params) spec.params[key] = value;
-  if (options.n_grid) spec.n_grid = *options.n_grid;
-  if (options.trials) spec.trials = *options.trials;
-  if (options.seed) spec.base_seed = *options.seed;
-  if (options.success_on_accept) {
-    spec.success_on_accept = *options.success_on_accept;
-  }
-  if (options.mode) spec.mode = *options.mode;
-  if (options.workload) spec.workload = *options.workload;
-  if (options.statistic) spec.statistic = *options.statistic;
-  if (options.backend) spec.backend = *options.backend;
-  if (options.execution) spec.execution = *options.execution;
-  if (options.fault) spec.fault = *options.fault;
-  for (const auto& [key, value] : options.fault_params) {
-    spec.fault_params[key] = value;
-  }
 }
 
 /// The --out path for one scenario: unchanged for a single run, suffixed
@@ -596,12 +405,9 @@ int run_one(const scenario::ScenarioSpec& spec, const Options& options,
     for (const std::string& note : outcome.notes) {
       std::cerr << "note: " << note << "\n";
     }
-    // Grep-stable (CI's cache gate keys off this line).
-    os << "cache[" << spec.name << "]: outcome="
-       << serve::to_string(outcome.outcome)
-       << " trials_reused=" << outcome.trials_reused
-       << " trials_computed=" << outcome.trials_computed << " key="
-       << outcome.key.substr(0, 16) << " epoch=" << util::seed_stream_epoch()
+    os << serve::cache_line(spec.name, outcome.outcome,
+                            outcome.trials_reused, outcome.trials_computed,
+                            outcome.key)
        << "\n";
     result = std::move(outcome.result);
   } else {
@@ -698,14 +504,8 @@ int merge_mode(const Options& options) {
 int main(int argc, char** argv) {
   Options options;
   std::string error;
-  try {
-    if (!parse_args(argc, argv, options, error)) {
-      std::cerr << error << "\n";
-      return usage(std::cerr, 2);
-    }
-  } catch (const std::exception& ex) {
-    // std::stod/std::stoull throw on malformed numeric flag values.
-    std::cerr << "bad flag value: " << ex.what() << "\n";
+  if (!parse_args(argc, argv, options, error)) {
+    std::cerr << error << "\n";
     return usage(std::cerr, 2);
   }
   if (options.help) return usage(std::cout, 0);
@@ -717,45 +517,34 @@ int main(int argc, char** argv) {
     list_catalogue();
     return 0;
   }
-  if (!options.merge_files.empty()) return merge_mode(options);
-
-  std::vector<scenario::ScenarioSpec> specs;
-  try {
-    if (options.all) {
-      specs = scenario::preset_scenarios();
-    } else if (options.scenario_name) {
-      const scenario::ScenarioSpec* preset =
-          scenario::find_preset(*options.scenario_name);
-      if (preset == nullptr) {
-        std::cerr << "unknown scenario '" << *options.scenario_name
-                  << "' (see --list)\n";
-        return 1;
-      }
-      specs.push_back(*preset);
-    } else if (options.spec_file) {
-      std::ifstream in(*options.spec_file);
-      if (!in) {
-        std::cerr << "cannot read '" << *options.spec_file << "'\n";
-        return 1;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      specs.push_back(scenario::spec_from_json(text.str()));
-    } else if (options.topology || options.language || options.construction) {
-      scenario::ScenarioSpec spec;
-      spec.name = "adhoc";
-      if (options.topology) spec.topology = *options.topology;
-      if (options.language) spec.language = *options.language;
-      if (options.construction) spec.construction = *options.construction;
-      if (options.decider) spec.decider = *options.decider;
-      if (!options.n_grid) spec.n_grid = {64};
-      specs.push_back(std::move(spec));
-    } else {
+  const scenario::SpecFlags& flags = options.spec;
+  if (!options.merge_files.empty()) {
+    if (flags.named() > 0 || flags.has_overrides()) {
+      std::cerr << "--merge takes no spec flags: the shard files carry "
+                   "the spec\n";
       return usage(std::cerr, 2);
     }
-  } catch (const std::exception& ex) {
-    std::cerr << ex.what() << "\n";
-    return 1;
+    return merge_mode(options);
+  }
+
+  std::vector<scenario::ScenarioSpec> specs;
+  if (options.all) {
+    if (flags.named() > 0) {
+      std::cerr << "--all runs every preset; it names no other spec\n";
+      return usage(std::cerr, 2);
+    }
+    specs = scenario::preset_scenarios();
+    for (scenario::ScenarioSpec& spec : specs) flags.apply(spec);
+  } else {
+    try {
+      specs.push_back(flags.resolve());
+    } catch (const scenario::SpecFlags::UsageError& ex) {
+      std::cerr << ex.what() << "\n";
+      return usage(std::cerr, 2);
+    } catch (const std::exception& ex) {
+      std::cerr << ex.what() << "\n";
+      return 1;
+    }
   }
 
   if (options.trace_file) {
@@ -782,28 +571,16 @@ int main(int argc, char** argv) {
   }
 
   int rc = 0;
-  for (scenario::ScenarioSpec& spec : specs) {
-    apply_overrides(options, spec);
+  for (const scenario::ScenarioSpec& spec : specs) {
     rc |= run_one(spec, options, specs.size() > 1, pool ? &*pool : nullptr,
                   service ? &*service : nullptr, std::cout);
   }
-
-  if (options.trace_file) {
-    // Workers are idle by now (the pool outlives every sweep), so the
-    // buffers are quiescent and the write is race-free.
-    const obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
-    std::string trace_error;
-    if (!recorder.write_file(*options.trace_file, &trace_error)) {
-      std::cerr << "cannot write trace: " << trace_error << "\n";
-      rc |= 1;
-    } else {
-      std::cerr << "trace: wrote " << *options.trace_file << " ("
-                << recorder.event_count() << " spans";
-      if (recorder.dropped_count() > 0) {
-        std::cerr << ", " << recorder.dropped_count() << " dropped";
-      }
-      std::cerr << ")\n";
-    }
+  // Workers are idle by now (the pool outlives every sweep), so the
+  // buffers are quiescent and the write is race-free.
+  if (options.trace_file &&
+      !obs::TraceRecorder::instance().write_file_and_report(
+          *options.trace_file, std::cerr)) {
+    rc |= 1;
   }
   return rc;
 }
