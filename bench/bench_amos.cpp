@@ -105,22 +105,6 @@ void print_tables() {
   bench::print_table(decay, &decay_telemetry);
 }
 
-void BM_AmosDecideRing(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("ring", n);
-  local::Labeling output(n, 0);
-  output[0] = lang::Amos::kSelected;
-  const auto decider = scenario::make_decider("amos", nullptr);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins coins(++seed, rand::Stream::kDecision);
-    benchmark::DoNotOptimize(
-        decide::evaluate(inst, output, *decider, coins).accepted);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_AmosDecideRing)->Arg(64)->Arg(512)->Arg(4096);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

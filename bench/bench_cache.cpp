@@ -10,8 +10,6 @@
 //              exactly the missing [T, 2T), merges, writes back).
 // The hit column is the daemon's steady state; the top-up column is the
 // incremental cost of raising a curve's precision after the fact.
-// Microbenchmarks cover the two primitives every query pays: cache-key
-// hashing (canonicalize + SHA-256) and a verified store lookup.
 #include "bench_common.h"
 
 #include <filesystem>
@@ -19,8 +17,6 @@
 #include "scenario/presets.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
-#include "serve/cache_key.h"
-#include "serve/result_store.h"
 #include "serve/service.h"
 #include "util/timer.h"
 
@@ -92,40 +88,6 @@ void print_tables() {
   }
   bench::print_table(table);
 }
-
-void BM_CacheKey(benchmark::State& state) {
-  const scenario::ScenarioSpec spec = cache_spec(1000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(serve::cache_key(spec));
-  }
-}
-BENCHMARK(BM_CacheKey);
-
-void BM_Sha256(benchmark::State& state) {
-  const std::string bytes(static_cast<std::size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(serve::sha256_hex(bytes));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_StoreLookup(benchmark::State& state) {
-  // A verified lookup of a realistic entry: read, parse, re-hash the
-  // embedded spec, completeness check — the full hit fast path.
-  const scenario::ScenarioSpec spec = cache_spec(100);
-  serve::ResultStore store(fresh_store("lookup"));
-  serve::CacheEntry entry;
-  entry.key = serve::cache_key(spec);
-  entry.spec = spec;
-  entry.result = scenario::run_sweep(scenario::compile(spec));
-  const std::string error = store.store(entry);
-  if (!error.empty()) state.SkipWithError(error.c_str());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.lookup(entry.key));
-  }
-}
-BENCHMARK(BM_StoreLookup);
 
 }  // namespace
 

@@ -1,21 +1,18 @@
-// Shared helpers for the experiment binaries: a standard preamble/epilogue
-// and the convention that each binary prints its reproduced tables first,
-// then runs its google-benchmark microbenchmarks.
+// Shared helpers for the experiment binaries: a standard preamble, the
+// table printer, and a main that prints the binary's reproduced tables.
+// The binaries take no command-line arguments.
 //
 // Machine-readable output: when LNC_BENCH_JSON_DIR is set, every printed
-// table is also written as JSON to <dir>/TABLE_<experiment>_<k>.json and
-// the microbenchmarks are recorded to <dir>/BENCH_<binary>.json — the
-// per-PR trajectory files CI archives.
+// table is also written as JSON to <dir>/TABLE_<experiment>_<k>.json —
+// the per-PR trajectory files CI archives. A table file that cannot be
+// written is an error (exit 1), never a silently missing trajectory.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "local/telemetry.h"
 #include "scenario/spec_json.h"
@@ -64,68 +61,53 @@ inline void print_header(const std::string& experiment,
 /// Prints the table; when LNC_BENCH_JSON_DIR is set, the JSON file also
 /// carries a `telemetry` object when one is supplied — the communication
 /// volume behind the table's numbers (local/telemetry.h) — and an
-/// `optimization` object naming the backend/tuning configuration the rows
-/// ran under (local/vector_engine.h), so TABLE_*.json trajectories record
+/// `optimization` object naming the backend configuration the rows ran
+/// under (local/vector_engine.h), so TABLE_*.json trajectories record
 /// message/word volume and the producing backend next to the reproduced
-/// values.
+/// values. Exits 1, naming the path, when the file cannot be written.
 inline void print_table(const util::Table& table,
                         const local::Telemetry* telemetry = nullptr,
                         const local::OptimizationConfig* optimization =
                             nullptr) {
   table.print(std::cout);
   std::cout << '\n';
-  if (const char* json_dir = std::getenv("LNC_BENCH_JSON_DIR")) {
-    const std::string path = std::string(json_dir) + "/TABLE_" +
-                             detail::current_experiment() + "_" +
-                             std::to_string(detail::table_index()++) +
-                             ".json";
-    std::ofstream out(path);
-    if (out) {
-      std::string extra;
-      if (telemetry != nullptr) {
-        extra += "\"telemetry\": " + scenario::telemetry_to_json(*telemetry);
-      }
-      if (optimization != nullptr) {
-        if (!extra.empty()) extra += ", ";
-        extra += "\"optimization\": " +
-                 scenario::optimization_to_json(*optimization);
-      }
-      table.print_json(out, extra);
-    }
+  const char* json_dir = std::getenv("LNC_BENCH_JSON_DIR");
+  if (json_dir == nullptr) return;
+  const std::string path = std::string(json_dir) + "/TABLE_" +
+                           detail::current_experiment() + "_" +
+                           std::to_string(detail::table_index()++) + ".json";
+  std::string extra;
+  if (telemetry != nullptr) {
+    extra += "\"telemetry\": " + scenario::telemetry_to_json(*telemetry);
+  }
+  if (optimization != nullptr) {
+    if (!extra.empty()) extra += ", ";
+    extra +=
+        "\"optimization\": " + scenario::optimization_to_json(*optimization);
+  }
+  std::ofstream out(path);
+  if (out) table.print_json(out, extra);
+  out.close();
+  if (!out) {
+    std::cout.flush();
+    std::cerr << "invalid file name: '" << path << "'\n";
+    std::exit(1);
   }
 }
 
-/// Standard main body: tables first, then microbenchmarks (recorded as
-/// JSON next to the tables when LNC_BENCH_JSON_DIR is set).
-inline int run_bench_main(int argc, char** argv,
-                          void (*print_tables_fn)()) {
-  print_tables_fn();
-  std::vector<std::string> args(argv, argv + argc);
-  if (const char* json_dir = std::getenv("LNC_BENCH_JSON_DIR")) {
-    std::string name = args.empty() ? std::string("bench") : args[0];
-    const std::size_t slash = name.find_last_of('/');
-    if (slash != std::string::npos) name = name.substr(slash + 1);
-    args.push_back("--benchmark_out_format=json");
-    args.push_back(std::string("--benchmark_out=") + json_dir + "/BENCH_" +
-                   name + ".json");
-  }
-  std::vector<char*> arg_ptrs;
-  arg_ptrs.reserve(args.size());
-  for (std::string& arg : args) arg_ptrs.push_back(arg.data());
-  int adjusted_argc = static_cast<int>(arg_ptrs.size());
-  ::benchmark::Initialize(&adjusted_argc, arg_ptrs.data());
-  if (::benchmark::ReportUnrecognizedArguments(adjusted_argc,
-                                               arg_ptrs.data())) {
+/// Standard main body: rejects any argument, then prints the tables.
+inline int run_tables_main(int argc, char** argv, void (*print_tables_fn)()) {
+  if (argc > 1) {
+    std::cerr << "error: unrecognized command-line flag: " << argv[1] << '\n';
     return 1;
   }
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
+  print_tables_fn();
   return 0;
 }
 
-#define LNC_BENCH_MAIN(print_tables_fn)                           \
-  int main(int argc, char** argv) {                               \
-    return ::lnc::bench::run_bench_main(argc, argv, print_tables_fn); \
+#define LNC_BENCH_MAIN(print_tables_fn)                                 \
+  int main(int argc, char** argv) {                                     \
+    return ::lnc::bench::run_tables_main(argc, argv, print_tables_fn); \
   }
 
 }  // namespace lnc::bench

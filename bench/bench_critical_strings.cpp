@@ -140,41 +140,6 @@ void print_tables() {
             << "; best anchor: node " << claim5.best_anchor() << "\n\n";
 }
 
-void BM_FixedConstruction(benchmark::State& state) {
-  const auto parts = core::claim2_sequence(1, 12);
-  const auto construction =
-      scenario::make_construction("rand-coloring", {{"colors", 3}});
-  const local::RandomizedBallAlgorithm& coloring =
-      *construction->ball_algorithm();
-  std::uint64_t sigma = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_fixed_construction(parts[0], coloring, ++sigma));
-  }
-}
-BENCHMARK(BM_FixedConstruction);
-
-void BM_FarFromEvaluate(benchmark::State& state) {
-  const auto parts = core::claim2_sequence(1, 12);
-  const auto base = scenario::make_language("coloring", {{"colors", 3}});
-  const auto decider_ptr =
-      scenario::make_decider("resilient", base.get(), {{"faults", 1}});
-  const decide::RandomizedDecider& decider = *decider_ptr;
-  const auto construction =
-      scenario::make_construction("rand-coloring", {{"colors", 3}});
-  const local::Labeling y = core::run_fixed_construction(
-      parts[0], *construction->ball_algorithm(), 1);
-  decide::EvaluateOptions options;
-  options.far_from = decide::FarFrom{0, 1};
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins coins(++seed, rand::Stream::kDecision);
-    benchmark::DoNotOptimize(
-        decide::evaluate(parts[0], y, decider, coins, options).accepted);
-  }
-}
-BENCHMARK(BM_FarFromEvaluate);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

@@ -98,22 +98,6 @@ void print_tables() {
                "the randomized column stays ~0.618+ everywhere.\n\n";
 }
 
-void BM_LocalCountDecider(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("ring", n);
-  local::Labeling y(n, 0);
-  y[0] = y[n / 2] = lang::Amos::kSelected;
-  const auto decider =
-      scenario::make_decider("local-count", nullptr, {{"radius", 2}});
-  const rand::PhiloxCoins no_coins(0, rand::Stream::kDecision);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        decide::evaluate(inst, y, *decider, no_coins).accepted);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LocalCountDecider)->Arg(64)->Arg(512);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

@@ -1,9 +1,7 @@
 // E12 — substrate validation: throughput of the synchronous engine, ball
 // collection, and ball views at the scales the E-series experiments use,
-// including the thread-pool ablation (parallel node stepping) and the
-// batched-vs-naive trial execution comparison. Components resolve from the
-// scenario registry; the Construction::RunOptions pool knob drives the
-// parallel-stepping ablation.
+// plus the batched-vs-naive trial execution comparison. Components resolve
+// from the scenario registry.
 #include "bench_common.h"
 
 #include <initializer_list>
@@ -29,45 +27,31 @@ using namespace lnc;
 void print_tables() {
   bench::print_header(
       "E12: simulation substrate throughput", "engine ablation",
-      "Node-rounds per second for the round engine (1 vs pool threads),\n"
-      "plus ball-collection cost — the substrate budget behind E2-E8.");
+      "Node-rounds per second for the round engine (one thread), plus\n"
+      "ball-collection cost — the substrate budget behind E2-E8.");
 
-  util::Table table({"n", "engine 1-thread Mnr/s", "engine pooled Mnr/s",
-                     "collect_balls(r=2) ms"});
-  const stats::ThreadPool pool;
+  util::Table table({"n", "engine 1-thread Mnr/s", "collect_balls(r=2) ms"});
   const auto cole_vishkin = scenario::make_construction("cole-vishkin");
   for (graph::NodeId n : {1024u, 8192u, 32768u}) {
     const local::Instance inst = scenario::build_instance("hard-ring", n);
-    local::WorkerArena seq_arena;
+    local::WorkerArena arena;
     local::TrialEnv env;
-    env.arena = &seq_arena;
+    env.arena = &arena;
     local::Labeling colors;
 
-    util::Timer t1;
-    const auto seq = cole_vishkin->run(inst, env, colors);
-    const double seq_s = t1.elapsed_seconds();
-    const double seq_nr =
-        static_cast<double>(n) * seq.rounds / seq_s / 1e6;
+    util::Timer engine_timer;
+    const auto run = cole_vishkin->run(inst, env, colors);
+    const double engine_nr = static_cast<double>(n) * run.rounds /
+                             engine_timer.elapsed_seconds() / 1e6;
 
-    local::WorkerArena par_arena;
-    env.arena = &par_arena;
-    util::Timer t2;
-    const auto par = cole_vishkin->run(inst, env, colors, {&pool});
-    const double par_s = t2.elapsed_seconds();
-    const double par_nr =
-        static_cast<double>(n) * par.rounds / par_s / 1e6;
-
-    util::Timer t3;
-    const auto tables = local::collect_balls(inst, 2);
-    const double collect_ms = t3.elapsed_millis();
+    util::Timer collect_timer;
+    local::collect_balls(inst, 2);
+    const double collect_ms = collect_timer.elapsed_millis();
 
     table.new_row()
         .add_cell(std::uint64_t{n})
-        .add_cell(seq_nr, 2)
-        .add_cell(par_nr, 2)
+        .add_cell(engine_nr, 2)
         .add_cell(collect_ms, 1);
-    benchmark::DoNotOptimize(tables);
-    benchmark::DoNotOptimize(colors);
   }
   bench::print_table(table);
 
@@ -235,13 +219,11 @@ void print_tables() {
            {4096, 1}, {4096, 2}, {4096, 4}}) {
     const local::Instance inst = scenario::build_instance("hard-ring", n);
     const int passes = 4;
-    std::uint64_t sink = 0;
 
     util::Timer fresh_timer;
     for (int pass = 0; pass < passes; ++pass) {
       for (graph::NodeId v = 0; v < n; ++v) {
         const graph::BallView ball(inst.g, v, radius);
-        sink += ball.size();
       }
     }
     const double fresh_s = fresh_timer.elapsed_seconds();
@@ -252,11 +234,9 @@ void print_tables() {
     for (int pass = 0; pass < passes; ++pass) {
       for (graph::NodeId v = 0; v < n; ++v) {
         reused.collect(inst.g, v, radius, scratch);
-        sink += reused.size();
       }
     }
     const double arena_s = arena_timer.elapsed_seconds();
-    benchmark::DoNotOptimize(sink);
 
     const double total =
         static_cast<double>(passes) * static_cast<double>(n);
@@ -287,7 +267,7 @@ void print_tables() {
     {
       // The vectorized backend's showcase: Luby on C_n keeps every halted
       // node paying scalar message costs for the whole O(log n) tail, all
-      // of which the SoA skip masks elide (n = 1024 is the middle of the
+      // of which the SoA skip lists elide (n = 1024 is the middle of the
       // preset's default grid).
       scenario::ScenarioSpec spec =
           *scenario::find_preset("ring-mis-luby-rounds");
@@ -411,117 +391,6 @@ void print_tables() {
   }
   bench::print_table(obs_table);
 }
-
-void BM_BatchedTrials(benchmark::State& state) {
-  // items/s == trials/s for the batched path at the given thread count.
-  const auto threads = static_cast<unsigned>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", 512);
-  const auto weak = scenario::make_language("weak-coloring", {{"colors", 2}});
-  const auto mc =
-      scenario::make_construction("weak-color-mc", {{"fixup-rounds", 6}});
-  const std::uint64_t trials = 200;
-  const stats::ThreadPool pool(threads);
-  local::BatchRunner runner(threads == 0 ? nullptr : &pool);
-  const local::ExperimentPlan plan = local::custom_plan(
-      "weak-color-bm", trials, 7, [&](const local::TrialEnv& env) {
-        local::Labeling& output = env.arena->labeling();
-        mc->run(inst, env, output);
-        return weak->contains(inst, output);
-      });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(plan).successes);
-  }
-  state.SetItemsProcessed(state.iterations() * trials);
-}
-BENCHMARK(BM_BatchedTrials)->Arg(0)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_BallView(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const auto radius = static_cast<int>(state.range(1));
-  const local::Instance inst = scenario::build_instance("ring", n);
-  graph::NodeId v = 0;
-  for (auto _ : state) {
-    const graph::BallView ball(inst.g, v, radius);
-    benchmark::DoNotOptimize(ball.size());
-    v = (v + 1) % n;
-  }
-}
-BENCHMARK(BM_BallView)->Args({1024, 1})->Args({1024, 4})->Args({16384, 4});
-
-void BM_BallViewArena(benchmark::State& state) {
-  // Same collections as BM_BallView through a reused workspace — the
-  // steady state of the batched Monte-Carlo runners.
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const auto radius = static_cast<int>(state.range(1));
-  const local::Instance inst = scenario::build_instance("ring", n);
-  graph::BallView ball;
-  graph::BallScratch scratch;
-  graph::NodeId v = 0;
-  for (auto _ : state) {
-    ball.collect(inst.g, v, radius, scratch);
-    benchmark::DoNotOptimize(ball.size());
-    v = (v + 1) % n;
-  }
-}
-BENCHMARK(BM_BallViewArena)
-    ->Args({1024, 1})
-    ->Args({1024, 4})
-    ->Args({16384, 4});
-
-void BM_EngineRound(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  const auto cole_vishkin = scenario::make_construction("cole-vishkin");
-  local::WorkerArena arena;
-  local::TrialEnv env;
-  env.arena = &arena;
-  local::Labeling colors;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cole_vishkin->run(inst, env, colors).rounds);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EngineRound)->Arg(1024)->Arg(8192);
-
-void BM_CollectBalls(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(local::collect_balls(inst, 2));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_CollectBalls)->Arg(512)->Arg(4096);
-
-void BM_RunBallAlgorithmParallel(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  class Rank final : public local::BallAlgorithm {
-   public:
-    std::string name() const override { return "rank"; }
-    int radius() const override { return 2; }
-    local::Label compute(const local::View& view) const override {
-      local::Label rank = 0;
-      for (graph::NodeId i = 1; i < view.ball->size(); ++i) {
-        if (view.identity(i) < view.center_identity()) ++rank;
-      }
-      return rank;
-    }
-  };
-  const Rank algo;
-  const stats::ThreadPool pool;
-  local::RunOptions options;
-  options.pool = state.range(1) != 0 ? &pool : nullptr;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_ball_algorithm(inst, algo, options));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RunBallAlgorithmParallel)
-    ->Args({8192, 0})
-    ->Args({8192, 1})
-    ->Args({65536, 0})
-    ->Args({65536, 1});
 
 }  // namespace
 

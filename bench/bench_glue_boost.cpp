@@ -16,7 +16,6 @@
 #include "core/boost_params.h"
 #include "core/glue.h"
 #include "core/hard_instances.h"
-#include "decide/evaluate.h"
 #include "decide/experiment_plans.h"
 #include "decide/resilient_decider.h"
 #include "graph/metrics.h"
@@ -125,34 +124,6 @@ void print_tables() {
   }
   bench::print_table(table);
 }
-
-void BM_GlueConstruction(benchmark::State& state) {
-  const auto nu = static_cast<std::size_t>(state.range(0));
-  const auto parts = core::claim2_sequence(nu, 6);
-  const std::vector<graph::NodeId> anchors(nu, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::theorem1_glue(parts, anchors));
-  }
-}
-BENCHMARK(BM_GlueConstruction)->Arg(2)->Arg(8)->Arg(32);
-
-void BM_BoostedTrial(benchmark::State& state) {
-  Setup setup;
-  const auto parts = core::claim2_sequence(4, 6);
-  const std::vector<graph::NodeId> anchors(4, 0);
-  const core::GluedInstance glued = core::theorem1_glue(parts, anchors);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins c_coins(++seed, rand::Stream::kConstruction);
-    const rand::PhiloxCoins d_coins(seed, rand::Stream::kDecision);
-    const local::Labeling y = local::run_ball_algorithm(
-        glued.instance, setup.coloring, c_coins);
-    benchmark::DoNotOptimize(
-        decide::evaluate(glued.instance, y, *setup.decider, d_coins)
-            .accepted);
-  }
-}
-BENCHMARK(BM_BoostedTrial);
 
 }  // namespace
 

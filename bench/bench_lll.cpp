@@ -106,20 +106,6 @@ void print_tables() {
   bench::print_table(resilient);
 }
 
-void BM_MoserTardos(benchmark::State& state) {
-  const auto d = static_cast<int>(state.range(0));
-  const auto n = static_cast<graph::NodeId>(1u << d);
-  const local::Instance inst =
-      scenario::build_instance("hypercube", n, {}, 5);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins coins(++seed, rand::Stream::kConstruction);
-    benchmark::DoNotOptimize(algo::run_moser_tardos(inst, coins));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MoserTardos)->Arg(6)->Arg(8);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

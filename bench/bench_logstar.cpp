@@ -63,36 +63,6 @@ void print_tables() {
   bench::print_table(sched);
 }
 
-void BM_ColeVishkin(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  const auto cole_vishkin = scenario::make_construction("cole-vishkin");
-  local::WorkerArena arena;
-  local::TrialEnv env;
-  env.arena = &arena;
-  local::Labeling colors;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cole_vishkin->run(inst, env, colors).rounds);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ColeVishkin)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_GreedyColoring(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  const auto greedy = scenario::make_construction("greedy-coloring");
-  local::WorkerArena arena;
-  local::TrialEnv env;
-  env.arena = &arena;
-  local::Labeling colors;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(greedy->run(inst, env, colors).rounds);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_GreedyColoring)->Arg(64)->Arg(256);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

@@ -10,13 +10,10 @@
 
 #include <cmath>
 
-#include "algo/luby_mis.h"
-#include "algo/rand_matching.h"
 #include "local/batch_runner.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
-#include "stats/threadpool.h"
 
 namespace {
 
@@ -98,32 +95,6 @@ void print_tables() {
   }
   bench::print_table(table);
 }
-
-void BM_LubyMis(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst =
-      scenario::build_instance("ring", n, {{"random-ids", 1}}, 3);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins coins(++seed, rand::Stream::kConstruction);
-    benchmark::DoNotOptimize(algo::run_luby_mis(inst, coins));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LubyMis)->Arg(256)->Arg(2048);
-
-void BM_RandMatching(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst =
-      scenario::build_instance("ring", n, {{"random-ids", 1}}, 4);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins coins(++seed, rand::Stream::kConstruction);
-    benchmark::DoNotOptimize(algo::run_rand_matching(inst, coins));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RandMatching)->Arg(256)->Arg(2048);
 
 }  // namespace
 

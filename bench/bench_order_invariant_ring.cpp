@@ -91,15 +91,6 @@ void print_tables() {
   bench::print_table(counts);
 }
 
-void BM_SweepAllTables(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sweep_all_t1_algorithms(n));
-  }
-  state.SetItemsProcessed(state.iterations() * 729 * n);
-}
-BENCHMARK(BM_SweepAllTables)->Arg(32)->Arg(64);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

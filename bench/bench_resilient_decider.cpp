@@ -91,23 +91,6 @@ void print_tables() {
   bench::print_table(plant);
 }
 
-void BM_ResilientDecide(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const auto language = scenario::make_language("coloring", {{"colors", 3}});
-  const auto decider =
-      scenario::make_decider("resilient", language.get(), {{"faults", 2}});
-  const auto sample = planted_configuration(n, 2, 0);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins coins(++seed, rand::Stream::kDecision);
-    benchmark::DoNotOptimize(
-        decide::evaluate(sample.inst(), sample.output, *decider, coins)
-            .accepted);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ResilientDecide)->Arg(64)->Arg(512);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

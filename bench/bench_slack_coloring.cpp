@@ -116,40 +116,6 @@ void print_tables() {
   bench::print_table(poly);
 }
 
-void BM_RandomColoring(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  const auto construction =
-      scenario::make_construction("rand-coloring", {{"colors", 3}});
-  const local::RandomizedBallAlgorithm& coloring =
-      *construction->ball_algorithm();
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const rand::PhiloxCoins coins(++seed, rand::Stream::kConstruction);
-    benchmark::DoNotOptimize(
-        local::run_ball_algorithm(inst, coloring, coins));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RandomColoring)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_CountBadBalls(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const local::Instance inst = scenario::build_instance("hard-ring", n);
-  const auto language = scenario::make_language("coloring", {{"colors", 3}});
-  const lang::LclLanguage& base = *scenario::lcl_core(*language);
-  const auto construction =
-      scenario::make_construction("rand-coloring", {{"colors", 3}});
-  const rand::PhiloxCoins coins(1, rand::Stream::kConstruction);
-  const local::Labeling y = local::run_ball_algorithm(
-      inst, *construction->ball_algorithm(), coins);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(base.count_bad_balls(inst, y));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_CountBadBalls)->Arg(100)->Arg(1000);
-
 }  // namespace
 
 LNC_BENCH_MAIN(print_tables)

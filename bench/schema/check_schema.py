@@ -10,13 +10,14 @@ the uploaded trajectory artifact. Each present table must also parse as
 JSON with the expected top-level shape: "headers" (non-empty) and "rows"
 (row width == header width); an optional "telemetry" object must carry
 the counter keys written by scenario::telemetry_to_json, and an optional
-"optimization" object the backend/tuning keys written by
+"optimization" object the backend keys written by
 scenario::optimization_to_json.
 
 When a bench binary legitimately gains or loses a table, regenerate the
 golden list:
 
-    LNC_BENCH_JSON_DIR=/tmp/bj ./build/bench_* --benchmark_filter=NONE
+    mkdir -p /tmp/bj
+    for b in ./build/bench_*; do LNC_BENCH_JSON_DIR=/tmp/bj "$b" >/dev/null; done
     ls /tmp/bj | grep '^TABLE_' | sort > bench/schema/TABLES.txt
 """
 import json
@@ -25,8 +26,7 @@ import sys
 
 TELEMETRY_KEYS = {"messages", "words", "rounds", "ball_expansions",
                   "arena_peak_bytes", "wall_seconds"}
-OPTIMIZATION_KEYS = {"backend", "batch_trials", "use_silent_skip",
-                     "use_done_mask", "reuse_round_buffers"}
+OPTIMIZATION_KEYS = {"backend", "batch_trials"}
 BACKENDS = {"auto", "naive", "batched", "vectorized"}
 
 

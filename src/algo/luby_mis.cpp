@@ -245,12 +245,10 @@ std::unique_ptr<local::VectorProgram> LubyMisFactory::create_vector() const {
 }
 
 local::EngineResult run_luby_mis(const local::Instance& inst,
-                                 const rand::CoinProvider& coins,
-                                 const stats::ThreadPool* pool) {
+                                 const rand::CoinProvider& coins) {
   LubyMisFactory factory;
   local::EngineOptions options;
   options.coins = &coins;
-  options.pool = pool;
   return run_engine(inst, factory, options);
 }
 

@@ -21,7 +21,6 @@ class LubyMisFactory final : public local::NodeProgramFactory {
 /// Driver: runs Luby's MIS with the given coins; returns outputs (1 = in
 /// the set) and the engine round count (2 rounds per phase).
 local::EngineResult run_luby_mis(const local::Instance& inst,
-                                 const rand::CoinProvider& coins,
-                                 const stats::ThreadPool* pool = nullptr);
+                                 const rand::CoinProvider& coins);
 
 }  // namespace lnc::algo

@@ -346,12 +346,10 @@ std::unique_ptr<local::VectorProgram> RandMatchingFactory::create_vector()
 }
 
 local::EngineResult run_rand_matching(const local::Instance& inst,
-                                      const rand::CoinProvider& coins,
-                                      const stats::ThreadPool* pool) {
+                                      const rand::CoinProvider& coins) {
   RandMatchingFactory factory;
   local::EngineOptions options;
   options.coins = &coins;
-  options.pool = pool;
   return run_engine(inst, factory, options);
 }
 

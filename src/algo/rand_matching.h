@@ -19,7 +19,6 @@ class RandMatchingFactory final : public local::NodeProgramFactory {
 };
 
 local::EngineResult run_rand_matching(const local::Instance& inst,
-                                      const rand::CoinProvider& coins,
-                                      const stats::ThreadPool* pool = nullptr);
+                                      const rand::CoinProvider& coins);
 
 }  // namespace lnc::algo

@@ -23,6 +23,7 @@
 #include "decide/evaluate.h"
 #include "local/runner.h"
 #include "stats/montecarlo.h"
+#include "stats/threadpool.h"
 
 namespace lnc::core {
 

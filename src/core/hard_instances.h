@@ -18,6 +18,7 @@
 #include "local/instance.h"
 #include "local/runner.h"
 #include "stats/montecarlo.h"
+#include "stats/threadpool.h"
 
 namespace lnc::core {
 

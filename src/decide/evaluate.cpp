@@ -1,8 +1,6 @@
 #include "decide/evaluate.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <optional>
 
 #include "fault/fault.h"
@@ -47,59 +45,40 @@ DecisionOutcome evaluate_impl(const local::Instance& inst,
   const graph::BallFilter* filter =
       censor.has_value() ? &*censor : nullptr;
 
-  std::vector<char> rejected(n, 0);
+  DecisionOutcome outcome;
   const bool count_telemetry = options.telemetry != nullptr;
-  // Relaxed atomics: commutative sums, bit-identical whatever the node
-  // schedule (see local/runner.cpp).
-  std::atomic<std::uint64_t> announcements{0};
-  std::atomic<std::uint64_t> encoded_words{0};
-  std::atomic<std::uint64_t> expansions{0};
-  auto body = [&](local::BallWorkspace& workspace, std::uint64_t v) {
-    if (counted[v] == 0) return;
-    workspace.ball.collect(inst.topology(), static_cast<graph::NodeId>(v),
-                           radius, workspace.scratch, filter);
+  std::uint64_t announcements = 0;
+  std::uint64_t encoded_words = 0;
+  std::uint64_t expansions = 0;
+  local::BallWorkspace local_workspace;
+  local::BallWorkspace& workspace =
+      options.ball != nullptr ? *options.ball : local_workspace;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (counted[v] == 0) continue;
+    workspace.ball.collect(inst.topology(), v, radius, workspace.scratch,
+                           filter);
     const graph::BallView& ball = workspace.ball;
     local::View view;
     view.ball = &ball;
     view.instance = &inst;
     if (options.grant_n) view.n_nodes = n;
-    if (!verdict_at(view)) rejected[v] = 1;
-    if (count_telemetry) {
-      announcements.fetch_add(ball.size(), std::memory_order_relaxed);
-      encoded_words.fetch_add(ball.encoded_words(),
-                              std::memory_order_relaxed);
-      expansions.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  if (options.pool != nullptr) {
-    std::vector<local::BallWorkspace> workspaces(
-        options.pool->thread_count());
-    options.pool->parallel_for_workers(
-        n, [&](unsigned worker, std::uint64_t v) {
-          body(workspaces[worker], v);
-        });
-  } else {
-    local::BallWorkspace local_workspace;
-    local::BallWorkspace& workspace =
-        options.ball != nullptr ? *options.ball : local_workspace;
-    for (graph::NodeId v = 0; v < n; ++v) body(workspace, v);
-  }
-  if (count_telemetry) {
-    local::Telemetry& telemetry = *options.telemetry;
-    telemetry.messages_sent +=
-        announcements.load(std::memory_order_relaxed);
-    telemetry.words_sent += encoded_words.load(std::memory_order_relaxed);
-    telemetry.rounds_executed +=
-        static_cast<std::uint64_t>(std::max(radius, 1));
-    telemetry.ball_expansions += expansions.load(std::memory_order_relaxed);
-  }
-
-  DecisionOutcome outcome;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (rejected[v] != 0) {
+    if (!verdict_at(view)) {
       outcome.accepted = false;
       outcome.rejecting.push_back(v);
     }
+    if (count_telemetry) {
+      announcements += ball.size();
+      encoded_words += ball.encoded_words();
+      ++expansions;
+    }
+  }
+  if (count_telemetry) {
+    local::Telemetry& telemetry = *options.telemetry;
+    telemetry.messages_sent += announcements;
+    telemetry.words_sent += encoded_words;
+    telemetry.rounds_executed +=
+        static_cast<std::uint64_t>(std::max(radius, 1));
+    telemetry.ball_expansions += expansions;
   }
   return outcome;
 }

@@ -15,7 +15,6 @@
 #include "local/instance.h"
 #include "local/runner.h"
 #include "local/telemetry.h"
-#include "stats/threadpool.h"
 
 namespace lnc::fault {
 class FaultModel;
@@ -40,7 +39,6 @@ struct DecisionOutcome {
 struct EvaluateOptions {
   std::optional<FarFrom> far_from;
   bool grant_n = false;  ///< BPLD#node deciders need |V|
-  const stats::ThreadPool* pool = nullptr;
 
   /// When set, the evaluation charges its modeled communication volume
   /// here (same simulation-theorem accounting as the direct ball runner:
@@ -53,10 +51,8 @@ struct EvaluateOptions {
   /// BatchRunner::last_telemetry() / ShardTally::telemetry instead.
   local::Telemetry* telemetry = nullptr;
 
-  /// Reusable ball storage for sequential evaluations (same contract as
-  /// local::RunOptions::ball); the plan factories pass the executing
-  /// worker's slot per trial. Pooled evaluations manage per-worker
-  /// workspaces internally.
+  /// Reusable ball storage (same contract as local::RunOptions::ball);
+  /// the plan factories pass the executing worker's slot per trial.
   local::BallWorkspace* ball = nullptr;
 
   /// Optional adversary (src/fault/): when `fault` is non-null and

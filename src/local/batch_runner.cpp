@@ -211,7 +211,7 @@ void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
     }
     const util::Timer batch_timer;
     run_vector_batch(
-        *plan.vector.instance, *plan.vector.factory, keys, plan.optimization,
+        *plan.vector.instance, *plan.vector.factory, keys,
         arena.vector_scratch(), &arena.telemetry(),
         [&](std::uint32_t local, const Labeling& out, int rounds,
             const Telemetry& delta) {

@@ -121,10 +121,7 @@ EngineResult run_engine(const Instance& inst,
                        [](char h) { return h != 0; });
   };
 
-  // Parallel node stepping cannot fill the shared flat arena in order, so
-  // it falls back to pooled per-node buffers (capacity still reused).
-  const bool parallel_steps = options.pool != nullptr;
-  s.store_.reset(n, /*shared_arena=*/!parallel_steps);
+  s.store_.reset(n);
 
   // Measured telemetry for THIS run; merged into the scratch accumulator
   // at the end (BatchRunner reads per-worker totals from there).
@@ -177,39 +174,21 @@ EngineResult run_engine(const Instance& inst,
     }
 
     s.store_.begin_round();
-    auto receive_step = [&](std::uint64_t v) {
-      if (s.halted_[v] != 0) return;
-      const Inbox inbox(
-          s.store_, inst.g.neighbors(static_cast<graph::NodeId>(v)),
-          fault_active ? s.suppressed_.data() + s.port_offsets_[v] : nullptr);
-      if (s.programs_[v]->receive(round, inbox)) s.halted_[v] = 1;
-    };
-
-    if (parallel_steps) {
-      options.pool->parallel_for(n, [&](std::uint64_t v) {
-        MessageWriter out = s.store_.writer(static_cast<graph::NodeId>(v));
-        if (!fault_active || s.dead_[v] == 0) s.programs_[v]->send(round, out);
-      });
-    } else {
-      for (graph::NodeId v = 0; v < n; ++v) {
-        MessageWriter out = s.store_.writer(v);
-        if (!fault_active || s.dead_[v] == 0) s.programs_[v]->send(round, out);
-        s.store_.end_write(v);
-      }
-    }
-    // Count after the send barrier (single-threaded either way, so the
-    // tallies are schedule-independent). Empty messages are silence.
     for (graph::NodeId v = 0; v < n; ++v) {
+      MessageWriter out = s.store_.writer(v);
+      if (!fault_active || s.dead_[v] == 0) s.programs_[v]->send(round, out);
+      s.store_.end_write(v);
+      // Empty messages are silence.
       const std::size_t words = s.store_.message(v).size();
       if (words > 0) {
         ++run_telemetry.messages_sent;
         run_telemetry.words_sent += words;
       }
     }
-    // Link-fault pass (single-threaded, after the send barrier): fill the
-    // per-port suppression bitmap for this round and tally what was
-    // realized. Every draw is keyed by (identities, round), so the bitmap
-    // — and the counters — are independent of thread count.
+    // Link-fault pass (after the send phase): fill the per-port
+    // suppression bitmap for this round and tally what was realized.
+    // Every draw is keyed by (identities, round), so the bitmap — and the
+    // counters — are independent of thread count.
     if (fault_active) {
       const auto& model = *options.fault;
       const auto& fcoins = *options.fault_coins;
@@ -241,10 +220,12 @@ EngineResult run_engine(const Instance& inst,
         }
       }
     }
-    if (parallel_steps) {
-      options.pool->parallel_for(n, receive_step);
-    } else {
-      for (graph::NodeId v = 0; v < n; ++v) receive_step(v);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (s.halted_[v] != 0) continue;
+      const Inbox inbox(
+          s.store_, inst.g.neighbors(v),
+          fault_active ? s.suppressed_.data() + s.port_offsets_[v] : nullptr);
+      if (s.programs_[v]->receive(round, inbox)) s.halted_[v] = 1;
     }
   }
 

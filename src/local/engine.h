@@ -6,17 +6,15 @@
 // the engine counts and reports (that count *is* the measurement in
 // experiments E3 and E10).
 //
-// Programs are per-node state machines created by a factory per execution;
-// node steps within a round are data-parallel and can run on a thread pool
-// (results are independent of the schedule because rounds are barriers and
-// nodes share no mutable state).
+// Programs are per-node state machines created by a factory per execution.
+// One run steps its nodes sequentially; parallelism lives one level up,
+// where BatchRunner spreads independent trials across workers.
 //
 // Message storage is pooled: nodes write through MessageWriter into a
-// per-run arena (one flat word buffer in sequential mode, reusable per-node
-// buffers under parallel node stepping) and read neighbors' messages
-// through zero-copy Inbox views. An EngineScratch can be passed in to reuse
-// the arena, program table, and RNG storage across runs — the batched
-// Monte-Carlo path (local/batch_runner.h) keeps one scratch per worker.
+// per-run flat word arena and read neighbors' messages through zero-copy
+// Inbox views. An EngineScratch can be passed in to reuse the arena,
+// program table, and RNG storage across runs — the batched Monte-Carlo
+// path (local/batch_runner.h) keeps one scratch per worker.
 //
 // This file is the SCALAR engine: one trial at a time, one heap program
 // object per node. Programs whose factory overrides create_vector() can
@@ -37,7 +35,6 @@
 #include "local/instance.h"
 #include "local/telemetry.h"
 #include "rand/coins.h"
-#include "stats/threadpool.h"
 
 namespace lnc::fault {
 class FaultModel;
@@ -63,75 +60,44 @@ class MessageWriter {
   std::vector<std::uint64_t>* words_;
 };
 
-/// Pooled storage for one round's outgoing messages. Two modes:
-///  * shared arena (sequential node stepping): all messages live back to
-///    back in one flat word vector addressed by per-node offsets — no
-///    per-message allocation once the arena is warm;
-///  * per-node buffers (parallel node stepping): each node owns a buffer
-///    whose capacity persists across rounds, so steady-state rounds do not
-///    allocate either.
+/// Pooled storage for one round's outgoing messages: all messages live
+/// back to back in one flat word vector addressed by per-node offsets, so
+/// no message allocates once the arena is warm. Writers must be opened in
+/// ascending node order, each closed with end_write(v) before the next.
 class MessageStore {
  public:
-  /// Prepares storage for n nodes. `shared_arena` selects the flat arena
-  /// (requires the send phase to visit nodes in ascending order).
-  void reset(graph::NodeId n, bool shared_arena) {
-    shared_ = shared_arena;
+  /// Prepares storage for n nodes.
+  void reset(graph::NodeId n) {
     flat_.clear();
-    if (shared_) {
-      offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-      buffers_.clear();
-    } else {
-      offsets_.clear();
-      buffers_.resize(n);  // existing buffers keep their capacity
-    }
+    offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   }
 
-  void begin_round() {
-    if (shared_) flat_.clear();
-  }
+  void begin_round() { flat_.clear(); }
 
-  /// Writer for node v's message. In shared-arena mode writers must be
-  /// obtained in ascending node order and closed with end_write(v) before
-  /// the next writer is opened.
+  /// Writer for node v's message.
   MessageWriter writer(graph::NodeId v) {
-    if (shared_) {
-      offsets_[v] = flat_.size();
-      return MessageWriter(&flat_);
-    }
-    buffers_[v].clear();
-    return MessageWriter(&buffers_[v]);
+    offsets_[v] = flat_.size();
+    return MessageWriter(&flat_);
   }
 
-  /// Closes node v's message (shared-arena bookkeeping; no-op otherwise).
-  void end_write(graph::NodeId v) {
-    if (shared_) offsets_[v + 1] = flat_.size();
-  }
+  /// Closes node v's message.
+  void end_write(graph::NodeId v) { offsets_[v + 1] = flat_.size(); }
 
   /// The message node v sent this round. Valid until the next begin_round.
   std::span<const std::uint64_t> message(graph::NodeId v) const noexcept {
-    if (shared_) {
-      return {flat_.data() + offsets_[v], flat_.data() + offsets_[v + 1]};
-    }
-    return {buffers_[v].data(), buffers_[v].size()};
+    return {flat_.data() + offsets_[v], flat_.data() + offsets_[v + 1]};
   }
 
   /// Retained capacity of the message arena, in bytes (telemetry's
   /// arena high-water mark).
   std::size_t footprint_bytes() const noexcept {
-    std::size_t bytes = flat_.capacity() * sizeof(std::uint64_t) +
-                        offsets_.capacity() * sizeof(std::size_t) +
-                        buffers_.capacity() * sizeof(buffers_[0]);
-    for (const auto& buffer : buffers_) {
-      bytes += buffer.capacity() * sizeof(std::uint64_t);
-    }
-    return bytes;
+    return flat_.capacity() * sizeof(std::uint64_t) +
+           offsets_.capacity() * sizeof(std::size_t);
   }
 
  private:
-  bool shared_ = true;
-  std::vector<std::uint64_t> flat_;      // shared-arena words
-  std::vector<std::size_t> offsets_;     // size n + 1 in shared mode
-  std::vector<std::vector<std::uint64_t>> buffers_;  // parallel mode
+  std::vector<std::uint64_t> flat_;   // every node's words, in node order
+  std::vector<std::size_t> offsets_;  // size n + 1
 };
 
 /// Zero-copy view of the messages on a node's ports this round: inbox[p]
@@ -273,7 +239,6 @@ struct EngineOptions {
   bool grant_n = false;            ///< expose |V| via NodeEnv::n_nodes
   bool grant_ring_orientation = false;  ///< expose succ_port on cycle()
   const rand::CoinProvider* coins = nullptr;  ///< null => deterministic
-  const stats::ThreadPool* pool = nullptr;    ///< null => sequential steps
 
   /// Optional adversary (src/fault/). When `fault` is non-null and
   /// non-trivial, `fault_coins` must be set (the trial's dedicated fault

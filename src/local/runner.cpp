@@ -1,7 +1,6 @@
 #include "local/runner.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace lnc::local {
 namespace {
@@ -13,19 +12,22 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
   const graph::NodeId n = inst.node_count();
   output.assign(n, 0);
   const bool count = options.telemetry != nullptr;
-  // Relaxed atomics: uint64 addition commutes, so the totals are
-  // bit-identical whatever the node schedule (pool or sequential).
-  std::atomic<std::uint64_t> announcements{0};
-  std::atomic<std::uint64_t> encoded_words{0};
-  std::atomic<std::uint64_t> expansions{0};
-  auto body = [&](BallWorkspace& workspace, std::uint64_t v) {
+  std::uint64_t announcements = 0;
+  std::uint64_t encoded_words = 0;
+  std::uint64_t expansions = 0;
+  // One workspace for the whole run even without a caller slot — the
+  // per-node allocations collapse either way; the caller's slot only adds
+  // cross-call (per-trial) reuse.
+  BallWorkspace local_workspace;
+  BallWorkspace& workspace =
+      options.ball != nullptr ? *options.ball : local_workspace;
+  for (graph::NodeId v = 0; v < n; ++v) {
     if (options.ball_filter != nullptr &&
-        options.ball_filter->node_blocked(static_cast<graph::NodeId>(v))) {
-      output[v] = 0;  // crashed center: tombstone, no collection, no charge
-      return;
+        options.ball_filter->node_blocked(v)) {
+      continue;  // crashed center: tombstone 0, no collection, no charge
     }
-    workspace.ball.collect(inst.topology(), static_cast<graph::NodeId>(v),
-                           radius, workspace.scratch, options.ball_filter);
+    workspace.ball.collect(inst.topology(), v, radius, workspace.scratch,
+                           options.ball_filter);
     const graph::BallView& ball = workspace.ball;
     View view;
     view.ball = &ball;
@@ -33,36 +35,20 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
     if (options.grant_n) view.n_nodes = n;
     output[v] = compute(view);
     if (count) {
-      announcements.fetch_add(ball.size(), std::memory_order_relaxed);
-      encoded_words.fetch_add(ball.encoded_words(),
-                              std::memory_order_relaxed);
-      expansions.fetch_add(1, std::memory_order_relaxed);
+      announcements += ball.size();
+      encoded_words += ball.encoded_words();
+      ++expansions;
     }
-  };
-  if (options.pool != nullptr) {
-    std::vector<BallWorkspace> workspaces(options.pool->thread_count());
-    options.pool->parallel_for_workers(
-        n, [&](unsigned worker, std::uint64_t v) {
-          body(workspaces[worker], v);
-        });
-  } else {
-    // One workspace for the whole run even without a caller slot — the
-    // per-node allocations collapse either way; the caller's slot only
-    // adds cross-call (per-trial) reuse.
-    BallWorkspace local_workspace;
-    BallWorkspace& workspace =
-        options.ball != nullptr ? *options.ball : local_workspace;
-    for (graph::NodeId v = 0; v < n; ++v) body(workspace, v);
   }
   if (count) {
     // The simulation-theorem charge (local/telemetry.h): delivering every
     // inspected view, over max(radius, 1) rounds (wake-up included).
     Telemetry& telemetry = *options.telemetry;
-    telemetry.messages_sent += announcements.load(std::memory_order_relaxed);
-    telemetry.words_sent += encoded_words.load(std::memory_order_relaxed);
+    telemetry.messages_sent += announcements;
+    telemetry.words_sent += encoded_words;
     telemetry.rounds_executed +=
         static_cast<std::uint64_t>(std::max(radius, 1));
-    telemetry.ball_expansions += expansions.load(std::memory_order_relaxed);
+    telemetry.ball_expansions += expansions;
   }
 }
 

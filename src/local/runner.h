@@ -15,7 +15,6 @@
 #include "local/instance.h"
 #include "local/telemetry.h"
 #include "rand/coins.h"
-#include "stats/threadpool.h"
 
 namespace lnc::local {
 
@@ -75,7 +74,6 @@ struct BallWorkspace {
 
 struct RunOptions {
   bool grant_n = false;
-  const stats::ThreadPool* pool = nullptr;
 
   /// When set, the run charges its modeled communication volume here (see
   /// local/telemetry.h: per inspected ball, one announcement per member
@@ -84,10 +82,9 @@ struct RunOptions {
   /// deterministic across thread counts.
   Telemetry* telemetry = nullptr;
 
-  /// Reusable ball storage for sequential runs (the batched Monte-Carlo
-  /// path passes its worker's slot, keeping capacity warm ACROSS trials).
-  /// Null still reuses one call-local workspace across the nodes of this
-  /// run; pooled runs manage one workspace per pool worker internally.
+  /// Reusable ball storage (the batched Monte-Carlo path passes its
+  /// worker's slot, keeping capacity warm ACROSS trials). Null still
+  /// reuses one call-local workspace across the nodes of this run.
   BallWorkspace* ball = nullptr;
 
   /// Optional fault censoring (src/fault/): every ball is collected inside

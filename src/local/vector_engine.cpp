@@ -19,13 +19,8 @@ OptimizationConfig OptimizationConfig::automatic(std::uint64_t n,
                                                  std::uint64_t trials,
                                                  double mean_degree) {
   OptimizationConfig config;
-  if (trials <= 2) {
-    // Too few trials for arena reuse (let alone lockstep) to pay for
-    // itself; fresh scalar arenas also keep one-shot debugging runs simple.
-    config.backend = Backend::kNaive;
-    return config;
-  }
   if (trials < 8) {
+    // Too few trials for lockstep batches to pay for themselves.
     config.backend = Backend::kBatched;
     return config;
   }
@@ -80,22 +75,13 @@ std::size_t VectorBatch::footprint_bytes() const noexcept {
 
 void run_vector_batch(
     const Instance& inst, const NodeProgramFactory& factory,
-    std::span<const std::uint64_t> coin_keys, const OptimizationConfig& config,
-    VectorScratch& scratch, Telemetry* accumulate,
+    std::span<const std::uint64_t> coin_keys, VectorScratch& scratch,
+    Telemetry* accumulate,
     const std::function<void(std::uint32_t, const Labeling&, int,
                              const Telemetry&)>& finish) {
   const auto trials = static_cast<std::uint32_t>(coin_keys.size());
   if (trials == 0) return;
   const auto n = static_cast<std::uint32_t>(inst.node_count());
-
-  if (!config.reuse_round_buffers) {
-    // Arena-reuse ablation: forget the warm program and state arrays so
-    // every batch starts cold, exactly like a first call.
-    scratch.program_.reset();
-    scratch.last_factory_ = nullptr;
-    scratch.last_factory_name_.clear();
-    scratch.batch_ = VectorBatch{};
-  }
 
   const bool may_recycle = scratch.program_ != nullptr &&
                            scratch.last_factory_ == &factory &&
@@ -112,7 +98,6 @@ void run_vector_batch(
   batch.inst_ = &inst;
   batch.n_ = n;
   batch.trials_ = trials;
-  batch.config_ = config;
   const std::size_t total = static_cast<std::size_t>(trials) * n;
   batch.rngs_.resize(total);
   batch.halted_.assign(total, 0);
@@ -126,22 +111,13 @@ void run_vector_batch(
     VecRng* row = batch.rngs_.data() + batch.at(t, 0);
     for (std::uint32_t v = 0; v < n; ++v) row[v] = VecRng{key, inst.ids[v], 0};
   }
-  if (config.use_done_mask) {
-    batch.live_trials_.resize(trials);
-    std::iota(batch.live_trials_.begin(), batch.live_trials_.end(), 0u);
-  } else {
-    batch.live_trials_.clear();
-  }
-  if (config.use_silent_skip) {
-    batch.active_nodes_.resize(total);
-    batch.active_counts_.assign(trials, n);
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
-      std::iota(list, list + n, 0u);
-    }
-  } else {
-    batch.active_nodes_.clear();
-    batch.active_counts_.clear();
+  batch.live_trials_.resize(trials);
+  std::iota(batch.live_trials_.begin(), batch.live_trials_.end(), 0u);
+  batch.active_nodes_.resize(total);
+  batch.active_counts_.assign(trials, n);
+  for (std::uint32_t t = 0; t < trials; ++t) {
+    std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
+    std::iota(list, list + n, 0u);
   }
 
   program.init(batch);
@@ -155,34 +131,19 @@ void run_vector_batch(
         batch.rounds_[t] = round;
         return true;
       }
-      if (config.use_silent_skip) {
-        std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
-        const std::uint32_t count = batch.active_counts_[t];
-        std::uint32_t kept = 0;
-        for (std::uint32_t k = 0; k < count; ++k) {
-          const std::uint32_t v = list[k];
-          if (batch.halted_[batch.at(t, v)] == 0) list[kept++] = v;
-        }
-        batch.active_counts_[t] = kept;
+      std::uint32_t* list = batch.active_nodes_.data() + batch.at(t, 0);
+      const std::uint32_t count = batch.active_counts_[t];
+      std::uint32_t kept = 0;
+      for (std::uint32_t k = 0; k < count; ++k) {
+        const std::uint32_t v = list[k];
+        if (batch.halted_[batch.at(t, v)] == 0) list[kept++] = v;
       }
+      batch.active_counts_[t] = kept;
       return false;
     };
-    if (config.use_done_mask) {
-      auto& live = batch.live_trials_;
-      live.erase(std::remove_if(live.begin(), live.end(), settle_trial),
-                 live.end());
-    } else {
-      for (std::uint32_t t = 0; t < trials; ++t) {
-        if (batch.done_[t] == 0) settle_trial(t);
-      }
-    }
-  };
-  const auto any_live = [&] {
-    if (config.use_done_mask) return !batch.live_trials_.empty();
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      if (batch.done_[t] == 0) return true;
-    }
-    return false;
+    auto& live = batch.live_trials_;
+    live.erase(std::remove_if(live.begin(), live.end(), settle_trial),
+               live.end());
   };
 
   // Observability-only kernel timing and footprint: recorded into the
@@ -192,7 +153,7 @@ void run_vector_batch(
   const util::Timer kernel_timer;
   settle(0);
   int round = 0;
-  while (any_live()) {
+  while (!batch.live_trials_.empty()) {
     LNC_ASSERT(round < kMaxRounds);
     ++round;
     program.round(batch, round);

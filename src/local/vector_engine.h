@@ -15,15 +15,13 @@
 //   * message rounds are flat passes over the batch against the shared
 //     CSR adjacency (messages are never materialized: a "received"
 //     message is a read of the sender's round-start state);
-//   * per-round skip masks elide trials that already terminated
-//     (use_done_mask) and nodes that are silent/halted (use_silent_skip).
+//   * per-round skip lists elide trials that already terminated and
+//     nodes that are silent/halted.
 //
 // A program opts in by overriding NodeProgramFactory::create_vector()
 // (local/engine.h); everything else transparently falls back to the
 // scalar engine. OptimizationConfig selects the backend per plan — by
-// hand or through OptimizationConfig::automatic(n, trials, degree) —
-// and exposes each optimization as an independently-toggleable flag so
-// the ablation tests can prove every toggle alone preserves identity.
+// hand or through OptimizationConfig::automatic(n, trials, degree).
 //
 // The contract, gated by tests/vector_engine_test.cpp and CI: tallies,
 // exact sums, and deterministic telemetry are bit-identical across
@@ -44,10 +42,9 @@
 
 namespace lnc::local {
 
-/// Which trial-execution strategy a plan runs under, plus the individual
-/// vector-backend optimizations. Every field is independently toggleable
-/// so ablations can isolate each win; all settings produce bit-identical
-/// tallies, exact sums, and deterministic telemetry by contract.
+/// Which trial-execution strategy a plan runs under. Every setting
+/// produces bit-identical tallies, exact sums, and deterministic telemetry
+/// by contract.
 struct OptimizationConfig {
   enum class Backend {
     kAuto,        ///< resolve per plan (automatic() or the runner default)
@@ -61,22 +58,10 @@ struct OptimizationConfig {
   /// Trials advanced in lockstep per batch (vectorized backend only).
   std::uint64_t batch_trials = 32;
 
-  /// Skip per-node work for halted/silent nodes via compact active-node
-  /// lists instead of scanning every node every round.
-  bool use_silent_skip = true;
-
-  /// Track live trials in a compact list so finished trials cost nothing
-  /// per round (off: every round scans all trials and tests a done flag).
-  bool use_done_mask = true;
-
-  /// Keep the SoA arrays and the vector program warm across batches (off:
-  /// every batch reallocates from scratch — the arena-reuse ablation).
-  bool reuse_round_buffers = true;
-
-  /// The auto-tuning entry point: picks naive for degenerate trial counts,
-  /// batched for workloads too small (or too large per trial) to win from
-  /// lockstep batches, and vectorized with a cache-sized batch_trials
-  /// otherwise. `mean_degree` is the instance's average degree (the SoA
+  /// The auto-tuning entry point: picks batched for workloads too small
+  /// to win from lockstep batches, and vectorized with a cache-sized
+  /// batch_trials otherwise; naive, the reference oracle, runs only when
+  /// forced. `mean_degree` is the instance's average degree (the SoA
   /// state per trial scales with n * degree for port-indexed programs).
   static OptimizationConfig automatic(std::uint64_t n, std::uint64_t trials,
                                       double mean_degree);
@@ -126,14 +111,13 @@ class VectorScratch;
 
 /// Shared driver-owned state of one lockstep batch: the instance, the
 /// per-(trial, node) RNG and halt arrays, per-trial round/traffic
-/// accounting, and the skip masks. VectorPrograms read and update it from
+/// accounting, and the skip lists. VectorPrograms read and update it from
 /// their flat round passes.
 class VectorBatch {
  public:
   const Instance& instance() const noexcept { return *inst_; }
   std::uint32_t nodes() const noexcept { return n_; }
   std::uint32_t trials() const noexcept { return trials_; }
-  const OptimizationConfig& config() const noexcept { return config_; }
 
   /// Flat index of (trial, node) into the [trial * n + node] arrays.
   std::size_t at(std::uint32_t trial, std::uint32_t node) const noexcept {
@@ -171,35 +155,22 @@ class VectorBatch {
     words_[trial] += words;
   }
 
-  /// Every trial still running, through the done mask when enabled.
+  /// Every trial still running (the compact live-trial list).
   template <typename Body>
   void for_each_live_trial(Body&& body) const {
-    if (config_.use_done_mask) {
-      for (const std::uint32_t t : live_trials_) body(t);
-      return;
-    }
-    for (std::uint32_t t = 0; t < trials_; ++t) {
-      if (done_[t] == 0) body(t);
-    }
+    for (const std::uint32_t t : live_trials_) body(t);
   }
 
-  /// Every non-halted node of a live trial — the silent-node skip mask.
-  /// With use_silent_skip the compact active list is iterated (halted
-  /// nodes cost nothing); without it, all n nodes are scanned and tested.
-  /// Nodes halted DURING the pass stay in the list until the driver
-  /// compacts it at the end of the round.
+  /// Every non-halted node of a live trial, through its compact
+  /// active-node list (halted nodes cost nothing). Nodes halted DURING the
+  /// pass stay in the list until the driver compacts it at the end of the
+  /// round.
   template <typename Body>
   void for_each_active_node(std::uint32_t trial, Body&& body) const {
-    if (config_.use_silent_skip) {
-      const std::uint32_t* list = active_nodes_.data() +
-                                  static_cast<std::size_t>(trial) * n_;
-      const std::uint32_t count = active_counts_[trial];
-      for (std::uint32_t k = 0; k < count; ++k) body(list[k]);
-      return;
-    }
-    for (std::uint32_t v = 0; v < n_; ++v) {
-      if (halted_[at(trial, v)] == 0) body(v);
-    }
+    const std::uint32_t* list =
+        active_nodes_.data() + static_cast<std::size_t>(trial) * n_;
+    const std::uint32_t count = active_counts_[trial];
+    for (std::uint32_t k = 0; k < count; ++k) body(list[k]);
   }
 
  private:
@@ -207,7 +178,6 @@ class VectorBatch {
   friend void run_vector_batch(const Instance& inst,
                                const NodeProgramFactory& factory,
                                std::span<const std::uint64_t> coin_keys,
-                               const OptimizationConfig& config,
                                VectorScratch& scratch, Telemetry* accumulate,
                                const std::function<void(
                                    std::uint32_t, const Labeling&, int,
@@ -218,7 +188,6 @@ class VectorBatch {
   const Instance* inst_ = nullptr;
   std::uint32_t n_ = 0;
   std::uint32_t trials_ = 0;
-  OptimizationConfig config_;
 
   std::vector<VecRng> rngs_;             // [trial * n + node]
   std::vector<char> halted_;             // [trial * n + node]
@@ -228,8 +197,8 @@ class VectorBatch {
   std::vector<std::uint64_t> messages_;  // per trial: messages sent
   std::vector<std::uint64_t> words_;     // per trial: words sent
 
-  std::vector<std::uint32_t> live_trials_;   // done mask (compact list)
-  std::vector<std::uint32_t> active_nodes_;  // [trial * n], silent skip
+  std::vector<std::uint32_t> live_trials_;   // compact list of live trials
+  std::vector<std::uint32_t> active_nodes_;  // [trial * n], non-halted
   std::vector<std::uint32_t> active_counts_;  // per trial
 };
 
@@ -279,7 +248,6 @@ class VectorScratch {
   friend void run_vector_batch(const Instance& inst,
                                const NodeProgramFactory& factory,
                                std::span<const std::uint64_t> coin_keys,
-                               const OptimizationConfig& config,
                                VectorScratch& scratch, Telemetry* accumulate,
                                const std::function<void(
                                    std::uint32_t, const Labeling&, int,
@@ -308,8 +276,8 @@ public:
 /// runner reads, exactly like EngineScratch::telemetry().
 void run_vector_batch(
     const Instance& inst, const NodeProgramFactory& factory,
-    std::span<const std::uint64_t> coin_keys, const OptimizationConfig& config,
-    VectorScratch& scratch, Telemetry* accumulate,
+    std::span<const std::uint64_t> coin_keys, VectorScratch& scratch,
+    Telemetry* accumulate,
     const std::function<void(std::uint32_t, const Labeling&, int,
                              const Telemetry&)>& finish);
 

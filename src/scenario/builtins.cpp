@@ -451,7 +451,6 @@ class EngineConstruction final : public Construction {
     local::EngineOptions options;
     if (randomized_) options.coins = &coins;
     if (env.arena != nullptr) options.scratch = &env.arena->engine();
-    options.pool = run_options.pool;
     const bool faulty =
         run_options.fault != nullptr && !run_options.fault->trivial();
     if (faulty) {
@@ -577,13 +576,12 @@ class ColeVishkinConstruction final : public Construction {
 
   Outcome run(const local::Instance& inst, const local::TrialEnv& env,
               local::Labeling& output,
-              const RunOptions& run_options) const override {
+              const RunOptions& /*run_options*/) const override {
     int bits = 1;
     while ((inst.ids.max_identity() >> bits) != 0) ++bits;
     local::EngineOptions options;
     options.grant_ring_orientation = true;
     if (env.arena != nullptr) options.scratch = &env.arena->engine();
-    options.pool = run_options.pool;
     local::EngineResult result =
         run_engine(inst, factory_for_bits(bits), options);
     LNC_ASSERT(result.completed);

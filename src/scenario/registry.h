@@ -131,15 +131,11 @@ class Construction {
     int rounds = 0;  ///< LOCAL rounds executed (0 for zero-round/ball runs)
   };
 
-  /// Per-run knobs beyond the TrialEnv. `pool` requests parallel NODE
-  /// stepping inside the run (engine substrate ablations); Monte-Carlo
-  /// sweeps parallelize across trials instead and leave it null. A
-  /// non-null, non-trivial `fault` runs the construction under that
-  /// adversary (drawing from the trial's fault_coins()); only
-  /// fault-capable constructions accept one — scenario validation
-  /// enforces the flag.
+  /// Per-run knobs beyond the TrialEnv. A non-null, non-trivial `fault`
+  /// runs the construction under that adversary (drawing from the trial's
+  /// fault_coins()); only fault-capable constructions accept one —
+  /// scenario validation enforces the flag.
   struct RunOptions {
-    const stats::ThreadPool* pool = nullptr;
     const fault::FaultModel* fault = nullptr;
   };
 

@@ -478,12 +478,7 @@ std::string telemetry_to_json(const local::Telemetry& telemetry) {
 std::string optimization_to_json(const local::OptimizationConfig& config) {
   std::ostringstream os;
   os << "{\"backend\": \"" << local::to_string(config.backend)
-     << "\", \"batch_trials\": " << config.batch_trials
-     << ", \"use_silent_skip\": "
-     << (config.use_silent_skip ? "true" : "false")
-     << ", \"use_done_mask\": " << (config.use_done_mask ? "true" : "false")
-     << ", \"reuse_round_buffers\": "
-     << (config.reuse_round_buffers ? "true" : "false") << "}";
+     << "\", \"batch_trials\": " << config.batch_trials << "}";
   return os.str();
 }
 

@@ -113,9 +113,7 @@ local::Telemetry telemetry_from_json(const Json& json);
 /// form bench TABLE_*.json files attach as their `optimization` member so
 /// ablation trajectories record exactly which backend produced a row:
 ///
-///   {"backend": "vectorized", "batch_trials": 32,
-///    "use_silent_skip": true, "use_done_mask": true,
-///    "reuse_round_buffers": true}
+///   {"backend": "vectorized", "batch_trials": 32}
 std::string optimization_to_json(const local::OptimizationConfig& config);
 
 }  // namespace lnc::scenario

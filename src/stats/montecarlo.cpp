@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "rand/splitmix.h"
 
@@ -59,36 +58,6 @@ MeanEstimate finalize_mean_exact(const ExactSum& sum, const ExactSum& sum_sq,
         std::sqrt(std::max(0.0, centered / static_cast<double>(trials - 1)));
   }
   return m;
-}
-
-Estimate estimate_probability(std::uint64_t trials, std::uint64_t base_seed,
-                              const Trial& trial, const ThreadPool* pool) {
-  const unsigned workers = pool != nullptr ? pool->thread_count() : 1;
-  std::vector<WorkerCounter> counts(workers);
-  auto body = [&](unsigned worker, std::uint64_t i) {
-    if (trial(trial_seed(base_seed, i))) ++counts[worker].value;
-  };
-  if (pool != nullptr) {
-    pool->parallel_for_workers(trials, body);
-  } else {
-    for (std::uint64_t i = 0; i < trials; ++i) body(0, i);
-  }
-  return finalize_estimate(sum_counters(counts), trials);
-}
-
-MeanEstimate estimate_mean(std::uint64_t trials, std::uint64_t base_seed,
-                           const std::function<double(std::uint64_t)>& trial,
-                           const ThreadPool* pool) {
-  std::vector<double> values(trials);
-  auto body = [&](std::uint64_t i) {
-    values[i] = trial(trial_seed(base_seed, i));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(trials, body);
-  } else {
-    for (std::uint64_t i = 0; i < trials; ++i) body(i);
-  }
-  return finalize_mean(values);
 }
 
 }  // namespace lnc::stats

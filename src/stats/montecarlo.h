@@ -6,21 +6,19 @@
 // estimated by running a {0,1}-valued trial under deterministic per-trial
 // seeds and reporting the proportion with a Wilson interval.
 //
-// This header is the low-layer kernel (trial_seed derivation + the plain
-// estimators). Experiment-level code does NOT call it directly: it
-// declares a local::ExperimentPlan and executes it with local::BatchRunner
-// (local/batch_runner.h), which adds per-worker arenas and the unified
-// messages/balls/two-phase execution modes on top of the same seeding
-// contract, so batched estimates remain bit-for-bit reproducible across
-// thread counts.
+// This header is the low-layer kernel: trial_seed derivation and the
+// estimator epilogues. The trial loop itself is local::BatchRunner
+// (local/batch_runner.h): experiment code declares a local::ExperimentPlan
+// and runs it there, with per-worker arenas and the unified
+// messages/balls/two-phase execution modes on top of this seeding
+// contract, so estimates are bit-for-bit reproducible across thread
+// counts.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "stats/exact_sum.h"
-#include "stats/threadpool.h"
 #include "util/math.h"
 
 namespace lnc::stats {
@@ -30,38 +28,18 @@ struct Estimate {
   util::Interval ci;           ///< Wilson 95% interval
   std::uint64_t trials = 0;
   std::uint64_t successes = 0;
-
-  /// True when the interval excludes `threshold` from below (estimate is
-  /// significantly above it).
-  bool significantly_above(double threshold) const noexcept {
-    return ci.lo > threshold;
-  }
-  bool significantly_below(double threshold) const noexcept {
-    return ci.hi < threshold;
-  }
 };
 
-/// A trial: given its private seed, returns success/failure. Must be
-/// thread-safe (trials share no mutable state).
-using Trial = std::function<bool(std::uint64_t seed)>;
-
-/// Runs `trials` independent trials with seeds derived from base_seed and
-/// the trial index, in parallel over `pool` (or sequentially when null).
-/// Bit-for-bit reproducible regardless of thread count.
-Estimate estimate_probability(std::uint64_t trials, std::uint64_t base_seed,
-                              const Trial& trial,
-                              const ThreadPool* pool = nullptr);
-
-/// Mean of a real-valued trial statistic (same seeding contract).
+/// Mean of a real-valued trial statistic.
 struct MeanEstimate {
   double mean = 0.0;
   double stddev = 0.0;
   std::uint64_t trials = 0;
 };
 
-/// The estimator epilogues, shared by the kernel above and by
-/// local::BatchRunner so the statistical formulas live in exactly one
-/// place (Wilson interval; sample stddev with n-1).
+/// The estimator epilogues, so the statistical formulas live in exactly
+/// one place (Wilson interval; sample stddev with n-1). finalize_mean is
+/// the two-pass reference that finalize_mean_exact is tested against.
 Estimate finalize_estimate(std::uint64_t successes,
                            std::uint64_t trials) noexcept;
 MeanEstimate finalize_mean(std::span<const double> values) noexcept;
@@ -77,8 +55,7 @@ MeanEstimate finalize_mean_exact(const ExactSum& sum,
 
 /// Cache-line-padded per-worker tally: workers bump their own slot
 /// without contending, and the final sum is order-free, so estimates
-/// stay bit-for-bit identical across thread counts. Shared by the kernel
-/// and local::BatchRunner.
+/// stay bit-for-bit identical across thread counts.
 struct alignas(64) WorkerCounter {
   std::uint64_t value = 0;
 };
@@ -89,10 +66,6 @@ inline std::uint64_t sum_counters(
   for (const WorkerCounter& c : counters) total += c.value;
   return total;
 }
-
-MeanEstimate estimate_mean(std::uint64_t trials, std::uint64_t base_seed,
-                           const std::function<double(std::uint64_t)>& trial,
-                           const ThreadPool* pool = nullptr);
 
 /// Derives the seed used for trial `index` under `base_seed` — exposed so
 /// tests can re-run an individual failing trial.

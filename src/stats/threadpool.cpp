@@ -40,10 +40,4 @@ void ThreadPool::parallel_for_workers(
   for (std::thread& t : threads) t.join();
 }
 
-void ThreadPool::parallel_for(
-    std::uint64_t count, const std::function<void(std::uint64_t)>& fn) const {
-  parallel_for_workers(count,
-                       [&fn](unsigned, std::uint64_t i) { fn(i); });
-}
-
 }  // namespace lnc::stats

@@ -1,6 +1,5 @@
 // Wall-clock timer for the engine-scaling experiment (E12) and example
-// programs. Benchmarks proper use google-benchmark; this is for coarse
-// reporting only.
+// programs. Coarse reporting only; the benchmark proper is perfbench/.
 #pragma once
 
 #include <chrono>

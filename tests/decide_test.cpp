@@ -224,20 +224,5 @@ TEST(ResilientDecider, RejectsOutOfIntervalP) {
   EXPECT_DEATH(ResilientDecider(base, 2, 0.99), "p_");
 }
 
-TEST(Evaluate, ParallelMatchesSequential) {
-  const lang::ProperColoring lang(3);
-  const LclDecider decider(lang);
-  const local::Instance inst = ring_instance(64);
-  local::Labeling y(64);
-  for (graph::NodeId v = 0; v < 64; ++v) y[v] = v % 3;
-  const DecisionOutcome seq = evaluate(inst, y, decider);
-  stats::ThreadPool pool(4);
-  EvaluateOptions options;
-  options.pool = &pool;
-  const DecisionOutcome par = evaluate(inst, y, decider, options);
-  EXPECT_EQ(seq.accepted, par.accepted);
-  EXPECT_EQ(seq.rejecting, par.rejecting);
-}
-
 }  // namespace
 }  // namespace lnc::decide

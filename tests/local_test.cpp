@@ -74,17 +74,6 @@ TEST(Engine, OneRoundProgramRunsOneRound) {
   EXPECT_EQ(result.output[7], 8u);
 }
 
-TEST(Engine, ParallelStepsMatchSequential) {
-  const Instance inst = ring_instance(64);
-  const EngineResult seq = run_engine(inst, MaxIdFactory{});
-  EngineOptions options;
-  stats::ThreadPool pool(4);
-  options.pool = &pool;
-  const EngineResult par = run_engine(inst, MaxIdFactory{}, options);
-  EXPECT_EQ(seq.output, par.output);
-  EXPECT_EQ(seq.rounds, par.rounds);
-}
-
 TEST(Engine, MaxRoundsGuardReportsIncomplete) {
   // A program that never halts.
   class Forever final : public NodeProgram {

@@ -2,6 +2,7 @@
 // coin determinism, and NodeRng distribution sanity.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
 #include <vector>
 
@@ -53,7 +54,8 @@ TEST(Philox, U64IsDeterministic) {
 // any divergence would silently break backend bit-identity. Odd counts
 // exercise both the wide main loop and the serial tail.
 TEST(Philox, BatchMatchesSerialBitForBit) {
-  for (const std::size_t count : {0uz, 1uz, 3uz, 16uz, 37uz, 1000uz}) {
+  for (const std::size_t count :
+       std::initializer_list<std::size_t>{0, 1, 3, 16, 37, 1000}) {
     std::vector<std::uint64_t> hi(count), lo(count), out(count);
     for (std::size_t i = 0; i < count; ++i) {
       hi[i] = 0x9E3779B97F4A7C15ull * i + 7;

@@ -1,5 +1,5 @@
-// Tests for src/stats: thread pool, Monte-Carlo estimation (including
-// bit-for-bit reproducibility across thread counts), summaries.
+// Tests for src/stats: thread pool, Monte-Carlo seeding and estimator
+// epilogues, exact sums, summaries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,7 +126,8 @@ TEST(MonteCarlo, FinalizeMeanExactMatchesTwoPassOnBenignData) {
 TEST(ThreadPool, CoversTheFullRange) {
   const ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::uint64_t i) {
+  pool.parallel_for_workers(1000, [&](unsigned worker, std::uint64_t i) {
+    EXPECT_LT(worker, pool.thread_count());
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -135,45 +136,27 @@ TEST(ThreadPool, CoversTheFullRange) {
 TEST(ThreadPool, ZeroAndOneCount) {
   const ThreadPool pool(2);
   std::atomic<int> calls{0};
-  pool.parallel_for(0, [&](std::uint64_t) { calls.fetch_add(1); });
+  pool.parallel_for_workers(0, [&](unsigned, std::uint64_t) {
+    calls.fetch_add(1);
+  });
   EXPECT_EQ(calls.load(), 0);
-  pool.parallel_for(1, [&](std::uint64_t) { calls.fetch_add(1); });
+  pool.parallel_for_workers(1, [&](unsigned, std::uint64_t) {
+    calls.fetch_add(1);
+  });
   EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(MonteCarlo, EstimatesAFairCoin) {
-  const Estimate e = estimate_probability(
-      20000, 99, [](std::uint64_t seed) { return (seed & 1) == 0; });
+  const std::uint64_t trials = 20000;
+  std::uint64_t successes = 0;
+  for (std::uint64_t i = 0; i < trials; ++i) {
+    if ((trial_seed(99, i) & 1) == 0) ++successes;
+  }
+  const Estimate e = finalize_estimate(successes, trials);
   // trial_seed mixes, so parity of the mixed seed is ~uniform.
   EXPECT_NEAR(e.p_hat, 0.5, 0.02);
   EXPECT_LE(e.ci.lo, e.p_hat);
   EXPECT_GE(e.ci.hi, e.p_hat);
-}
-
-TEST(MonteCarlo, ReproducibleAcrossThreadCounts) {
-  auto trial = [](std::uint64_t seed) {
-    return rand::splitmix64(seed) % 7 == 0;
-  };
-  const Estimate seq = estimate_probability(5000, 3, trial, nullptr);
-  const ThreadPool pool(4);
-  const Estimate par = estimate_probability(5000, 3, trial, &pool);
-  EXPECT_EQ(seq.successes, par.successes);
-}
-
-TEST(MonteCarlo, SignificanceHelpers) {
-  const Estimate high = estimate_probability(
-      2000, 5, [](std::uint64_t) { return true; });
-  EXPECT_TRUE(high.significantly_above(0.9));
-  EXPECT_FALSE(high.significantly_below(0.9));
-}
-
-TEST(MonteCarlo, MeanEstimate) {
-  const MeanEstimate m = estimate_mean(10000, 11, [](std::uint64_t seed) {
-    // Uniform double in [0,1) derived from the trial seed.
-    return static_cast<double>(rand::splitmix64(seed) >> 11) * 0x1.0p-53;
-  });
-  EXPECT_NEAR(m.mean, 0.5, 0.02);
-  EXPECT_NEAR(m.stddev, 1.0 / std::sqrt(12.0), 0.02);
 }
 
 TEST(MonteCarlo, TrialSeedsAreDistinct) {

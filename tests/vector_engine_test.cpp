@@ -139,10 +139,10 @@ TEST(VectorEngine, UnevenShardMergeReproducesUnshardedRun) {
   expect_results_identical(whole, merged, "mixed-backend shard merge");
 }
 
-TEST(VectorEngine, OptimizationTogglesPreserveBitIdentity) {
-  // Each toggle changes HOW the batch iterates, never WHAT it computes:
-  // flipping any one of them (and shrinking the batch down to single-trial
-  // or a ragged 7) must reproduce the default configuration exactly.
+TEST(VectorEngine, BatchWidthsPreserveBitIdentity) {
+  // The batch width changes HOW trials are grouped, never WHAT they
+  // compute: single-trial and ragged batches must reproduce the default
+  // configuration exactly.
   const scenario::ScenarioSpec spec =
       shrunk_preset("rand-matching-rounds", 40);
   scenario::ScenarioSpec forced = spec;
@@ -161,27 +161,16 @@ TEST(VectorEngine, OptimizationTogglesPreserveBitIdentity) {
     mutate(plan.optimization);
     expect_tallies_identical(baseline, runner.run_shard(plan, range), what);
   };
-  variant("use_silent_skip=false",
-          [](OptimizationConfig& c) { c.use_silent_skip = false; });
-  variant("use_done_mask=false",
-          [](OptimizationConfig& c) { c.use_done_mask = false; });
-  variant("reuse_round_buffers=false",
-          [](OptimizationConfig& c) { c.reuse_round_buffers = false; });
   variant("batch_trials=1",
           [](OptimizationConfig& c) { c.batch_trials = 1; });
   variant("batch_trials=7",
           [](OptimizationConfig& c) { c.batch_trials = 7; });
-  variant("all toggles off, ragged batches", [](OptimizationConfig& c) {
-    c.use_silent_skip = false;
-    c.use_done_mask = false;
-    c.reuse_round_buffers = false;
-    c.batch_trials = 3;
-  });
+  variant("batch_trials=3", [](OptimizationConfig& c) { c.batch_trials = 3; });
 }
 
 TEST(VectorEngine, AutomaticConfigPicksSaneBackends) {
   EXPECT_EQ(OptimizationConfig::automatic(64, 1, 2.0).backend,
-            Backend::kNaive);
+            Backend::kBatched);
   EXPECT_EQ(OptimizationConfig::automatic(64, 4, 2.0).backend,
             Backend::kBatched);
   const OptimizationConfig big = OptimizationConfig::automatic(64, 1000, 3.0);
@@ -233,9 +222,6 @@ TEST(VectorEngine, DirectBatchMatchesScalarEngineTrialForTrial) {
     scalar_deltas.push_back(result.telemetry);
   }
 
-  OptimizationConfig config;
-  config.backend = Backend::kVectorized;
-  config.batch_trials = 4;
   local::VectorScratch scratch;
   std::uint32_t seen = 0;
   // Two half-batches through the same scratch: the second run exercises
@@ -245,7 +231,7 @@ TEST(VectorEngine, DirectBatchMatchesScalarEngineTrialForTrial) {
         std::span<const std::uint64_t>(keys.data() + 5, kTrials - 5)}) {
     const std::uint32_t base = seen;
     local::run_vector_batch(
-        inst, factory, slice, config, scratch, nullptr,
+        inst, factory, slice, scratch, nullptr,
         [&](std::uint32_t trial, const local::Labeling& output, int rounds,
             const local::Telemetry& delta) {
           const std::uint32_t global = base + trial;
