@@ -17,7 +17,8 @@ local::Label UniformRandomColoring::compute(
   // Zero rounds: the node sees only itself and uses only its own coins.
   // NOTE: coins are addressed by the node's TRUE identity (the physical
   // random source), never by an order-invariant override.
-  const ident::Identity self = view.instance->ids[view.ball->to_original(0)];
+  const ident::Identity self =
+      view.instance->identity_of(view.ball->to_original(0));
   rand::NodeRng rng(coins, self);
   return rng.next_below(static_cast<std::uint64_t>(colors_));
 }

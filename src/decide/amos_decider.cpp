@@ -26,7 +26,7 @@ bool AmosDecider::accept(const DeciderView& view,
   // construction algorithm used (the provider's stream tag separates C
   // from D; see rand/coins.h).
   const ident::Identity self =
-      view.view.instance->ids[view.view.ball->to_original(0)];
+      view.view.instance->identity_of(view.view.ball->to_original(0));
   rand::NodeRng rng(coins, self);
   return rng.bernoulli(p_);
 }

@@ -84,6 +84,18 @@ local::ExperimentPlan construct_then_decide_plan(
       const graph::NodeId n = inst.node_count();
       const int t_cons = algo.radius();
       const int t_dec = decider.radius();
+      // Construction coins come from a table refilled every kCoinBlock
+      // nodes by one philox_u64_batch call: draws [0, coin_prefix()) of
+      // every identity within t_cons + t_dec of the block (identity =
+      // v + 1 here), so each is drawn once per block, not once per ball
+      // that contains it. Identities outside the window (ring wrap, other
+      // grid rows, random neighbours) and draws past the prefix fall back
+      // to Philox, so every draw is the one c_coins makes; a prefix of 0
+      // leaves the table empty.
+      constexpr graph::NodeId kCoinBlock = 256;
+      const std::uint64_t coin_prefix = algo.coin_prefix();
+      const std::uint64_t halo = static_cast<std::uint64_t>(t_cons + t_dec);
+      rand::CoinTable& member_coins = arena.coin_table();
       std::uint64_t announcements = 0;
       std::uint64_t encoded_words = 0;
       std::uint64_t computes = 0;
@@ -105,6 +117,13 @@ local::ExperimentPlan construct_then_decide_plan(
         const obs::Span chunk_span(
             "node-range", obs::span_args("begin", chunk_begin));
         for (graph::NodeId v = chunk_begin; v < chunk_end; ++v) {
+          if (v % kCoinBlock == 0) {
+            // Identities v + 1 - halo .. v + kCoinBlock + halo, in [1, n].
+            const std::uint64_t first = v >= halo ? v + 1 - halo : 1;
+            const std::uint64_t last = std::min<std::uint64_t>(
+                std::uint64_t{v} + kCoinBlock + halo, n);
+            member_coins.fill(c_coins, first, last - first + 1, coin_prefix);
+          }
           if (obs_metrics != nullptr && (v & kCollectSampleMask) == 0) {
             const util::Timer collect_timer;
             dec_ws.ball.collect(topology, v, t_dec, dec_ws.scratch);
@@ -130,7 +149,7 @@ local::ExperimentPlan construct_then_decide_plan(
               member_view.instance = &inst;
               if (options.grant_n) member_view.n_nodes = n;
               entry = {u, member_ws.ball.size(),
-                       algo.compute(member_view, c_coins),
+                       algo.compute(member_view, member_coins),
                        member_ws.ball.encoded_words()};
             }
             member_outputs[m] = entry.label;

@@ -49,7 +49,7 @@ bool ResilientDecider::accept(const DeciderView& view,
                          view.ball_output};
   if (!base_->is_bad_ball(ball)) return true;
   const ident::Identity self =
-      view.view.instance->ids[view.view.ball->to_original(0)];
+      view.view.instance->identity_of(view.view.ball->to_original(0));
   rand::NodeRng rng(coins, self);
   return rng.bernoulli(p_);
 }

@@ -8,7 +8,7 @@ bool MaximalMatching::is_bad_ball(const LabeledBall& ball) const {
   const auto& inst = *ball.instance;
   const graph::BallView& view = *ball.ball;
   const local::Label center_out = ball.output_of(0);
-  const ident::Identity center_id = inst.ids[view.to_original(0)];
+  const ident::Identity center_id = inst.identity_of(view.to_original(0));
   const auto nbrs = view.neighbors(0);
 
   if (center_out == kUnmatched) {
@@ -22,7 +22,7 @@ bool MaximalMatching::is_bad_ball(const LabeledBall& ball) const {
   // Validity: the output must name a neighbor's identity...
   graph::NodeId mate = graph::kInvalidNode;
   for (graph::NodeId nbr : nbrs) {
-    if (inst.ids[view.to_original(nbr)] == center_out) {
+    if (inst.identity_of(view.to_original(nbr)) == center_out) {
       mate = nbr;
       break;
     }

@@ -65,9 +65,10 @@ struct SampledConfiguration {
 /// u & (kSlots - 1) holds the last node u stored there: its construction
 /// label plus the size and encoded words of its construction ball (the
 /// node's construction-phase charge). Neighbouring decision balls share
-/// members, so on families with local ids (ring, path, grid, torus) most
-/// lookups hit; a collision simply evicts. Entries are pure functions of
-/// the trial's construction coins: clear() before every trial.
+/// members, so on ring and path most lookups hit (grid and torus only
+/// while a row has under about 340 nodes); a collision simply evicts.
+/// Entries are pure functions of the trial's construction coins: clear()
+/// before every trial.
 class ConstructionMemo {
  public:
   static constexpr std::size_t kSlots = std::size_t{1} << 10;
@@ -112,6 +113,11 @@ class WorkerArena {
 
   /// The streaming implicit path's per-trial construction memo.
   ConstructionMemo& construction_memo() noexcept { return memo_; }
+
+  /// The streaming implicit path's construction coin table, refilled per
+  /// block of nodes — sized by the block and the algorithm's
+  /// coin_prefix(), never by n.
+  rand::CoinTable& coin_table() noexcept { return coin_table_; }
 
   /// Ball-local output buffer for the streaming implicit path — sized by
   /// the current decision ball, never by n; filled from
@@ -161,6 +167,7 @@ class WorkerArena {
   BallWorkspace ball_;
   BallWorkspace member_ball_;
   ConstructionMemo memo_;
+  rand::CoinTable coin_table_;
   Labeling ball_outputs_;
   VectorScratch vector_;
   obs::MetricsRegistry metrics_;

@@ -61,6 +61,12 @@ class RandomizedBallAlgorithm {
   virtual int radius() const = 0;
   virtual Label compute(const View& view,
                         const rand::CoinProvider& coins) const = 0;
+
+  /// K such that compute() reads mostly draws [0, K) of its members — a
+  /// prefetch hint for callers that batch-fill a rand::CoinTable, never a
+  /// correctness input (the table falls back to Philox beyond it). 0, the
+  /// default, leaves the table empty.
+  virtual std::uint64_t coin_prefix() const { return 0; }
 };
 
 /// A reusable ball-collection slot: the view's vectors and the scratch's

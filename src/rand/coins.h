@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "rand/philox.h"
 #include "rand/splitmix.h"
@@ -55,6 +56,39 @@ class PhiloxCoins final : public CoinProvider {
 
  private:
   std::uint64_t key_;
+};
+
+/// PhiloxCoins with a block of draws precomputed: draws [0, prefix) of
+/// every identity in [first, first + count), filled by ONE
+/// philox_u64_batch call. draw() reads the table inside it and falls back
+/// to philox_u64 outside it, so a filled table is the same pure function
+/// as the PhiloxCoins it was filled from, bit for bit, for any identity
+/// and draw index. The streaming implicit path (decide/experiment_plans.cpp)
+/// refills one per block of nodes, whose balls draw mostly from one
+/// contiguous identity window. The arrays keep their capacity across
+/// fills; not thread-safe while filling.
+class CoinTable final : public CoinProvider {
+ public:
+  void fill(const PhiloxCoins& coins, std::uint64_t first_identity,
+            std::uint64_t count, std::uint64_t prefix);
+
+  std::uint64_t draw(std::uint64_t identity,
+                     std::uint64_t draw_index) const override {
+    const std::uint64_t slot = identity - first_;  // wraps below first_
+    if (slot < count_ && draw_index < prefix_) {
+      return draws_[slot * prefix_ + draw_index];
+    }
+    return philox_u64(key_, identity, draw_index);
+  }
+
+ private:
+  std::uint64_t key_ = 0;
+  std::uint64_t first_ = 0;
+  std::uint64_t count_ = 0;
+  std::uint64_t prefix_ = 0;
+  std::vector<std::uint64_t> draws_;  // [slot * prefix_ + draw_index]
+  std::vector<std::uint64_t> counter_hi_;
+  std::vector<std::uint64_t> counter_lo_;
 };
 
 /// Decorator counting total draws (thread-safe); used by tests asserting

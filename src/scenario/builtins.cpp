@@ -504,7 +504,8 @@ class SelectIdBelow final : public local::RandomizedBallAlgorithm {
 /// radius-K ball (a node at distance d is simulated faithfully through
 /// phase K-d, and only its early phases reach the center), so simulating
 /// the whole ball and reading the center is a faithful K-round LOCAL
-/// algorithm. Output: 1 = joined the MIS; undecided centers output 0.
+/// algorithm; the simulation stops once the center is decided. Output:
+/// 1 = joined the MIS; undecided centers output 0.
 class LubyBallMis final : public local::RandomizedBallAlgorithm {
  public:
   explicit LubyBallMis(int phases) : phases_(phases) {}
@@ -513,6 +514,9 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
     return "luby-ball(" + std::to_string(phases_) + ")";
   }
   int radius() const override { return phases_; }
+  std::uint64_t coin_prefix() const override {
+    return static_cast<std::uint64_t>(phases_);
+  }
 
   local::Label compute(const local::View& view,
                        const rand::CoinProvider& coins) const override {
@@ -524,7 +528,7 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
     static thread_local std::vector<std::uint8_t> wins;   // 1 in MIS, 2 out
     static thread_local std::vector<std::uint64_t> priority;
     state.assign(size, 0);
-    wins.assign(size, 0);
+    wins.resize(size);  // rewritten for every member each phase
     priority.resize(size);
     for (int phase = 0; phase < phases_; ++phase) {
       for (graph::NodeId v = 0; v < size; ++v) {
@@ -559,6 +563,8 @@ class LubyBallMis final : public local::RandomizedBallAlgorithm {
           if (state[w] == 0) state[w] = 2;
         }
       }
+      // States only move from 0 to 1 or 2: a decided center is final.
+      if (state[0] != 0) break;
     }
     return state[0] == 1 ? 1 : 0;
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/implicit.h"
 #include "lang/amos.h"
 #include "lang/coloring.h"
 #include "lang/domset.h"
@@ -101,19 +102,22 @@ TEST(Mis, PathEdgeCases) {
 TEST(Matching, ValidSymmetricMaximal) {
   const MaximalMatching matching;
   // Path 0-1-2-3 with identities 1..4: match (0,1) and (2,3) by identity.
-  const local::Instance inst =
-      local::make_instance(graph::path(4), ident::consecutive(4));
-  const local::Labeling matched = {2, 1, 4, 3};
-  EXPECT_TRUE(matching.contains(inst, matched));
-  // Unmatched middle pair: nodes 1 and 2 both unmatched and adjacent.
-  const local::Labeling partial = {2, 1, 0, 0};
-  EXPECT_FALSE(matching.contains(inst, partial));
-  // Asymmetric pointer: 0 names 2's identity (not a neighbor).
-  const local::Labeling invalid = {3, 1, 4, 3};
-  EXPECT_FALSE(matching.contains(inst, invalid));
-  // Non-reciprocal: 0 points to 1, but 1 claims unmatched.
-  const local::Labeling nonrecip = {2, 0, 4, 3};
-  EXPECT_FALSE(matching.contains(inst, nonrecip));
+  // The implicit path computes the same identities instead of storing them.
+  for (const local::Instance& inst :
+       {local::make_instance(graph::path(4), ident::consecutive(4)),
+        local::make_implicit_instance(graph::implicit_path(4))}) {
+    const local::Labeling matched = {2, 1, 4, 3};
+    EXPECT_TRUE(matching.contains(inst, matched));
+    // Unmatched middle pair: nodes 1 and 2 both unmatched and adjacent.
+    const local::Labeling partial = {2, 1, 0, 0};
+    EXPECT_FALSE(matching.contains(inst, partial));
+    // Asymmetric pointer: 0 names 2's identity (not a neighbor).
+    const local::Labeling invalid = {3, 1, 4, 3};
+    EXPECT_FALSE(matching.contains(inst, invalid));
+    // Non-reciprocal: 0 points to 1, but 1 claims unmatched.
+    const local::Labeling nonrecip = {2, 0, 4, 3};
+    EXPECT_FALSE(matching.contains(inst, nonrecip));
+  }
 }
 
 TEST(Matching, EmptyMatchingOnEdgelessGraphIsLegal) {

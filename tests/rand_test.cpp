@@ -120,6 +120,50 @@ TEST(Coins, CountingDecoratorCounts) {
   EXPECT_EQ(rng.draws_used(), 5u);
 }
 
+// A filled CoinTable must be the PhiloxCoins it was filled from, bit for
+// bit: table reads inside the window and below the prefix, Philox
+// fallback for draw indices >= the prefix and for identities outside the
+// window — including the wrapped `identity - first` of ids below it.
+void expect_table_is_philox(const CoinTable& table, const PhiloxCoins& coins,
+                            std::uint64_t first, std::uint64_t count,
+                            std::uint64_t prefix) {
+  for (std::uint64_t id = first - 2; id != first + count + 2; ++id) {
+    for (std::uint64_t k = 0; k < prefix + 3; ++k) {
+      ASSERT_EQ(table.draw(id, k), philox_u64(coins.key(), id, k))
+          << "identity " << id << ", draw " << k << " of window [" << first
+          << ", " << first + count << ") x " << prefix;
+    }
+  }
+}
+
+TEST(Coins, TableMatchesPhiloxInsideAndOutsideItsWindow) {
+  const PhiloxCoins coins(0xC0FFEE, Stream::kConstruction);
+  CoinTable table;
+  // Windows the streaming path fills on an n = 1000 ring with 256-node
+  // blocks and a halo of 5: clamped at identity 1, interior, clamped at
+  // identity n (the partial last block).
+  const std::uint64_t n = 1000;
+  struct Window {
+    std::uint64_t first, count, prefix;
+  };
+  // Then a one-id window, a far window, and prefix 0: an empty table.
+  for (const Window w : {Window{1, 261, 4}, Window{252, 266, 4},
+                         Window{764, n - 764 + 1, 4}, Window{1, 1, 1},
+                         Window{1ull << 40, 37, 9}, Window{5, 10, 0}}) {
+    table.fill(coins, w.first, w.count, w.prefix);
+    expect_table_is_philox(table, coins, w.first, w.count, w.prefix);
+  }
+  // Ids beyond the clamped windows: the ring's wrap-around neighbours.
+  table.fill(coins, 1, 261, 4);
+  EXPECT_EQ(table.draw(n, 0), philox_u64(coins.key(), n, 0));
+  table.fill(coins, 764, n - 764 + 1, 4);
+  EXPECT_EQ(table.draw(1, 3), philox_u64(coins.key(), 1, 3));
+  // A refill under another seed replaces the key of the fallback too.
+  const PhiloxCoins other(7, Stream::kConstruction);
+  table.fill(other, 10, 20, 2);
+  expect_table_is_philox(table, other, 10, 20, 2);
+}
+
 TEST(NodeRng, DoubleInUnitInterval) {
   const PhiloxCoins coins(5, Stream::kAux);
   NodeRng rng(coins, 1);

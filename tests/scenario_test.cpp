@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "algo/weak_color_mc.h"
+#include "graph/generators.h"
+#include "ident/identity.h"
 #include "local/engine.h"
 #include "scenario/presets.h"
 #include "scenario/registry.h"
@@ -61,6 +63,101 @@ TEST(Registry, InternedInstancesAreShared) {
   EXPECT_EQ(a.get(), b.get());
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(a->node_count(), 24u);
+}
+
+// luby-ball's K-phase simulation without the early exit: every phase
+// runs even after the center is decided. The registered algorithm stops
+// at a decided center and must compute the same function.
+local::Label full_luby_ball(const local::View& view,
+                            const rand::CoinProvider& coins, int phases) {
+  const graph::BallView& ball = *view.ball;
+  const graph::NodeId size = ball.size();
+  std::vector<std::uint8_t> state(size, 0);
+  std::vector<std::uint8_t> wins(size, 0);
+  std::vector<std::uint64_t> priority(size, 0);
+  for (int phase = 0; phase < phases; ++phase) {
+    for (graph::NodeId v = 0; v < size; ++v) {
+      if (state[v] == 0) {
+        priority[v] =
+            coins.draw(view.identity(v), static_cast<std::uint64_t>(phase));
+      }
+    }
+    for (graph::NodeId v = 0; v < size; ++v) {
+      wins[v] = 0;
+      if (state[v] != 0) continue;
+      bool best = true;
+      for (const graph::NodeId w : ball.neighbors(v)) {
+        if (state[w] == 0 &&
+            (priority[w] < priority[v] ||
+             (priority[w] == priority[v] &&
+              view.identity(w) < view.identity(v)))) {
+          best = false;
+        }
+      }
+      wins[v] = best ? 1 : 0;
+    }
+    for (graph::NodeId v = 0; v < size; ++v) {
+      if (wins[v] == 0) continue;
+      state[v] = 1;
+      for (const graph::NodeId w : ball.neighbors(v)) {
+        if (state[w] == 0) state[w] = 2;
+      }
+    }
+  }
+  return state[0] == 1 ? 1 : 0;
+}
+
+TEST(LubyBall, EarlyExitComputesTheFullSimulation) {
+  const scenario::ConstructionEntry* entry =
+      scenario::constructions().find("luby-ball");
+  ASSERT_NE(entry, nullptr);
+  struct Case {
+    const char* label;
+    local::Instance inst;
+  };
+  const Case cases[] = {
+      {"ring, random ids",
+       local::make_instance(graph::cycle(60),
+                            ident::random_permutation(60, 11))},
+      {"torus", local::make_instance(graph::torus(8, 8),
+                                     ident::consecutive(64))},
+      {"random-regular",
+       local::make_instance(graph::random_regular_cycles(60, 3, 5),
+                            ident::random_permutation(60, 12))},
+      {"binary tree", local::make_instance(graph::binary_tree(63),
+                                           ident::consecutive(63))},
+  };
+  graph::BallScratch scratch;
+  graph::BallView ball;
+  for (int phases = 1; phases <= 6; ++phases) {
+    const std::unique_ptr<scenario::Construction> built = entry->build(
+        scenario::merged_params(entry->schema, {{"phases", phases}}));
+    const local::RandomizedBallAlgorithm* algo = built->ball_algorithm();
+    ASSERT_NE(algo, nullptr);
+    ASSERT_EQ(algo->radius(), phases);
+    for (const Case& c : cases) {
+      std::uint64_t joined = 0;
+      std::uint64_t centers = 0;
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        const rand::PhiloxCoins coins(seed, rand::Stream::kConstruction);
+        for (graph::NodeId v = 0; v < c.inst.node_count(); ++v) {
+          ball.collect(c.inst.topology(), v, phases, scratch);
+          local::View view;
+          view.ball = &ball;
+          view.instance = &c.inst;
+          const local::Label want = full_luby_ball(view, coins, phases);
+          ASSERT_EQ(algo->compute(view, coins), want)
+              << c.label << ", phases " << phases << ", seed " << seed
+              << ", center " << v;
+          joined += want;
+          ++centers;
+        }
+      }
+      // Both outputs occur, so a constant-output bug cannot pass.
+      EXPECT_GT(joined, 0u) << c.label << ", phases " << phases;
+      EXPECT_LT(joined, centers) << c.label << ", phases " << phases;
+    }
+  }
 }
 
 TEST(Presets, AtLeastEightSpanningThreeTopologyFamilies) {

@@ -27,6 +27,7 @@
 #include "graph/implicit.h"
 #include "obs/metrics.h"
 #include "rand/splitmix.h"
+#include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "scenario/spec_json.h"
@@ -184,6 +185,34 @@ scenario::ScenarioSpec streaming_spec(const StreamingCase& c) {
   return spec;
 }
 
+// Runs `spec` materialized, then implicit sequentially and on `pool`, and
+// expects bit-identical sweeps.
+void expect_implicit_matches_materialized(scenario::ScenarioSpec spec,
+                                          const stats::ThreadPool& pool) {
+  spec.execution = scenario::Execution::kMaterialized;
+  ASSERT_EQ(scenario::validate(spec), "");
+  const scenario::SweepResult reference =
+      scenario::run_sweep(scenario::compile(spec));
+  ASSERT_TRUE(reference.complete());
+  // A degenerate tally (0 or all successes) would let an
+  // always-reject/accept bug slip through the comparison.
+  ASSERT_GT(reference.rows[0].tally.successes, 0u);
+  ASSERT_LT(reference.rows[0].tally.successes,
+            reference.rows[0].tally.trials);
+
+  spec.execution = scenario::Execution::kImplicit;
+  ASSERT_EQ(scenario::validate(spec), "");
+  const scenario::CompiledScenario compiled = scenario::compile(spec);
+  ASSERT_TRUE(compiled.points()[0].instance->is_implicit());
+
+  expect_sweeps_equal(reference, scenario::run_sweep(compiled),
+                      "implicit sequential");
+  scenario::SweepOptions options;
+  options.pool = &pool;
+  expect_sweeps_equal(reference, scenario::run_sweep(compiled, options),
+                      "implicit 8 threads");
+}
+
 TEST(ImplicitTopology, SweepBitIdenticalAcrossExecutionAndThreads) {
   const stats::ThreadPool pool(8);
   for (const StreamingCase& c : {
@@ -199,32 +228,35 @@ TEST(ImplicitTopology, SweepBitIdenticalAcrossExecutionAndThreads) {
                          "random-regular", 4096, 5, 4},
            // Balls wrap around, and n is below the memo size.
            StreamingCase{"ring n=5: wrapping balls", "ring", 5, 2, 16},
+           // n is not a multiple of the 256-node coin block: a partial
+           // last block, and coin windows clamped at identities 1 and n
+           // that the wrapping balls read past (61 of 64 succeed).
+           StreamingCase{"ring n=1000: partial coin block", "ring", 1000, 4,
+                         64},
        }) {
     SCOPED_TRACE(c.label);
-    scenario::ScenarioSpec materialized = streaming_spec(c);
-    materialized.execution = scenario::Execution::kMaterialized;
-    ASSERT_EQ(scenario::validate(materialized), "");
-    const scenario::SweepResult reference =
-        scenario::run_sweep(scenario::compile(materialized));
-    ASSERT_TRUE(reference.complete());
-    // A degenerate tally (0 or all successes) would let an
-    // always-reject/accept bug slip through the comparison.
-    ASSERT_GT(reference.rows[0].tally.successes, 0u);
-    ASSERT_LT(reference.rows[0].tally.successes,
-              reference.rows[0].tally.trials);
+    expect_implicit_matches_materialized(streaming_spec(c), pool);
+  }
+}
 
-    scenario::ScenarioSpec implicit = streaming_spec(c);
-    implicit.execution = scenario::Execution::kImplicit;
-    ASSERT_EQ(scenario::validate(implicit), "");
-    const scenario::CompiledScenario compiled = scenario::compile(implicit);
-    ASSERT_TRUE(compiled.points()[0].instance->is_implicit());
-
-    expect_sweeps_equal(reference, scenario::run_sweep(compiled),
-                        "implicit sequential");
-    scenario::SweepOptions options;
-    options.pool = &pool;
-    expect_sweeps_equal(reference, scenario::run_sweep(compiled, options),
-                        "implicit 8 threads");
+// Constructions with no coin prefix (rand-coloring, select-id-below)
+// stream through an empty coin table, every draw falling back to Philox,
+// and the deciders that draw their own coins (slack, amos, resilient) key
+// them by the center's identity, computed on implicit instances.
+TEST(ImplicitTopology, CoinPrefixZeroConstructionsStreamBitIdentically) {
+  const stats::ThreadPool pool(8);
+  scenario::ScenarioSpec slack = *scenario::find_preset("ring-slack-coloring");
+  slack.n_grid = {1000};
+  scenario::ScenarioSpec amos = *scenario::find_preset("ring-amos-yes");
+  amos.n_grid = {1000};
+  scenario::ScenarioSpec resilient = slack;
+  resilient.decider = "resilient";
+  resilient.params = {{"colors", 3}};
+  resilient.n_grid = {12};
+  for (scenario::ScenarioSpec spec : {slack, amos, resilient}) {
+    SCOPED_TRACE(spec.name + " / " + spec.decider);
+    spec.trials = 40;
+    expect_implicit_matches_materialized(spec, pool);
   }
 }
 
