@@ -121,13 +121,12 @@ class MatchingProgram final : public local::NodeProgram {
   /// very first phase while neighbor identities are still unknown).
   std::uint64_t pick_target() {
     if (!ids_known_) return 0;
-    std::vector<std::uint64_t> candidates;
-    candidates.reserve(degree_);
+    candidates_.clear();  // keeps its capacity across proposals
     for (std::size_t p = 0; p < degree_; ++p) {
-      if (neighbor_available_[p]) candidates.push_back(neighbor_id_[p]);
+      if (neighbor_available_[p]) candidates_.push_back(neighbor_id_[p]);
     }
-    if (candidates.empty()) return 0;
-    return candidates[rng_->next_below(candidates.size())];
+    if (candidates_.empty()) return 0;
+    return candidates_[rng_->next_below(candidates_.size())];
   }
 
   rand::NodeRng* rng_ = nullptr;
@@ -142,6 +141,7 @@ class MatchingProgram final : public local::NodeProgram {
   std::uint64_t draw_ = 0;
   std::vector<bool> neighbor_available_;
   std::vector<std::uint64_t> neighbor_id_;
+  std::vector<std::uint64_t> candidates_;  // pick_target's scratch
 };
 
 /// SoA lockstep counterpart of MatchingProgram. Node state is flat

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rand/philox.h"
 #include "rand/splitmix.h"
 #include "util/assert.h"
 
@@ -32,6 +33,10 @@ std::uint64_t edge_key(std::uint64_t tag, std::uint64_t a, std::uint64_t b) {
   return rand::mix_keys(tag, rand::mix_keys(std::min(a, b), std::max(a, b)));
 }
 
+std::uint64_t churn_key(std::uint64_t a, std::uint64_t b) {
+  return edge_key(kChurnTag, a, b);
+}
+
 class NoneModel final : public FaultModel {
  public:
   std::string_view name() const noexcept override { return "none"; }
@@ -43,6 +48,8 @@ class DropModel final : public FaultModel {
   explicit DropModel(double p_loss) : p_loss_(p_loss) {}
 
   std::string_view name() const noexcept override { return "drop"; }
+
+  bool drops_deliveries() const noexcept override { return p_loss_ > 0.0; }
 
   bool drops_delivery(const rand::CoinProvider& coins, std::uint64_t sender,
                       std::uint64_t receiver,
@@ -100,8 +107,7 @@ class ChurnModel final : public FaultModel {
 
   bool edge_down(const rand::CoinProvider& coins, std::uint64_t id_a,
                  std::uint64_t id_b, std::uint64_t round) const override {
-    return bernoulli(p_churn_, coins.draw(edge_key(kChurnTag, id_a, id_b),
-                                          round));
+    return bernoulli(p_churn_, coins.draw(churn_key(id_a, id_b), round));
   }
 
   EdgeFault ball_edge_fault(const rand::CoinProvider& coins,
@@ -113,10 +119,70 @@ class ChurnModel final : public FaultModel {
   }
 
  private:
+  LinkFaults link_faults() const noexcept override {
+    return {p_churn_, churn_key};
+  }
+
   double p_churn_;
 };
 
 }  // namespace
+
+void LinkTable::build(const FaultModel& model, const graph::Graph& g,
+                      std::span<const std::uint64_t> ids,
+                      std::span<const std::size_t> port_offsets) {
+  const FaultModel::LinkFaults links = model.link_faults();
+  p_ = links.p;
+  keys_.clear();
+  slots_.clear();
+  // bernoulli(p <= 0, .) never fires: such a model's links stay up
+  // without a single draw.
+  if (p_ > 0.0) {
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      const auto nbrs = g.neighbors(v);
+      for (std::size_t p = 0; p < nbrs.size(); ++p) {
+        const graph::NodeId u = nbrs[p];
+        if (u < v) continue;  // listed once, from the lower endpoint
+        const auto row = g.neighbors(u);
+        const auto back = std::lower_bound(row.begin(), row.end(), v);
+        keys_.push_back(links.key(ids[v], ids[u]));
+        slots_.push_back(port_offsets[v] + p);
+        slots_.push_back(port_offsets[u] +
+                         static_cast<std::size_t>(back - row.begin()));
+      }
+    }
+  }
+  rounds_.resize(keys_.size());
+  draws_.resize(keys_.size());
+}
+
+std::uint64_t LinkTable::realize(const rand::PhiloxCoins& coins,
+                                 std::uint64_t round, char* suppressed) {
+  const std::size_t count = keys_.size();
+  if (count == 0) return 0;
+  std::fill(rounds_.begin(), rounds_.end(), round);
+  rand::philox_u64_batch(coins.key(), keys_.data(), rounds_.data(),
+                         draws_.data(), count);
+  // Locals, because writes through `suppressed` (a char*) could alias the
+  // members and would force a reload per edge.
+  const double p = p_;
+  const std::uint64_t* draws = draws_.data();
+  const std::size_t* slots = slots_.data();
+  std::uint64_t down = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const char state = bernoulli(p, draws[i]) ? 1 : 0;
+    suppressed[slots[2 * i]] = state;
+    suppressed[slots[2 * i + 1]] = state;
+    down += static_cast<std::uint64_t>(state);
+  }
+  return down;
+}
+
+std::size_t LinkTable::footprint_bytes() const noexcept {
+  return (keys_.capacity() + rounds_.capacity() + draws_.capacity()) *
+             sizeof(std::uint64_t) +
+         slots_.capacity() * sizeof(std::size_t);
+}
 
 std::shared_ptr<const FaultModel> make_none() {
   return std::make_shared<const NoneModel>();

@@ -15,7 +15,8 @@
 //
 //  * the MESSAGE ENGINE (local/engine.cpp) resolves faults round by
 //    round: crash_round() silences a node from its crash round onward,
-//    drops_delivery() / edge_down() suppress individual deliveries.
+//    a LinkTable realizes every edge_down() of a round in one batched
+//    draw, and drops_delivery() suppresses individual deliveries.
 //    Engine rounds are 1-based, so round index 0 is never drawn there;
 //  * the BALL PATH (ball collection + decider evaluation) has no rounds.
 //    It realizes a per-trial FAULT SUBGRAPH from the reserved round-0
@@ -30,9 +31,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "graph/ball.h"
+#include "graph/graph.h"
 #include "rand/coins.h"
 
 namespace lnc::fault {
@@ -67,6 +71,10 @@ class FaultModel {
     return kNeverCrashes;
   }
 
+  /// Whether drops_delivery() can ever return true. The engine draws
+  /// per-delivery drops only for models that say so.
+  virtual bool drops_deliveries() const noexcept { return false; }
+
   /// Whether the delivery sender -> receiver in 1-based round `round` is
   /// lost. Directed: the two directions of an edge drop independently.
   virtual bool drops_delivery(const rand::CoinProvider& coins,
@@ -80,7 +88,8 @@ class FaultModel {
   }
 
   /// Whether the undirected edge {a, b} is down for the whole 1-based
-  /// round `round` (both directions suppressed). Symmetric in a, b.
+  /// round `round` (both directions suppressed). Symmetric in a, b. The
+  /// engine realizes it through LinkTable, which must agree with it.
   virtual bool edge_down(const rand::CoinProvider& coins, std::uint64_t id_a,
                          std::uint64_t id_b, std::uint64_t round) const {
     (void)coins;
@@ -111,6 +120,52 @@ class FaultModel {
     (void)id_b;
     return EdgeFault::kNone;
   }
+
+ protected:
+  friend class LinkTable;
+
+  /// edge_down() in the form LinkTable realizes in batch: {a, b} is down
+  /// in round r iff bernoulli(p, coins.draw(key(a, b), r)). p = 0, the
+  /// default, takes no link down.
+  struct LinkFaults {
+    double p = 0.0;
+    std::uint64_t (*key)(std::uint64_t id_a, std::uint64_t id_b) = nullptr;
+  };
+  virtual LinkFaults link_faults() const noexcept { return {}; }
+};
+
+/// The engine path's per-run table of a model's link faults: each
+/// undirected edge of the run's graph once, with the suppression slots of
+/// both its ports and the model's per-edge draw key. realize() then draws
+/// a whole round with ONE philox_u64_batch call (counter = (edge key,
+/// round)), bit-identical to edge_down() edge by edge. Empty for models
+/// that take no link down. The arrays keep their capacity across builds;
+/// one per local::EngineScratch, not thread-safe.
+class LinkTable {
+ public:
+  /// Lists g's edges for `model`. Node v has identity ids[v], and the slot
+  /// of v's port p is port_offsets[v] + p.
+  void build(const FaultModel& model, const graph::Graph& g,
+             std::span<const std::uint64_t> ids,
+             std::span<const std::size_t> port_offsets);
+
+  /// No link to draw: the model takes none down, or g has no edges.
+  bool empty() const noexcept { return keys_.empty(); }
+
+  /// Realizes 1-based round `round`: writes 1 (down) or 0 (up) into both
+  /// slots of every link and returns the number of links down.
+  std::uint64_t realize(const rand::PhiloxCoins& coins, std::uint64_t round,
+                        char* suppressed);
+
+  /// Retained capacity, in bytes (telemetry's arena high-water mark).
+  std::size_t footprint_bytes() const noexcept;
+
+ private:
+  double p_ = 0.0;
+  std::vector<std::uint64_t> keys_;    // counter_hi: edge i's draw key
+  std::vector<std::uint64_t> rounds_;  // counter_lo: the round, every lane
+  std::vector<std::uint64_t> draws_;
+  std::vector<std::size_t> slots_;  // [2i], [2i + 1]: edge i's two ports
 };
 
 /// The four builtins behind the `faults` registry (scenario/builtins.cpp

@@ -98,10 +98,12 @@ EngineResult run_engine(const Instance& inst,
   s.last_factory_name_ = factory.name();
 
   // Resolve the adversary once per run: crash rounds are pure per-node
-  // draws, the per-port suppression bitmap is refilled by a deterministic
-  // single-threaded pass each round.
+  // draws, the link table lists every edge once, and the per-port
+  // suppression bitmap is refilled by a deterministic single-threaded
+  // pass each round.
   const bool fault_active =
       options.fault != nullptr && !options.fault->trivial();
+  const bool drops = fault_active && options.fault->drops_deliveries();
   if (fault_active) {
     LNC_EXPECTS(options.fault_coins != nullptr &&
                 "non-trivial fault model requires its coin stream");
@@ -114,6 +116,7 @@ EngineResult run_engine(const Instance& inst,
       s.port_offsets_[v + 1] = s.port_offsets_[v] + inst.g.degree(v);
     }
     s.suppressed_.assign(s.port_offsets_[n], 0);
+    s.links_.build(*options.fault, inst.g, inst.ids.raw(), s.port_offsets_);
   }
 
   auto all_halted = [&]() {
@@ -143,7 +146,11 @@ EngineResult run_engine(const Instance& inst,
     run_telemetry.arena_peak_bytes =
         s.store_.footprint_bytes() +
         s.programs_.capacity() * sizeof(s.programs_[0]) +
-        s.rngs_.capacity() * sizeof(rand::NodeRng) + s.halted_.capacity();
+        s.rngs_.capacity() * sizeof(rand::NodeRng) + s.halted_.capacity() +
+        s.crash_rounds_.capacity() * sizeof(std::uint64_t) +
+        s.dead_.capacity() + s.suppressed_.capacity() +
+        s.port_offsets_.capacity() * sizeof(std::size_t) +
+        s.links_.footprint_bytes();
     result.telemetry = run_telemetry;
     s.telemetry_.merge(run_telemetry);
     if (obs_metrics != nullptr) {
@@ -186,34 +193,37 @@ EngineResult run_engine(const Instance& inst,
       }
     }
     // Link-fault pass (after the send phase): fill the per-port
-    // suppression bitmap for this round and tally what was realized.
-    // Every draw is keyed by (identities, round), so the bitmap — and the
-    // counters — are independent of thread count.
+    // suppression bitmap for this round and tally what was realized. The
+    // link table writes both slots of every edge from one batched draw,
+    // one churn event per (edge, round) deactivation; models that drop
+    // then draw each delivery per directed port. Every draw is keyed by
+    // (identities, round), so the bitmap — and the counters — are
+    // independent of thread count.
     if (fault_active) {
-      const auto& model = *options.fault;
-      const auto& fcoins = *options.fault_coins;
+      run_telemetry.edges_churned += s.links_.realize(
+          *options.fault_coins, static_cast<std::uint64_t>(round),
+          s.suppressed_.data());
+    }
+    if (drops) {
+      // The link pass rewrote every slot only if the model takes links
+      // down; otherwise the slots still hold last round's drops.
+      const bool links = !s.links_.empty();
       for (graph::NodeId v = 0; v < n; ++v) {
         const auto nbrs = inst.g.neighbors(v);
         for (std::size_t p = 0; p < nbrs.size(); ++p) {
-          const graph::NodeId u = nbrs[p];
           char& slot = s.suppressed_[s.port_offsets_[v] + p];
+          if (links && slot != 0) continue;  // link down: nothing to lose
           slot = 0;
-          if (model.edge_down(fcoins, inst.ids[v], inst.ids[u],
-                              static_cast<std::uint64_t>(round))) {
-            slot = 1;
-            // One (edge, round) deactivation == one churn event; count it
-            // at the lower endpoint so each unordered pair counts once.
-            if (v < u) ++run_telemetry.edges_churned;
-            continue;
-          }
+          const graph::NodeId u = nbrs[p];
           // A drop is only an event when there was a delivery to lose: a
           // non-silent, non-crashed sender and a receiver still running.
           if (s.halted_[v] != 0 || s.dead_[u] != 0 ||
               s.store_.message(u).empty()) {
             continue;
           }
-          if (model.drops_delivery(fcoins, inst.ids[u], inst.ids[v],
-                                   static_cast<std::uint64_t>(round))) {
+          if (options.fault->drops_delivery(
+                  *options.fault_coins, inst.ids[u], inst.ids[v],
+                  static_cast<std::uint64_t>(round))) {
             slot = 1;
             ++run_telemetry.messages_dropped;
           }

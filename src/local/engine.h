@@ -31,14 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.h"
 #include "graph/graph.h"
 #include "local/instance.h"
 #include "local/telemetry.h"
 #include "rand/coins.h"
-
-namespace lnc::fault {
-class FaultModel;
-}
 
 namespace lnc::local {
 
@@ -220,12 +217,15 @@ class EngineScratch {
   std::vector<char> halted_;
   MessageStore store_;
   // Fault-pass storage (sized/filled only when a non-trivial fault model
-  // is active): per-node crash rounds and dead flags, plus a per-port
-  // suppression bitmap addressed by port_offsets_ (prefix degrees).
+  // is active, and counted in arena_peak_bytes): per-node crash rounds and
+  // dead flags, a per-port suppression bitmap addressed by port_offsets_
+  // (prefix degrees), and the model's link table, which each round sets
+  // both slots of every edge from one batched draw.
   std::vector<std::uint64_t> crash_rounds_;
   std::vector<char> dead_;
   std::vector<char> suppressed_;
   std::vector<std::size_t> port_offsets_;
+  fault::LinkTable links_;
   // Which factory populated programs_ — recycling is only attempted when
   // the same factory (by address AND name, to survive address reuse) runs
   // again on this scratch.
@@ -242,13 +242,15 @@ struct EngineOptions {
 
   /// Optional adversary (src/fault/). When `fault` is non-null and
   /// non-trivial, `fault_coins` must be set (the trial's dedicated fault
-  /// stream): crashed nodes fall silent from their crash round onward and
-  /// output 0, dropped/churned deliveries read as silence, and the fault
-  /// telemetry counters measure what was realized. All draws are keyed by
-  /// node identities and the round index — never by schedule — so faulty
-  /// runs stay bit-identical across thread counts and shards.
+  /// stream, TrialEnv::fault_coins()): crashed nodes fall silent from
+  /// their crash round onward and output 0, dropped/churned deliveries
+  /// read as silence, and the fault telemetry counters measure what was
+  /// realized. All draws are keyed by node identities and the round index
+  /// — never by schedule — so faulty runs stay bit-identical across thread
+  /// counts and shards. The stream is a PhiloxCoins because a round's link
+  /// faults are drawn by one philox_u64_batch call under its key.
   const fault::FaultModel* fault = nullptr;
-  const rand::CoinProvider* fault_coins = nullptr;
+  const rand::PhiloxCoins* fault_coins = nullptr;
 
   /// Keep the per-node programs alive in EngineResult::programs so callers
   /// can read program-specific state back (e.g. the ball collector's

@@ -1,14 +1,24 @@
 // Fault-model tests: bit-reproducibility of faulty sweeps across thread
 // counts, shard layouts, and trial-range slices (every fault draw is a
 // pure function of (trial, entity, round) Philox counters, never of
-// execution order), plus the trivial-fault invariants that keep specs
-// without a fault block byte-identical to the pre-fault path.
+// execution order), the trivial-fault invariants that keep specs
+// without a fault block byte-identical to the pre-fault path, and the
+// engine's realized faults checked port by port against the models'
+// per-edge predicates.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fault/fault.h"
+#include "graph/generators.h"
+#include "ident/identity.h"
+#include "local/engine.h"
+#include "local/instance.h"
+#include "rand/coins.h"
 #include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -189,6 +199,138 @@ TEST(FaultModels, NoneAndAbsentFaultBlocksAreTheSameScenario) {
   EXPECT_EQ(a.rows[0].tally.telemetry.messages_dropped, 0u);
   EXPECT_EQ(a.rows[0].tally.telemetry.nodes_crashed, 0u);
   EXPECT_EQ(a.rows[0].tally.telemetry.edges_churned, 0u);
+}
+
+// Engine-path probe: every node broadcasts a non-empty message for
+// kProbeRounds rounds, so a silent port can only be a realized fault, and
+// records which of its ports were silent in each round it received.
+constexpr int kProbeRounds = 8;
+
+class SilenceProbe final : public local::NodeProgram {
+ public:
+  bool init(const local::NodeEnv& env) override {
+    id_ = env.id;
+    return false;
+  }
+  void send(int round, local::MessageWriter& out) override {
+    (void)round;
+    out.push(id_);
+  }
+  bool receive(int round, const local::Inbox& inbox) override {
+    std::vector<bool>& row = silent.emplace_back();
+    for (std::size_t p = 0; p < inbox.size(); ++p) {
+      row.push_back(inbox[p].empty());
+    }
+    return round == kProbeRounds;
+  }
+  local::Label output() const override { return 0; }
+
+  std::vector<std::vector<bool>> silent;  // [round - 1][port]
+
+ private:
+  std::uint64_t id_ = 0;
+};
+
+class SilenceProbeFactory final : public local::NodeProgramFactory {
+ public:
+  std::string name() const override { return "silence-probe"; }
+  std::unique_ptr<local::NodeProgram> create() const override {
+    return std::make_unique<SilenceProbe>();
+  }
+};
+
+TEST(FaultEngine, RealizedFaultsMatchThePerEdgePredicates) {
+  // The engine batches a round's link faults through a LinkTable and
+  // draws drops per directed delivery; crash_round(), edge_down() and
+  // drops_delivery() remain the definitions. Every silence the probe
+  // hears, and every fault counter, must be what those predicates give,
+  // port by port and round by round. One scratch serves every run, so a
+  // table left over from an earlier model or graph would show.
+  struct Case {
+    const char* label;
+    std::shared_ptr<const fault::FaultModel> model;
+    bool fires;  // whether the model realizes any fault here
+  };
+  const Case cases[] = {
+      {"churn 0.1", fault::make_churn(0.1), true},
+      {"churn 0", fault::make_churn(0.0), false},
+      {"churn 1", fault::make_churn(1.0), true},
+      {"drop 0.3", fault::make_drop(0.3), true},
+      {"crash 0.2", fault::make_crash(0.2, 6), true},
+  };
+  const graph::NodeId n = 40;
+  local::EngineScratch scratch;
+  const SilenceProbeFactory factory;
+  for (const std::uint64_t seed : {11u, 12u}) {
+    const std::pair<const char*, graph::Graph> graphs[] = {
+        {"ring", graph::cycle(n)},
+        {"tree", graph::random_tree_bounded(n, 3, seed)},
+    };
+    for (const auto& [graph_label, g] : graphs) {
+      const local::Instance inst = local::make_instance(
+          g, ident::random_sparse(n, 1, std::uint64_t{1} << 40, seed));
+      const rand::PhiloxCoins coins(seed, rand::Stream::kFault);
+      for (const Case& c : cases) {
+        const std::string label = std::string(graph_label) + " / " +
+                                  c.label + " / seed " +
+                                  std::to_string(seed);
+        const fault::FaultModel& model = *c.model;
+        local::EngineOptions options;
+        options.fault = &model;
+        options.fault_coins = &coins;
+        options.retain_programs = true;
+        options.scratch = &scratch;
+        const local::EngineResult result =
+            local::run_engine(inst, factory, options);
+        ASSERT_TRUE(result.completed) << label;
+        ASSERT_EQ(result.rounds, kProbeRounds) << label;
+        const std::uint64_t rounds = kProbeRounds;
+        const auto dead_at = [&](graph::NodeId v, std::uint64_t round) {
+          return model.crash_round(coins, inst.ids[v]) <= round;
+        };
+
+        std::uint64_t churned = 0;
+        std::uint64_t dropped = 0;
+        std::uint64_t crashed = 0;
+        for (graph::NodeId v = 0; v < n; ++v) {
+          if (dead_at(v, rounds)) ++crashed;
+          const auto& probe =
+              static_cast<const SilenceProbe&>(*result.programs[v]);
+          // v receives in every round before its crash round.
+          std::uint64_t alive_rounds = 0;
+          while (alive_rounds < rounds && !dead_at(v, alive_rounds + 1)) {
+            ++alive_rounds;
+          }
+          ASSERT_EQ(probe.silent.size(), alive_rounds)
+              << label << ", node " << v;
+          const auto nbrs = g.neighbors(v);
+          for (std::uint64_t r = 1; r <= rounds; ++r) {
+            for (std::size_t p = 0; p < nbrs.size(); ++p) {
+              const graph::NodeId u = nbrs[p];
+              const bool down =
+                  model.edge_down(coins, inst.ids[v], inst.ids[u], r);
+              if (down && v < u) ++churned;
+              if (r > alive_rounds) continue;
+              // A delivery from a live neighbor over an up link is lost
+              // only by its drop draw.
+              const bool sender_dead = dead_at(u, r);
+              const bool drop =
+                  !sender_dead && !down &&
+                  model.drops_delivery(coins, inst.ids[u], inst.ids[v], r);
+              if (drop) ++dropped;
+              EXPECT_EQ(probe.silent[r - 1][p], sender_dead || down || drop)
+                  << label << ", node " << v << ", port " << p << ", round "
+                  << r;
+            }
+          }
+        }
+        EXPECT_EQ(result.telemetry.edges_churned, churned) << label;
+        EXPECT_EQ(result.telemetry.messages_dropped, dropped) << label;
+        EXPECT_EQ(result.telemetry.nodes_crashed, crashed) << label;
+        EXPECT_EQ(churned + dropped + crashed > 0, c.fires) << label;
+      }
+    }
+  }
 }
 
 TEST(FaultModels, SuccessIsMonotoneNonIncreasingInLossProbability) {
