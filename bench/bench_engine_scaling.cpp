@@ -181,11 +181,10 @@ void print_tables() {
     std::vector<scenario::SweepResult> shards;
     for (unsigned s = 0; s < 3; ++s) {
       scenario::SweepOptions options;
-      options.shard = s;
-      options.shard_count = 3;
+      options.trial_range = local::shard_range(spec.trials, s, 3);
       shards.push_back(scenario::run_sweep(compiled, options));
     }
-    const scenario::SweepResult merged = scenario::merge_sweeps(shards);
+    const scenario::SweepResult merged = scenario::merge_trial_ranges(shards);
 
     const stats::MeanEstimate want = scenario::row_mean(reference.rows[0]);
     auto add_row = [&](const char* path, const scenario::SweepResult& run) {

@@ -162,26 +162,6 @@ Graph random_regular(NodeId n, NodeId degree, std::uint64_t seed) {
   return Graph{};
 }
 
-Graph gnp_bounded(NodeId n, double p, NodeId max_deg, std::uint64_t seed) {
-  LNC_EXPECTS(n >= 1);
-  LNC_EXPECTS(p >= 0.0 && p <= 1.0);
-  rand::SplitMix64 rng(rand::mix_keys(seed, 0x676E70ULL));
-  std::vector<NodeId> deg(n, 0);
-  Graph::Builder b(n);
-  const auto threshold =
-      static_cast<std::uint64_t>(p * 18446744073709551615.0);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.next() <= threshold && deg[u] < max_deg && deg[v] < max_deg) {
-        b.add_edge(u, v);
-        ++deg[u];
-        ++deg[v];
-      }
-    }
-  }
-  return b.build();
-}
-
 Graph random_regular_cycles(NodeId n, NodeId degree, std::uint64_t seed) {
   return materialize(*implicit_random_regular_cycles(n, degree, seed));
 }

@@ -48,13 +48,6 @@ Graph petersen();
 /// requires n*d even and d < n. Deterministic in `seed`.
 Graph random_regular(NodeId n, NodeId degree, std::uint64_t seed);
 
-/// Erdos-Renyi G(n, p) conditioned on max degree <= max_deg: edges are
-/// sampled independently, and any edge that would push an endpoint past
-/// max_deg is skipped. Deterministic in `seed`. This realizes the promise
-/// F_k for random instances (the conditioning slightly biases the degree
-/// distribution; experiments only need "some bounded-degree random graph").
-Graph gnp_bounded(NodeId n, double p, NodeId max_deg, std::uint64_t seed);
-
 /// The locally-sampleable random (<= degree)-regular graph: materializes
 /// graph::implicit_random_regular_cycles (implicit.h) by querying its
 /// neighbor sampler, so the implicit and materialized representations of
@@ -65,8 +58,7 @@ Graph random_regular_cycles(NodeId n, NodeId degree, std::uint64_t seed);
 
 /// The locally-sampleable degree-capped G(n, p): materializes
 /// graph::implicit_gnp_hash (implicit.h). The scenario registry's "gnp"
-/// family builds through this; gnp_bounded above remains for callers
-/// wanting the sequential-stream model.
+/// family builds through this.
 Graph gnp_hash(NodeId n, double p, NodeId max_deg, std::uint64_t seed);
 
 /// Random spanning tree on n nodes (random Prufer sequence). Degree bound

@@ -88,47 +88,20 @@ TrialRange shard_range(std::uint64_t trials, unsigned shard,
   return {begin, begin + length};
 }
 
-stats::Estimate merge_tallies(std::span<const ShardTally> tallies) {
-  std::uint64_t successes = 0;
-  std::uint64_t trials = 0;
-  for (const ShardTally& tally : tallies) {
-    successes += tally.successes;
-    trials += tally.trials;
-  }
-  return stats::finalize_estimate(successes, trials);
-}
-
-stats::MeanEstimate merge_value_tallies(std::span<const ShardTally> tallies) {
-  stats::ExactSum sum;
-  stats::ExactSum sum_sq;
-  std::uint64_t trials = 0;
-  for (const ShardTally& tally : tallies) {
-    sum.merge(tally.value_sum);
-    sum_sq.merge(tally.value_sum_sq);
-    trials += tally.trials;
-  }
-  return stats::finalize_mean_exact(sum, sum_sq, trials);
-}
-
-std::vector<std::uint64_t> merge_count_tallies(
-    std::span<const ShardTally> tallies) {
-  std::vector<std::uint64_t> total;
-  for (const ShardTally& tally : tallies) {
-    if (tally.counts.empty()) continue;
-    if (total.empty()) total.assign(tally.counts.size(), 0);
-    LNC_EXPECTS(tally.counts.size() == total.size() &&
+void ShardTally::merge(const ShardTally& other) {
+  successes += other.successes;
+  trials += other.trials;
+  value_sum.merge(other.value_sum);
+  value_sum_sq.merge(other.value_sum_sq);
+  if (!other.counts.empty()) {
+    if (counts.empty()) counts.assign(other.counts.size(), 0);
+    LNC_EXPECTS(counts.size() == other.counts.size() &&
                 "merging counter tallies of different widths");
-    for (std::size_t j = 0; j < total.size(); ++j) {
-      total[j] += tally.counts[j];
+    for (std::size_t j = 0; j < counts.size(); ++j) {
+      counts[j] += other.counts[j];
     }
   }
-  return total;
-}
-
-Telemetry merge_telemetries(std::span<const ShardTally> tallies) {
-  Telemetry merged;
-  for (const ShardTally& tally : tallies) merged.merge(tally.telemetry);
-  return merged;
+  telemetry.merge(other.telemetry);
 }
 
 BatchRunner::BatchRunner(const stats::ThreadPool* pool) : pool_(pool) {

@@ -328,8 +328,9 @@ TrialRange shard_range(std::uint64_t trials, unsigned shard,
 /// Raw tally of one executed trial range. Which block is meaningful
 /// depends on the plan's workload: success plans fill `successes`, value
 /// plans fill the exact sum/sum-of-squares accumulators, counter plans
-/// fill `counts`. All blocks merge order-free, so any shard partition
-/// reproduces the unsharded run's numbers bit for bit.
+/// fill `counts`. All blocks merge order-free, so any partition of
+/// [0, plan.trials) into ranges reproduces the unsharded run's numbers bit
+/// for bit.
 struct ShardTally {
   std::uint64_t successes = 0;
   std::uint64_t trials = 0;  ///< trials executed in this range
@@ -350,26 +351,12 @@ struct ShardTally {
   /// merged over a partition of [0, trials) equal the unsharded run's
   /// counters bit for bit.
   Telemetry telemetry;
+
+  /// Adds the tally of a disjoint range of the same plan: every block
+  /// sums exactly. Empty `counts` count as all-zero; non-empty ones must
+  /// agree on width.
+  void merge(const ShardTally& other);
 };
-
-/// Sums shard tallies into a full-plan estimate. Bit-identical to
-/// BatchRunner::run on the whole plan whenever the tallies came from a
-/// partition of [0, plan.trials).
-stats::Estimate merge_tallies(std::span<const ShardTally> tallies);
-
-/// Merges value-workload tallies into the full-plan mean estimate —
-/// exact-sum accumulation, so the result equals BatchRunner::run_mean on
-/// the whole plan bit for bit for any partition of [0, plan.trials).
-stats::MeanEstimate merge_value_tallies(std::span<const ShardTally> tallies);
-
-/// Element-wise sum of counter-workload tallies (empty `counts` entries
-/// are treated as all-zero; non-empty entries must agree on width).
-std::vector<std::uint64_t> merge_count_tallies(
-    std::span<const ShardTally> tallies);
-
-/// Merges the telemetry blocks of shard tallies (the telemetry
-/// counterpart of merge_tallies).
-Telemetry merge_telemetries(std::span<const ShardTally> tallies);
 
 /// Executes ExperimentPlans. Arenas persist across run() calls, so a
 /// runner reused for a sweep keeps its scratch warm. Not thread-safe;
@@ -385,8 +372,8 @@ class BatchRunner {
   stats::Estimate run(const ExperimentPlan& plan);
 
   /// Runs only the trials of a plan inside `range` — one shard of a
-  /// cross-process run, for any workload kind. Merge with merge_tallies
-  /// / merge_value_tallies / merge_count_tallies per the plan's kind.
+  /// cross-process run, for any workload kind. Tallies of abutting
+  /// ranges combine with ShardTally::merge.
   ShardTally run_shard(const ExperimentPlan& plan, TrialRange range);
 
   /// Runs a value_trial plan (run_shard over the full range, finalized

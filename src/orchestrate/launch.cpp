@@ -44,11 +44,6 @@ RunManifest plan_topup_run(const scenario::ScenarioSpec& spec,
     throw std::runtime_error(
         "top-up baseline is incomplete — merge it (or rerun) first");
   }
-  if (baseline.trial_end == 0 && !baseline.rows.empty()) {
-    throw std::runtime_error(
-        "top-up baseline does not declare its trial range (written by a "
-        "pre-range binary generation?)");
-  }
   if (baseline.trial_begin != 0 || baseline.trial_end >= spec.trials) {
     throw std::runtime_error(
         "top-up baseline covers trials [" +
@@ -94,48 +89,15 @@ LaunchOutcome merge_run(const RunManifest& manifest) {
                     "merge, so the aggregate stays exact";
     return outcome;
   }
+  // A top-up's cached prefix is one more range part: the merge orders
+  // every part by its trial range.
   std::vector<std::string> paths;
-  paths.reserve(manifest.shards.size());
+  if (manifest.is_topup()) paths.push_back(manifest.baseline_path());
   for (const ShardRecord& record : manifest.shards) {
     paths.push_back(manifest.output_path(record.shard));
   }
   try {
-    if (manifest.is_topup()) {
-      // Baseline first, then the shard slices in trial order (shard i's
-      // range precedes shard i+1's by construction), merged by explicit
-      // extent.
-      std::vector<scenario::SweepResult> parts;
-      parts.reserve(paths.size() + 1);
-      std::string text;
-      const std::string read_error =
-          util::read_file(manifest.baseline_path(), text);
-      if (!read_error.empty()) {
-        throw std::runtime_error("top-up baseline: " + read_error);
-      }
-      parts.push_back(scenario::sweep_from_json(text, &outcome.warnings));
-      for (const std::string& path : paths) {
-        std::string shard_text;
-        const std::string shard_error = util::read_file(path, shard_text);
-        if (!shard_error.empty()) {
-          throw std::runtime_error("shard result: " + shard_error);
-        }
-        std::vector<std::string> file_warnings;
-        parts.push_back(
-            scenario::sweep_from_json(shard_text, &file_warnings));
-        for (const std::string& warning : file_warnings) {
-          outcome.warnings.push_back(path + ": " + warning);
-        }
-      }
-      const std::string cannot = scenario::can_merge_trial_ranges(parts);
-      if (!cannot.empty()) {
-        throw std::runtime_error("cannot merge top-up partitions: " +
-                                 cannot);
-      }
-      outcome.merged = scenario::merge_trial_ranges(parts);
-    } else {
-      outcome.merged =
-          scenario::merge_sweep_files(paths, &outcome.warnings);
-    }
+    outcome.merged = scenario::merge_sweep_files(paths, &outcome.warnings);
   } catch (const std::exception& ex) {
     outcome.error = ex.what();
     return outcome;

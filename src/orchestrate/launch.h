@@ -5,9 +5,10 @@
 //   execute_run — supervise the manifest's jobs over a Transport
 //                 (orchestrate/supervisor.h), then gather;
 //   merge_run   — read the shard result files of a fully-done manifest
-//                 and merge them (scenario::merge_sweep_files), exactly
-//                 what `lnc_sweep --merge` of the same files would
-//                 produce — bit-identical to the unsharded run.
+//                 (plus baseline.json for a top-up) and merge them by
+//                 trial range (scenario::merge_sweep_files), exactly what
+//                 `lnc_sweep --merge` of the same files would produce —
+//                 bit-identical to the unsharded run.
 //
 // lnc_launch drives these; tests/orchestrate_test.cpp asserts the
 // end-to-end identity and the resume semantics.
@@ -35,8 +36,8 @@ RunManifest plan_run(const scenario::ScenarioSpec& spec,
 /// Plans a TOP-UP run: the fleet computes only trials
 /// [baseline_trials, spec.trials) of `spec`, split into shard_count
 /// contiguous ranges, and the merge folds the cached `baseline` result
-/// (frozen as baseline.json in the run directory) in front of the shard
-/// outputs via scenario::merge_trial_ranges — bit-identical to a cold
+/// (frozen as baseline.json in the run directory) in as the range part
+/// [0, baseline_trials) of the shard outputs — bit-identical to a cold
 /// full-width fleet run. `baseline` must be a complete result covering
 /// [0, baseline_trials) with baseline_trials < spec.trials, and `spec`
 /// must be the baseline's own spec at the raised trial count (same seed
@@ -61,7 +62,9 @@ LaunchOutcome execute_run(RunManifest& manifest, Transport& transport,
                           const SupervisorOptions& options,
                           unsigned sweep_threads = 1);
 
-/// Gather-only: merges the output files of an already-done manifest.
+/// Gather-only: merges the output files of an already-done manifest
+/// (and a top-up's baseline.json) in one scenario::merge_sweep_files
+/// call.
 LaunchOutcome merge_run(const RunManifest& manifest);
 
 }  // namespace lnc::orchestrate

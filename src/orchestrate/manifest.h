@@ -55,9 +55,9 @@ struct RunManifest {
   /// When nonzero-width, this run covers only trials
   /// [trial_begin, trial_end) of the frozen spec — a TOP-UP run planned
   /// against a cached baseline (plan_topup_run): shards split the range
-  /// instead of [0, trials), and the merge folds baseline.json in front
-  /// of the shard files via scenario::merge_trial_ranges. 0/0 = a
-  /// classic full run (and what pre-range manifests parse as).
+  /// instead of [0, trials), and baseline.json joins the merge of the
+  /// shard files as the range [0, trial_begin). 0/0 = a classic full run
+  /// (and what pre-range manifests parse as).
   std::uint64_t trial_begin = 0;
   std::uint64_t trial_end = 0;
   std::vector<ShardRecord> shards;      ///< one per shard, index-ordered

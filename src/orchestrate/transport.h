@@ -1,7 +1,9 @@
 // How shard jobs reach an executor (ROADMAP "remote shard launcher").
 //
 // A Transport runs ONE shard job to completion — `lnc_sweep --spec S
-// --shard i/k --out O` — and reports how it ended. The supervisor
+// --shard i/k --out O`, or `--trial-range B:E` in place of `--shard` —
+// and reports how it ended. Both write a result file carrying its trial
+// range, which is all the merge reads. The supervisor
 // (orchestrate/supervisor.h) owns concurrency, deadlines, and retries;
 // transports own only the mechanics of starting the process somewhere and
 // waiting for it. Two real transports ship: LocalProcessTransport
@@ -29,8 +31,9 @@ struct ShardJob {
   unsigned shard_count = 1;
   /// When nonzero-width, the job runs `--trial-range begin:end` instead
   /// of `--shard i/k` — the explicit-extent form used by cache top-up
-  /// runs (and any planner that sizes shards unevenly). The results
-  /// merge by range (scenario::merge_trial_ranges), not by index.
+  /// runs (and any planner that sizes shards unevenly). Either way the
+  /// result file records its trial range, and every result merges by
+  /// range (scenario::merge_sweep_files).
   std::uint64_t trial_begin = 0;
   std::uint64_t trial_end = 0;
   std::string spec_path;    ///< frozen spec JSON (scenario::spec_to_json)

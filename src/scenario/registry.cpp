@@ -118,53 +118,21 @@ local::Instance build_instance(const std::string& topology, std::uint64_t n,
   return entry->build(n, merged_params(entry->schema, params), seed);
 }
 
-std::shared_ptr<const local::Instance> interned_instance(
-    const std::string& topology, std::uint64_t n, const ParamMap& params,
-    std::uint64_t seed) {
-  const TopologyEntry* entry = topologies().find(topology);
-  LNC_EXPECTS(entry != nullptr && "unknown topology");
-  const ParamMap merged = merged_params(entry->schema, params);
+namespace {
 
+/// The process-wide intern cache behind both representations. The key is
+/// `prefix` + topology/n/seed/merged params; hexfloat keeps it injective
+/// in the parameter values (default stream precision would collide
+/// parameters agreeing to 6 digits). `build` runs outside the lock
+/// (instances can be large); on a race the first insert wins, and both
+/// builds are identical by determinism in (params, seed). A null build
+/// is returned and never cached.
+std::shared_ptr<const local::Instance> intern(
+    const char* prefix, const std::string& topology, std::uint64_t n,
+    std::uint64_t seed, const ParamMap& merged,
+    const std::function<std::shared_ptr<const local::Instance>()>& build) {
   std::ostringstream key_stream;
-  // hexfloat keeps the key injective in the parameter values — default
-  // stream precision would collide parameters agreeing to 6 digits.
-  key_stream << std::hexfloat << topology << '/' << n << '/' << seed;
-  for (const auto& [name, value] : merged) {
-    key_stream << '/' << name << '=' << value;
-  }
-  const std::string key = key_stream.str();
-
-  static std::mutex mutex;
-  static std::map<std::string, std::shared_ptr<const local::Instance>>* cache =
-      new std::map<std::string, std::shared_ptr<const local::Instance>>;
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache->find(key);
-    if (it != cache->end()) return it->second;
-  }
-  // Build outside the lock (instances can be large); last writer wins on a
-  // race, and both builds are identical by determinism in (params, seed).
-  auto built = std::make_shared<const local::Instance>(
-      entry->build(n, merged, seed));
-  const std::lock_guard<std::mutex> lock(mutex);
-  const auto [it, inserted] = cache->emplace(key, std::move(built));
-  (void)inserted;
-  return it->second;
-}
-
-std::shared_ptr<const local::Instance> interned_implicit_instance(
-    const std::string& topology, std::uint64_t n, const ParamMap& params,
-    std::uint64_t seed) {
-  const TopologyEntry* entry = topologies().find(topology);
-  LNC_EXPECTS(entry != nullptr && "unknown topology");
-  LNC_EXPECTS(entry->build_implicit &&
-              "topology has no implicit representation");
-  const ParamMap merged = merged_params(entry->schema, params);
-
-  // "implicit:" prefixes the key space so the two representations of one
-  // spec intern side by side instead of evicting each other.
-  std::ostringstream key_stream;
-  key_stream << std::hexfloat << "implicit:" << topology << '/' << n << '/'
+  key_stream << std::hexfloat << prefix << topology << '/' << n << '/'
              << seed;
   for (const auto& [name, value] : merged) {
     key_stream << '/' << name << '=' << value;
@@ -179,15 +147,43 @@ std::shared_ptr<const local::Instance> interned_implicit_instance(
     const auto it = cache->find(key);
     if (it != cache->end()) return it->second;
   }
-  std::shared_ptr<const graph::ImplicitTopology> implicit =
-      entry->build_implicit(n, merged, seed);
-  if (implicit == nullptr) return nullptr;  // hook declined the params
-  auto built = std::make_shared<const local::Instance>(
-      local::make_implicit_instance(std::move(implicit)));
+  std::shared_ptr<const local::Instance> built = build();
+  if (built == nullptr) return nullptr;
   const std::lock_guard<std::mutex> lock(mutex);
-  const auto [it, inserted] = cache->emplace(key, std::move(built));
-  (void)inserted;
-  return it->second;
+  return cache->emplace(key, std::move(built)).first->second;
+}
+
+}  // namespace
+
+std::shared_ptr<const local::Instance> interned_instance(
+    const std::string& topology, std::uint64_t n, const ParamMap& params,
+    std::uint64_t seed) {
+  const TopologyEntry* entry = topologies().find(topology);
+  LNC_EXPECTS(entry != nullptr && "unknown topology");
+  const ParamMap merged = merged_params(entry->schema, params);
+  return intern("", topology, n, seed, merged, [&] {
+    return std::make_shared<const local::Instance>(
+        entry->build(n, merged, seed));
+  });
+}
+
+std::shared_ptr<const local::Instance> interned_implicit_instance(
+    const std::string& topology, std::uint64_t n, const ParamMap& params,
+    std::uint64_t seed) {
+  const TopologyEntry* entry = topologies().find(topology);
+  LNC_EXPECTS(entry != nullptr && "unknown topology");
+  LNC_EXPECTS(entry->build_implicit &&
+              "topology has no implicit representation");
+  const ParamMap merged = merged_params(entry->schema, params);
+  // "implicit:" prefixes the key space so the two representations of one
+  // spec intern side by side instead of evicting each other.
+  return intern("implicit:", topology, n, seed, merged,
+                [&]() -> std::shared_ptr<const local::Instance> {
+                  auto implicit = entry->build_implicit(n, merged, seed);
+                  if (implicit == nullptr) return nullptr;  // hook declined
+                  return std::make_shared<const local::Instance>(
+                      local::make_implicit_instance(std::move(implicit)));
+                });
 }
 
 std::unique_ptr<lang::Language> make_language(const std::string& name,

@@ -1,7 +1,9 @@
 #include "scenario/sweep.h"
 
+#include <algorithm>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -20,41 +22,27 @@ namespace lnc::scenario {
 
 SweepResult run_sweep(const CompiledScenario& scenario,
                       const SweepOptions& options) {
-  LNC_EXPECTS(options.shard_count > 0 && options.shard < options.shard_count);
-  if (options.trial_range) {
-    LNC_EXPECTS(options.shard == 0 && options.shard_count == 1 &&
-                "an explicit trial range cannot be combined with sharding");
-    LNC_EXPECTS(options.trial_range->begin <= options.trial_range->end &&
-                options.trial_range->end <= scenario.spec().trials &&
-                "trial range outside [0, trials)");
-  }
+  const local::TrialRange range = options.trial_range.value_or(
+      local::TrialRange{0, scenario.spec().trials});
+  LNC_EXPECTS(range.begin <= range.end &&
+              range.end <= scenario.spec().trials &&
+              "trial range outside [0, trials)");
   SweepResult result;
   result.scenario = scenario.spec().name;
   result.base_seed = scenario.spec().base_seed;
-  result.shard = options.shard;
-  result.shard_count = options.shard_count;
   result.workload = scenario.spec().workload;
   result.backend = scenario.spec().backend;
+  // Every grid point shares the spec's trial count, so the slice is
+  // uniform across rows and is the result's extent.
+  result.trial_begin = range.begin;
+  result.trial_end = range.end;
 
   local::BatchRunner runner(options.pool);
   runner.set_progress(options.progress);
   result.rows.reserve(scenario.points().size());
-  bool range_recorded = false;
   const obs::Span sweep_span("sweep",
                              obs::span_args("scenario", result.scenario));
   for (const CompiledScenario::GridPoint& point : scenario.points()) {
-    const local::TrialRange range =
-        options.trial_range
-            ? *options.trial_range
-            : local::shard_range(point.plan.trials, options.shard,
-                                 options.shard_count);
-    if (!range_recorded) {
-      // Every grid point shares the spec's trial count, so the slice is
-      // uniform across rows; record it once as the result's extent.
-      result.trial_begin = range.begin;
-      result.trial_end = range.end;
-      range_recorded = true;
-    }
     SweepRow row;
     row.requested_n = point.requested_n;
     row.actual_n = point.instance->node_count();
@@ -74,128 +62,13 @@ SweepResult run_sweep(const CompiledScenario& scenario,
   return result;
 }
 
-std::string can_merge(std::span<const SweepResult> shards) {
-  if (shards.empty()) return "no shard results to merge";
-  std::set<unsigned> seen_shards;
-  std::vector<std::uint64_t> covered(shards[0].rows.size(), 0);
-  for (const SweepResult& shard : shards) {
-    if (shard.scenario != shards[0].scenario ||
-        shard.base_seed != shards[0].base_seed ||
-        shard.rows.size() != shards[0].rows.size()) {
-      return "shards come from different scenario runs ('" + shard.scenario +
-             "' vs '" + shards[0].scenario + "')";
-    }
-    if (shard.workload != shards[0].workload) {
-      return std::string("shards tally different workloads (") +
-             local::to_string(shard.workload) + " vs " +
-             local::to_string(shards[0].workload) + ")";
-    }
-    if (shard.shard_count != shards[0].shard_count) {
-      return "shards use different split factors (" +
-             std::to_string(shard.shard_count) + " vs " +
-             std::to_string(shards[0].shard_count) + ")";
-    }
-    if (!seen_shards.insert(shard.shard).second) {
-      return "shard " + std::to_string(shard.shard) + " given twice";
-    }
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-      const SweepRow& row = shard.rows[i];
-      const SweepRow& first = shards[0].rows[i];
-      if (row.requested_n != first.requested_n ||
-          row.total_trials != first.total_trials) {
-        return "shards disagree on the n-grid or trial counts";
-      }
-      if (!row.tally.counts.empty() && !first.tally.counts.empty() &&
-          row.tally.counts.size() != first.tally.counts.size()) {
-        return "shards carry counter rows of different widths (" +
-               std::to_string(row.tally.counts.size()) + " vs " +
-               std::to_string(first.tally.counts.size()) +
-               " slots at n = " + std::to_string(row.requested_n) + ")";
-      }
-      covered[i] += row.tally.trials;
-    }
-  }
-  for (std::size_t i = 0; i < covered.size(); ++i) {
-    if (covered[i] != shards[0].rows[i].total_trials) {
-      return "shards cover " + std::to_string(covered[i]) + " of " +
-             std::to_string(shards[0].rows[i].total_trials) +
-             " trials at n = " +
-             std::to_string(shards[0].rows[i].requested_n) +
-             " (missing or extra shard files)";
-    }
-  }
-  return {};
-}
-
-SweepResult merge_sweeps(std::span<const SweepResult> shards) {
-  LNC_EXPECTS(!shards.empty());
-  SweepResult merged;
-  merged.scenario = shards[0].scenario;
-  merged.base_seed = shards[0].base_seed;
-  merged.shard = 0;
-  merged.shard_count = 1;
-  merged.workload = shards[0].workload;
-  merged.backend = shards[0].backend;
-  merged.rows = shards[0].rows;
-  merged.metrics = shards[0].metrics;
-
-  // Duplicate shard files would double-count trials yet can still sum to
-  // total_trials (e.g. the same half merged twice) — reject repeats and
-  // mismatched splits outright.
-  std::set<unsigned> seen_shards = {shards[0].shard};
-  for (std::size_t s = 1; s < shards.size(); ++s) {
-    const SweepResult& shard = shards[s];
-    LNC_EXPECTS(shard.scenario == merged.scenario &&
-                shard.base_seed == merged.base_seed &&
-                shard.rows.size() == merged.rows.size() &&
-                "merging results of different scenario runs");
-    LNC_EXPECTS(shard.workload == merged.workload &&
-                "merging results of different workloads");
-    LNC_EXPECTS(shard.shard_count == shards[0].shard_count &&
-                "merging shards of different split factors");
-    LNC_EXPECTS(seen_shards.insert(shard.shard).second &&
-                "merging the same shard twice");
-    for (std::size_t i = 0; i < merged.rows.size(); ++i) {
-      SweepRow& row = merged.rows[i];
-      const SweepRow& other = shard.rows[i];
-      LNC_EXPECTS(other.requested_n == row.requested_n &&
-                  other.total_trials == row.total_trials &&
-                  "merging rows of different grid points");
-      row.tally.successes += other.tally.successes;
-      row.tally.trials += other.tally.trials;
-      // Exact accumulators merge exactly: the merged row's mean/stddev
-      // equal the unsharded run's bit for bit.
-      row.tally.value_sum.merge(other.tally.value_sum);
-      row.tally.value_sum_sq.merge(other.tally.value_sum_sq);
-      if (!other.tally.counts.empty()) {
-        if (row.tally.counts.empty()) {
-          row.tally.counts.assign(other.tally.counts.size(), 0);
-        }
-        LNC_EXPECTS(row.tally.counts.size() == other.tally.counts.size() &&
-                    "merging counter rows of different widths");
-        for (std::size_t j = 0; j < row.tally.counts.size(); ++j) {
-          row.tally.counts[j] += other.tally.counts[j];
-        }
-      }
-      row.tally.telemetry.merge(other.tally.telemetry);
-      // Machine-time across the fleet: the merged row's elapsed seconds
-      // is the sum of each shard's true wall-clock.
-      row.elapsed_seconds += other.elapsed_seconds;
-    }
-    merged.metrics.merge(shard.metrics);
-  }
-  for (const SweepRow& row : merged.rows) {
-    LNC_EXPECTS(row.tally.trials == row.total_trials &&
-                "merged shards do not cover the full trial range");
-  }
-  merged.trial_begin = 0;
-  merged.trial_end = merged.rows.empty() ? 0 : merged.rows[0].total_trials;
-  return merged;
-}
-
 std::string can_merge_trial_ranges(std::span<const SweepResult> parts) {
   if (parts.empty()) return "no range partitions to merge";
+  // Per row, the first counter width any part carries: a part without
+  // counts merges as all-zero, but two non-empty widths must agree.
+  std::vector<std::size_t> widths(parts[0].rows.size(), 0);
   std::uint64_t expected_begin = 0;
+  std::uint64_t declared_total = 0;
   for (std::size_t s = 0; s < parts.size(); ++s) {
     const SweepResult& part = parts[s];
     if (part.scenario != parts[0].scenario ||
@@ -209,19 +82,13 @@ std::string can_merge_trial_ranges(std::span<const SweepResult> parts) {
              local::to_string(part.workload) + " vs " +
              local::to_string(parts[0].workload) + ")";
     }
-    if (part.trial_begin == 0 && part.trial_end == 0 && !part.rows.empty() &&
-        part.rows[0].tally.trials != 0) {
-      return "partition " + std::to_string(s) +
-             " does not declare its trial range (file written by a "
-             "pre-range binary generation?)";
-    }
     if (part.trial_begin != expected_begin) {
       return "partition " + std::to_string(s) + " covers trials [" +
              std::to_string(part.trial_begin) + ", " +
              std::to_string(part.trial_end) + ") but [" +
              std::to_string(expected_begin) +
-             ", ...) is the next uncovered range (partitions must be "
-             "given in order and abut exactly)";
+             ", ...) is the next uncovered range (partitions must "
+             "abut exactly, without gaps or overlaps)";
     }
     if (part.trial_end < part.trial_begin) {
       return "partition " + std::to_string(s) + " has an inverted range";
@@ -229,8 +96,7 @@ std::string can_merge_trial_ranges(std::span<const SweepResult> parts) {
     const std::uint64_t extent = part.trial_end - part.trial_begin;
     for (std::size_t i = 0; i < part.rows.size(); ++i) {
       const SweepRow& row = part.rows[i];
-      const SweepRow& first = parts[0].rows[i];
-      if (row.requested_n != first.requested_n) {
+      if (row.requested_n != parts[0].rows[i].requested_n) {
         return "range partitions disagree on the n-grid";
       }
       if (row.tally.trials != extent) {
@@ -241,64 +107,50 @@ std::string can_merge_trial_ranges(std::span<const SweepResult> parts) {
                std::to_string(part.trial_begin) + ", " +
                std::to_string(part.trial_end) + ")";
       }
-      if (!row.tally.counts.empty() && !first.tally.counts.empty() &&
-          row.tally.counts.size() != first.tally.counts.size()) {
-        return "range partitions carry counter rows of different widths";
+      if (!row.tally.counts.empty()) {
+        if (widths[i] == 0) widths[i] = row.tally.counts.size();
+        if (row.tally.counts.size() != widths[i]) {
+          return "range partitions carry counter rows of different "
+                 "widths (" +
+                 std::to_string(row.tally.counts.size()) + " vs " +
+                 std::to_string(widths[i]) + " slots at n = " +
+                 std::to_string(row.requested_n) + ")";
+        }
       }
+      declared_total = std::max(declared_total, row.total_trials);
     }
     expected_begin = part.trial_end;
+  }
+  if (expected_begin != declared_total) {
+    return "the partitions cover trials [0, " +
+           std::to_string(expected_begin) + ") of " +
+           std::to_string(declared_total) +
+           " (missing or extra shard files)";
   }
   return {};
 }
 
 SweepResult merge_trial_ranges(std::span<const SweepResult> parts) {
-  LNC_EXPECTS(!parts.empty());
   LNC_EXPECTS(can_merge_trial_ranges(parts).empty() &&
-              "merging range partitions that do not abut");
-  SweepResult merged;
-  merged.scenario = parts[0].scenario;
-  merged.base_seed = parts[0].base_seed;
-  merged.shard = 0;
-  merged.shard_count = 1;
-  merged.workload = parts[0].workload;
-  merged.backend = parts[0].backend;
-  merged.rows = parts[0].rows;
-  merged.metrics = parts[0].metrics;
+              "merging range partitions that do not fit together");
+  SweepResult merged = parts[0];
   for (std::size_t s = 1; s < parts.size(); ++s) {
     const SweepResult& part = parts[s];
     merged.metrics.merge(part.metrics);
     for (std::size_t i = 0; i < merged.rows.size(); ++i) {
-      SweepRow& row = merged.rows[i];
-      const SweepRow& other = part.rows[i];
-      row.tally.successes += other.tally.successes;
-      row.tally.trials += other.tally.trials;
-      // ExactSum merge is exact: the result equals a single run over the
-      // union range bit for bit.
-      row.tally.value_sum.merge(other.tally.value_sum);
-      row.tally.value_sum_sq.merge(other.tally.value_sum_sq);
-      if (!other.tally.counts.empty()) {
-        if (row.tally.counts.empty()) {
-          row.tally.counts.assign(other.tally.counts.size(), 0);
-        }
-        LNC_EXPECTS(row.tally.counts.size() == other.tally.counts.size() &&
-                    "merging counter rows of different widths");
-        for (std::size_t j = 0; j < row.tally.counts.size(); ++j) {
-          row.tally.counts[j] += other.tally.counts[j];
-        }
-      }
-      row.tally.telemetry.merge(other.tally.telemetry);
-      row.elapsed_seconds += other.elapsed_seconds;
+      // Every block sums exactly: the result equals a single run over
+      // the union range bit for bit. Elapsed seconds add up to the
+      // fleet's machine-time.
+      merged.rows[i].tally.merge(part.rows[i].tally);
+      merged.rows[i].elapsed_seconds += part.rows[i].elapsed_seconds;
     }
   }
-  merged.trial_begin = 0;
   merged.trial_end = parts.back().trial_end;
   for (SweepRow& row : merged.rows) {
     // The merged result is a complete run at the union's trial count —
     // the partitions' own totals (a cached run at T' carries T', its
     // top-up carries T) are superseded.
     row.total_trials = merged.trial_end;
-    LNC_EXPECTS(row.tally.trials == row.total_trials &&
-                "merged range partitions do not cover [0, total)");
   }
   return merged;
 }
@@ -306,8 +158,7 @@ SweepResult merge_trial_ranges(std::span<const SweepResult> parts) {
 stats::Estimate row_estimate(const SweepRow& row) {
   LNC_EXPECTS(row.tally.trials == row.total_trials &&
               "estimate of an incomplete (sharded) row");
-  const local::ShardTally tallies[] = {row.tally};
-  return local::merge_tallies(tallies);
+  return stats::finalize_estimate(row.tally.successes, row.tally.trials);
 }
 
 stats::MeanEstimate row_mean(const SweepRow& row) {
@@ -476,9 +327,7 @@ std::vector<std::string> summary_lines(const SweepResult& result) {
 
 void write_json(std::ostream& os, const SweepResult& result) {
   os << "{\"scenario\": \"" << util::json_escape(result.scenario)
-     << "\", \"base_seed\": " << result.base_seed
-     << ", \"shard\": " << result.shard
-     << ", \"shard_count\": " << result.shard_count << ", \"workload\": \""
+     << "\", \"base_seed\": " << result.base_seed << ", \"workload\": \""
      << local::to_string(result.workload) << "\", \"backend\": \""
      << local::to_string(result.backend)
      << "\", \"trial_begin\": " << result.trial_begin
@@ -558,9 +407,6 @@ SweepResult sweep_from_json(const Json& root,
   SweepResult result;
   result.scenario = root.at("scenario").as_string();
   result.base_seed = root.at("base_seed").as_uint64();
-  result.shard = static_cast<unsigned>(root.at("shard").as_uint64());
-  result.shard_count =
-      static_cast<unsigned>(root.at("shard_count").as_uint64());
   if (root.has("trial_begin")) {
     result.trial_begin = root.at("trial_begin").as_uint64();
   }
@@ -650,12 +496,23 @@ SweepResult sweep_from_json(const Json& root,
     result.metrics = obs::MetricsRegistry::from_json(
         root.at("metrics"), "metrics", warnings);
   }
-  if (!root.has("trial_begin") && !root.has("trial_end") &&
-      !result.rows.empty() && result.complete()) {
-    // Pre-range files carry no extent; a complete one provably covers
-    // [0, total). Sharded legacy files stay 0/0 (unknown) — the range
-    // merge rejects them with a diagnostic rather than guessing.
-    result.trial_end = result.rows[0].total_trials;
+  if (!root.has("trial_begin") && !root.has("trial_end")) {
+    // Files written before results carried their range name an i-of-k
+    // shard instead; its range is a pure function of the index.
+    const std::uint64_t shard = root.at("shard").as_uint64();
+    const std::uint64_t shard_count = root.at("shard_count").as_uint64();
+    if (shard_count == 0 || shard >= shard_count ||
+        shard_count > std::numeric_limits<unsigned>::max()) {
+      throw std::runtime_error("shard file names shard " +
+                               std::to_string(shard) + " of " +
+                               std::to_string(shard_count) +
+                               ", which is out of range");
+    }
+    const local::TrialRange range = local::shard_range(
+        result.rows.empty() ? 0 : result.rows[0].total_trials,
+        static_cast<unsigned>(shard), static_cast<unsigned>(shard_count));
+    result.trial_begin = range.begin;
+    result.trial_end = range.end;
   }
   return result;
 }
@@ -711,11 +568,16 @@ SweepResult merge_sweep_files(std::span<const std::string> paths,
       }
     }
   }
-  const std::string error = can_merge(shards);
+  // Files merge in any order: shells glob shard-10 before shard-2.
+  std::stable_sort(shards.begin(), shards.end(),
+                   [](const SweepResult& a, const SweepResult& b) {
+                     return a.trial_begin < b.trial_begin;
+                   });
+  const std::string error = can_merge_trial_ranges(shards);
   if (!error.empty()) {
     throw std::runtime_error("cannot merge shard results: " + error);
   }
-  return merge_sweeps(shards);
+  return merge_trial_ranges(shards);
 }
 
 }  // namespace lnc::scenario

@@ -307,13 +307,11 @@ TEST(BatchTelemetry, ShardTelemetriesSumToTheUnshardedRun) {
   BatchRunner runner;
   const local::ShardTally full = runner.run_shard(plan(), {0, 101});
   EXPECT_GT(full.telemetry.messages_sent, 0u);
-  std::vector<local::ShardTally> parts;
+  local::ShardTally merged;
   for (unsigned s = 0; s < 3; ++s) {
-    parts.push_back(
-        runner.run_shard(plan(), local::shard_range(101, s, 3)));
+    merged.merge(runner.run_shard(plan(), local::shard_range(101, s, 3)));
   }
-  expect_telemetry_identical(full.telemetry,
-                             local::merge_telemetries(parts));
+  expect_telemetry_identical(full.telemetry, merged.telemetry);
 }
 
 TEST(BatchReproducibility, MeanAndCountPlansAcrossThreadCounts) {

@@ -125,12 +125,6 @@ TEST(Generators, RandomRegularIsRegularAndSimple) {
   }
 }
 
-TEST(Generators, GnpBoundedRespectsCap) {
-  const Graph g = gnp_bounded(60, 0.2, 4, 7);
-  EXPECT_LE(g.max_degree(), 4u);
-  EXPECT_EQ(g.node_count(), 60u);
-}
-
 TEST(Generators, RandomTreeIsTree) {
   for (std::uint64_t seed : {11ull, 12ull}) {
     const Graph g = random_tree(40, seed);

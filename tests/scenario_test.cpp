@@ -36,6 +36,16 @@ ScenarioSpec shrunk(const ScenarioSpec& preset, std::uint64_t trials) {
   return spec;
 }
 
+/// Options running shard `shard` of `shard_count` of a compiled scenario:
+/// a shard is the trial range local::shard_range assigns it.
+scenario::SweepOptions shard_of(const scenario::CompiledScenario& compiled,
+                                unsigned shard, unsigned shard_count) {
+  scenario::SweepOptions options;
+  options.trial_range =
+      local::shard_range(compiled.spec().trials, shard, shard_count);
+  return options;
+}
+
 TEST(Registry, CatalogueHasTheAdvertisedSurface) {
   EXPECT_GE(scenario::topologies().all().size(), 8u);
   EXPECT_GE(scenario::languages().all().size(), 8u);
@@ -306,16 +316,10 @@ TEST(Sharding, TwoWayMergeEqualsUnshardedBitForBit) {
     const scenario::CompiledScenario compiled = scenario::compile(spec);
 
     const scenario::SweepResult full = scenario::run_sweep(compiled);
-    scenario::SweepOptions shard0;
-    shard0.shard = 0;
-    shard0.shard_count = 2;
-    scenario::SweepOptions shard1;
-    shard1.shard = 1;
-    shard1.shard_count = 2;
     const scenario::SweepResult parts[] = {
-        scenario::run_sweep(compiled, shard0),
-        scenario::run_sweep(compiled, shard1)};
-    const scenario::SweepResult merged = scenario::merge_sweeps(parts);
+        scenario::run_sweep(compiled, shard_of(compiled, 0, 2)),
+        scenario::run_sweep(compiled, shard_of(compiled, 1, 2))};
+    const scenario::SweepResult merged = scenario::merge_trial_ranges(parts);
 
     ASSERT_EQ(merged.rows.size(), full.rows.size()) << spec.name;
     for (std::size_t i = 0; i < full.rows.size(); ++i) {
@@ -340,16 +344,14 @@ TEST(Sharding, UnevenThreeWayMergeAndJsonRoundTrip) {
 
   std::vector<scenario::SweepResult> shards;
   for (unsigned s = 0; s < 3; ++s) {
-    scenario::SweepOptions options;
-    options.shard = s;
-    options.shard_count = 3;
     // Round-trip every shard through its JSON wire format, as the
     // cross-process workflow does.
     std::ostringstream os;
-    scenario::write_json(os, scenario::run_sweep(compiled, options));
+    scenario::write_json(
+        os, scenario::run_sweep(compiled, shard_of(compiled, s, 3)));
     shards.push_back(scenario::sweep_from_json(os.str()));
   }
-  const scenario::SweepResult merged = scenario::merge_sweeps(shards);
+  const scenario::SweepResult merged = scenario::merge_trial_ranges(shards);
   EXPECT_EQ(scenario::row_estimate(merged.rows[0]).p_hat,
             scenario::row_estimate(full.rows[0]).p_hat);
   EXPECT_EQ(merged.rows[0].tally.successes, full.rows[0].tally.successes);
@@ -363,15 +365,10 @@ TEST(Sharding, TelemetryTwoWayMergeEqualsUnshardedBitForBit) {
     const ScenarioSpec spec = shrunk(preset, 9);
     const scenario::CompiledScenario compiled = scenario::compile(spec);
     const scenario::SweepResult full = scenario::run_sweep(compiled);
-    scenario::SweepOptions shard0;
-    shard0.shard_count = 2;
-    scenario::SweepOptions shard1;
-    shard1.shard = 1;
-    shard1.shard_count = 2;
     const scenario::SweepResult parts[] = {
-        scenario::run_sweep(compiled, shard0),
-        scenario::run_sweep(compiled, shard1)};
-    const scenario::SweepResult merged = scenario::merge_sweeps(parts);
+        scenario::run_sweep(compiled, shard_of(compiled, 0, 2)),
+        scenario::run_sweep(compiled, shard_of(compiled, 1, 2))};
+    const scenario::SweepResult merged = scenario::merge_trial_ranges(parts);
     ASSERT_EQ(merged.rows.size(), full.rows.size()) << spec.name;
     for (std::size_t i = 0; i < full.rows.size(); ++i) {
       const local::Telemetry& want = full.rows[i].tally.telemetry;
@@ -396,16 +393,14 @@ TEST(Sharding, TelemetryUnevenThreeWayMergeSurvivesJsonRoundTrip) {
 
   std::vector<scenario::SweepResult> shards;
   for (unsigned s = 0; s < 3; ++s) {  // 10 trials over 3 shards: 4/3/3
-    scenario::SweepOptions options;
-    options.shard = s;
-    options.shard_count = 3;
     std::ostringstream os;
-    scenario::write_json(os, scenario::run_sweep(compiled, options));
+    scenario::write_json(
+        os, scenario::run_sweep(compiled, shard_of(compiled, s, 3)));
     std::vector<std::string> warnings;
     shards.push_back(scenario::sweep_from_json(os.str(), &warnings));
     EXPECT_TRUE(warnings.empty()) << warnings[0];
   }
-  const scenario::SweepResult merged = scenario::merge_sweeps(shards);
+  const scenario::SweepResult merged = scenario::merge_trial_ranges(shards);
   EXPECT_TRUE(merged.rows[0].tally.telemetry.deterministic_equal(
       full.rows[0].tally.telemetry));
 }
@@ -451,10 +446,9 @@ TEST(ValueSweep, SummaryLinesAreGrepStableAndThreadInvariant) {
   EXPECT_NE(sequential[0].find(" trials=12"), std::string::npos);
 
   // Sharded (incomplete) results and success workloads emit no lines.
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  EXPECT_TRUE(
-      scenario::summary_lines(scenario::run_sweep(compiled, half)).empty());
+  EXPECT_TRUE(scenario::summary_lines(
+                  scenario::run_sweep(compiled, shard_of(compiled, 0, 2)))
+                  .empty());
 }
 
 TEST(ValueSweep, JsonRoundTripCarriesTheMeanBlock) {
@@ -463,10 +457,8 @@ TEST(ValueSweep, JsonRoundTripCarriesTheMeanBlock) {
   const scenario::CompiledScenario compiled =
       scenario::compile(shrunk(*preset, 9));
 
-  scenario::SweepOptions options;
-  options.shard = 1;
-  options.shard_count = 2;
-  const scenario::SweepResult shard = scenario::run_sweep(compiled, options);
+  const scenario::SweepResult shard =
+      scenario::run_sweep(compiled, shard_of(compiled, 1, 2));
   std::ostringstream os;
   scenario::write_json(os, shard);
   const std::string text = os.str();
@@ -557,14 +549,14 @@ TEST(ValueSweep, MergeRejectsMixedWorkloads) {
   ASSERT_NE(value_preset, nullptr);
   const scenario::CompiledScenario compiled =
       scenario::compile(shrunk(*value_preset, 8));
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  scenario::SweepResult shard0 = scenario::run_sweep(compiled, half);
-  half.shard = 1;
-  scenario::SweepResult shard1 = scenario::run_sweep(compiled, half);
+  const scenario::SweepResult shard0 =
+      scenario::run_sweep(compiled, shard_of(compiled, 0, 2));
+  scenario::SweepResult shard1 =
+      scenario::run_sweep(compiled, shard_of(compiled, 1, 2));
   shard1.workload = local::WorkloadKind::kSuccess;  // simulated stale file
   const scenario::SweepResult mixed[] = {shard0, shard1};
-  EXPECT_NE(scenario::can_merge(mixed).find("workload"), std::string::npos);
+  EXPECT_NE(scenario::can_merge_trial_ranges(mixed).find("workload"),
+            std::string::npos);
 }
 
 TEST(SweepJson, WarnsOnUnrecognizedKeysButStillParses) {
@@ -595,20 +587,145 @@ TEST(Sharding, CanMergeRejectsDuplicateAndIncompleteShardSets) {
   ASSERT_NE(preset, nullptr);
   const ScenarioSpec spec = shrunk(*preset, 8);
   const scenario::CompiledScenario compiled = scenario::compile(spec);
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  const scenario::SweepResult shard0 = scenario::run_sweep(compiled, half);
-  half.shard = 1;
-  const scenario::SweepResult shard1 = scenario::run_sweep(compiled, half);
+  const scenario::SweepResult shard0 =
+      scenario::run_sweep(compiled, shard_of(compiled, 0, 2));
+  const scenario::SweepResult shard1 =
+      scenario::run_sweep(compiled, shard_of(compiled, 1, 2));
 
   const scenario::SweepResult ok[] = {shard0, shard1};
-  EXPECT_EQ(scenario::can_merge(ok), "");
+  EXPECT_EQ(scenario::can_merge_trial_ranges(ok), "");
   // The same half twice sums to the right trial count but double-counts.
   const scenario::SweepResult duplicate[] = {shard0, shard0};
-  EXPECT_NE(scenario::can_merge(duplicate), "");
-  // A missing half leaves trials uncovered.
+  EXPECT_NE(scenario::can_merge_trial_ranges(duplicate), "");
+  // A missing half leaves trials uncovered: shard 0 of 2 on its own ends
+  // short of the total_trials it declares.
   const scenario::SweepResult incomplete[] = {shard0};
-  EXPECT_NE(scenario::can_merge(incomplete), "");
+  EXPECT_NE(scenario::can_merge_trial_ranges(incomplete).find("cover"),
+            std::string::npos)
+      << scenario::can_merge_trial_ranges(incomplete);
+}
+
+/// Every tally block, the trial extent, and the deterministic telemetry
+/// of `got` equal those of `want`, bit for bit.
+void expect_same_rows(const scenario::SweepResult& want,
+                      const scenario::SweepResult& got) {
+  EXPECT_EQ(got.trial_begin, want.trial_begin);
+  EXPECT_EQ(got.trial_end, want.trial_end);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (std::size_t i = 0; i < want.rows.size(); ++i) {
+    const local::ShardTally& a = want.rows[i].tally;
+    const local::ShardTally& b = got.rows[i].tally;
+    EXPECT_EQ(got.rows[i].total_trials, want.rows[i].total_trials);
+    EXPECT_EQ(b.trials, a.trials);
+    EXPECT_EQ(b.successes, a.successes);
+    EXPECT_TRUE(b.value_sum == a.value_sum);
+    EXPECT_TRUE(b.value_sum_sq == a.value_sum_sq);
+    EXPECT_EQ(b.counts, a.counts);
+    EXPECT_TRUE(b.telemetry.deterministic_equal(a.telemetry));
+  }
+}
+
+std::string result_text(const scenario::SweepResult& result) {
+  std::ostringstream os;
+  scenario::write_json(os, result);
+  return os.str();
+}
+
+/// A result file as binaries wrote it before results carried their trial
+/// range: an i-of-k index in place of trial_begin/trial_end.
+std::string as_legacy_shard(std::string text, const std::string& shard,
+                            const std::string& shard_count) {
+  const std::size_t begin = text.find("\"trial_begin\": ");
+  const std::size_t end = text.find("\"seed_stream_epoch\": ");
+  EXPECT_NE(begin, std::string::npos);
+  EXPECT_NE(end, std::string::npos);
+  return text.replace(begin, end - begin,
+                      "\"shard\": " + shard + ", \"shard_count\": " +
+                          shard_count + ", ");
+}
+
+/// Writes `text` to a fresh file under the test temp dir; returns its path.
+std::string temp_file(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "lnc-scenario-" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+TEST(ShardFiles, MergeInAnyOrderEqualsTheUnshardedRun) {
+  const ScenarioSpec* preset = scenario::find_preset("luby-mis-rounds");
+  ASSERT_NE(preset, nullptr);
+  const scenario::CompiledScenario compiled =
+      scenario::compile(shrunk(*preset, 10));
+  const scenario::SweepResult full = scenario::run_sweep(compiled);
+  std::vector<std::string> paths;
+  for (unsigned s = 0; s < 3; ++s) {
+    paths.push_back(temp_file(
+        "any-order-" + std::to_string(s) + ".json",
+        result_text(scenario::run_sweep(compiled, shard_of(compiled, s, 3)))));
+  }
+  const std::vector<std::string> reversed(paths.rbegin(), paths.rend());
+  std::vector<std::string> warnings;
+  const scenario::SweepResult merged =
+      scenario::merge_sweep_files(reversed, &warnings);
+  EXPECT_TRUE(warnings.empty()) << warnings[0];
+  EXPECT_TRUE(merged.complete());
+  expect_same_rows(full, merged);
+}
+
+TEST(ShardFiles, LegacyShardIndexReadsAsItsTrialRange) {
+  const ScenarioSpec* preset = scenario::find_preset("ring-amos-words");
+  ASSERT_NE(preset, nullptr);
+  const scenario::CompiledScenario compiled =
+      scenario::compile(shrunk(*preset, 9));
+  const scenario::SweepResult full = scenario::run_sweep(compiled);
+  std::vector<std::string> fresh;
+  std::vector<std::string> legacy;
+  for (unsigned s = 0; s < 2; ++s) {
+    fresh.push_back(
+        result_text(scenario::run_sweep(compiled, shard_of(compiled, s, 2))));
+    legacy.push_back(as_legacy_shard(fresh.back(), std::to_string(s), "2"));
+    ASSERT_EQ(legacy.back().find("trial_begin"), std::string::npos);
+    const scenario::SweepResult parsed =
+        scenario::sweep_from_json(legacy.back());
+    EXPECT_EQ(parsed.trial_begin, local::shard_range(9, s, 2).begin);
+    EXPECT_EQ(parsed.trial_end, local::shard_range(9, s, 2).end);
+  }
+  const std::vector<std::string> paths = {
+      temp_file("legacy-1.json", legacy[1]),
+      temp_file("legacy-0.json", legacy[0])};
+  expect_same_rows(full, scenario::merge_sweep_files(paths));
+
+  // Shard 0 of 2 on its own ends short of the 9 trials it declares.
+  const scenario::SweepResult alone[] = {scenario::sweep_from_json(legacy[0])};
+  EXPECT_NE(scenario::can_merge_trial_ranges(alone), "");
+
+  // An index outside its count is a diagnosed error, never an assert.
+  const std::string out_of_range = as_legacy_shard(fresh[0], "2", "2");
+  EXPECT_THROW(scenario::sweep_from_json(out_of_range), std::runtime_error);
+  EXPECT_THROW(scenario::sweep_from_json(as_legacy_shard(fresh[0], "0", "0")),
+               std::runtime_error);
+  const std::vector<std::string> bad = {
+      paths[0], temp_file("legacy-bad.json", out_of_range)};
+  EXPECT_THROW(scenario::merge_sweep_files(bad), std::runtime_error);
+}
+
+TEST(ShardFiles, ShardAndTrialRangePartsMergeTogether) {
+  // A shard is a trial range: an i-of-k shard file abutting an explicit
+  // --trial-range slice file merges like any other partition.
+  const ScenarioSpec* preset = scenario::find_preset("luby-mis-rounds");
+  ASSERT_NE(preset, nullptr);
+  const scenario::CompiledScenario compiled =
+      scenario::compile(shrunk(*preset, 30));
+  const scenario::SweepResult full = scenario::run_sweep(compiled);
+  scenario::SweepOptions rest;
+  rest.trial_range = local::TrialRange{local::shard_range(30, 0, 3).end, 30};
+  const std::vector<std::string> paths = {
+      temp_file("mixed-rest.json",
+                result_text(scenario::run_sweep(compiled, rest))),
+      temp_file("mixed-shard0.json",
+                result_text(scenario::run_sweep(compiled,
+                                                shard_of(compiled, 0, 3))))};
+  expect_same_rows(full, scenario::merge_sweep_files(paths));
 }
 
 TEST(SpecJson, FullWidthSeedsRoundTripExactly) {
@@ -746,14 +863,23 @@ TEST(ValueSweep, CanMergeRejectsMismatchedCounterWidths) {
   ASSERT_NE(preset, nullptr);
   const scenario::CompiledScenario compiled =
       scenario::compile(shrunk(*preset, 8));
-  scenario::SweepOptions half;
-  half.shard_count = 2;
-  const scenario::SweepResult shard0 = scenario::run_sweep(compiled, half);
-  half.shard = 1;
-  scenario::SweepResult shard1 = scenario::run_sweep(compiled, half);
+  const scenario::SweepResult shard0 =
+      scenario::run_sweep(compiled, shard_of(compiled, 0, 2));
+  scenario::SweepResult shard1 =
+      scenario::run_sweep(compiled, shard_of(compiled, 1, 2));
   shard1.rows[0].tally.counts.push_back(7);  // extra foreign slot
   const scenario::SweepResult mismatched[] = {shard0, shard1};
-  EXPECT_NE(scenario::can_merge(mismatched).find("widths"),
+  EXPECT_NE(scenario::can_merge_trial_ranges(mismatched).find("widths"),
+            std::string::npos);
+  // A part without counts merges as all-zero, so the widths that must
+  // agree are those of the parts that carry counts.
+  std::vector<scenario::SweepResult> thirds;
+  for (unsigned s = 0; s < 3; ++s) {
+    thirds.push_back(scenario::run_sweep(compiled, shard_of(compiled, s, 3)));
+  }
+  thirds[0].rows[0].tally.counts.clear();
+  thirds[2].rows[0].tally.counts.push_back(7);
+  EXPECT_NE(scenario::can_merge_trial_ranges(thirds).find("widths"),
             std::string::npos);
 }
 

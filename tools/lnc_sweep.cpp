@@ -13,7 +13,9 @@
 //   lnc_sweep --all [overrides] [options]
 //       Run every preset (CI trajectory mode).
 //   lnc_sweep --merge SHARD.json...
-//       Merge shard result files into the full estimate.
+//       Merge result files, in any order, into the full estimate: each
+//       file records its trial range, whether --shard or --trial-range
+//       produced it, and the ranges must partition [0, trials).
 //
 // SPEC and the overrides (--param k=v, --n A,B,C, --trials N, --seed S,
 // --workload, --statistic, --success, --mode, --backend, --execution,
@@ -77,6 +79,7 @@ int usage(std::ostream& os, int code) {
         "--trials runs only the missing trial range and merges exactly.\n"
         "--trial-range B:E runs only trials [B, E) — the slice form of\n"
         "--shard, used by cache top-ups and range-partitioned fleets.\n"
+        "--merge takes --shard and --trial-range files in any order.\n"
         "--trace FILE records hierarchical spans (sweep/row/batch/\n"
         "node-range) as Chrome trace-event JSON — open in Perfetto or\n"
         "chrome://tracing — and adds a `metrics` block (latency\n"
@@ -159,6 +162,7 @@ struct Options {
   std::vector<std::string> merge_files;
   scenario::SpecFlags spec;
 
+  /// --shard i/k; each spec runs it as shard_range(spec.trials, i, k).
   unsigned shard = 0;
   unsigned shard_count = 1;
   std::optional<local::TrialRange> trial_range;
@@ -413,17 +417,16 @@ int run_one(const scenario::ScenarioSpec& spec, const Options& options,
   } else {
     const scenario::CompiledScenario compiled = scenario::compile(spec);
     scenario::SweepOptions sweep_options;
-    sweep_options.shard = options.shard;
-    sweep_options.shard_count = options.shard_count;
     sweep_options.trial_range = options.trial_range;
+    if (options.shard_count > 1) {
+      sweep_options.trial_range =
+          local::shard_range(spec.trials, options.shard, options.shard_count);
+    }
     sweep_options.pool = pool;
     std::optional<obs::Progress> trial_progress;
     if (options.progress) {
-      const local::TrialRange range =
-          options.trial_range
-              ? *options.trial_range
-              : local::shard_range(spec.trials, options.shard,
-                                   options.shard_count);
+      const local::TrialRange range = sweep_options.trial_range.value_or(
+          local::TrialRange{0, spec.trials});
       trial_progress.emplace(
           "sweep:" + spec.name,
           range.count() * compiled.points().size(), "trials", &std::cerr);
