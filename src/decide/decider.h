@@ -19,21 +19,16 @@
 
 namespace lnc::decide {
 
-/// A decider's view: a construction View plus the output labeling.
-///
-/// The outputs arrive in one of two forms: a full labeling indexed by
-/// ORIGINAL node index (the materialized path), or a ball-local span
-/// `ball_output` covering exactly the ball's members (the streaming
-/// implicit path, which never holds an O(n) labeling). Deciders read
-/// through output_of and never notice the difference.
+/// A decider's view: a construction View plus the outputs of the ball's
+/// members, by ball-LOCAL index (0 is the center). The decision loop
+/// (decide/evaluate.h) fills them from a labeling or from the
+/// construction memo, so no decider ever needs an O(n) labeling.
 struct DeciderView {
   local::View view;
-  std::span<const local::Label> output;       // by ORIGINAL node index
   std::span<const local::Label> ball_output;  // by ball-LOCAL index
 
   local::Label output_of(graph::NodeId local) const noexcept {
-    return output.empty() ? ball_output[local]
-                          : output[view.ball->to_original(local)];
+    return ball_output[local];
   }
 };
 

@@ -6,18 +6,36 @@
 // radius` from a distinguished node u count. ("We say that D accepts
 // (G,(x,y)) far from v if D outputs true at all nodes at distance greater
 // than t+t' from v.")
+//
+// Every verdict goes through one per-node loop, decide_each_node below:
+// evaluate() runs it over a labeling, construct_then_decide_plan's
+// implicit trials over the worker's construction memo (by section 2.1.1,
+// v's verdict depends only on its radius-(t + t') ball).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "decide/decider.h"
+#include "graph/metrics.h"
 #include "local/instance.h"
 #include "local/runner.h"
 #include "local/telemetry.h"
+#include "obs/metrics.h"
+#include "obs/progress.h"
+#include "obs/trace.h"
+#include "util/assert.h"
+#include "util/timer.h"
 
 namespace lnc::fault {
 class FaultModel;
+}
+
+namespace lnc::local {
+class WorkerArena;
 }
 
 namespace lnc::decide {
@@ -37,6 +55,8 @@ struct DecisionOutcome {
 };
 
 struct EvaluateOptions {
+  /// Materialized instances only: the restriction reads BFS distances
+  /// from u over the CSR graph.
   std::optional<FarFrom> far_from;
   bool grant_n = false;  ///< BPLD#node deciders need |V|
 
@@ -60,8 +80,9 @@ struct EvaluateOptions {
   /// stream. Crashed nodes cast no verdict (they are not counted toward
   /// acceptance — a crash-stop node cannot reject), and every surviving
   /// node's decision ball is collected inside the realized fault
-  /// subgraph. The censor charges NO fault telemetry: the construction
-  /// side already tallied this trial's realized faults exactly once.
+  /// subgraph. The decision loop charges NO fault telemetry: whoever ran
+  /// the construction tallies the trial's realized faults exactly once
+  /// (local::charge_fault_telemetry).
   const fault::FaultModel* fault = nullptr;
   const rand::CoinProvider* fault_coins = nullptr;
 };
@@ -79,5 +100,108 @@ DecisionOutcome evaluate(const local::Instance& inst,
                          const RandomizedDecider& decider,
                          const rand::CoinProvider& coins,
                          const EvaluateOptions& options = {});
+
+/// `options` for one plan trial on `arena`: the worker's telemetry and
+/// ball slot, and the trial's fault stream.
+EvaluateOptions trial_options(EvaluateOptions options,
+                              local::WorkerArena& arena,
+                              const rand::PhiloxCoins& fault_coins);
+
+/// The one per-node decision loop, in node order. A node the censor
+/// blocks is crashed: no verdict, no charge. Every other node reads its
+/// own output through `outputs.own(v)`, where the construction memo
+/// charges v's construction ball; a counted node then collects its
+/// decision ball under the censor, fills the workspace's ball-local
+/// buffer (`outputs.member(u)` for u != v) and takes `decide(view)`.
+/// There is no early exit; rejecting nodes go to `rejecting` when it is
+/// non-null. options.telemetry, when set, is charged the decision phase:
+/// each counted ball's members and encoded words, one expansion per
+/// counted node, max(radius, 1) rounds.
+template <typename Outputs, typename Decide>
+bool decide_each_node(const local::Instance& inst, int radius,
+                      const EvaluateOptions& options,
+                      const graph::BallFilter* censor, Outputs& outputs,
+                      Decide&& decide,
+                      std::vector<graph::NodeId>* rejecting = nullptr) {
+  inst.validate();
+  const graph::Topology& topology = inst.topology();
+  const graph::NodeId n = inst.node_count();
+  std::vector<int> far_distance;
+  if (options.far_from.has_value()) {
+    LNC_EXPECTS(!inst.is_implicit() &&
+                "far_from requires a materialized instance");
+    far_distance = graph::bfs_distances(inst.g, options.far_from->node);
+  }
+  auto excluded = [&](graph::NodeId v) {
+    return !far_distance.empty() && far_distance[v] >= 0 &&
+           far_distance[v] <= options.far_from->exclusion_radius;
+  };
+  local::BallWorkspace local_workspace;
+  local::BallWorkspace& workspace =
+      options.ball != nullptr ? *options.ball : local_workspace;
+  local::Telemetry charges;
+  bool accepted = true;
+
+  // Observability, timing-only: an implicit (giga-scale) trial sweeps its
+  // nodes in chunks, each a node-range trace span and one live progress
+  // tick, and times every 1024th ball collection — timing 10^8 collects
+  // individually would dominate the loop. A materialized trial is one
+  // chunk and records none of it, so traces keep one batch span per
+  // trial batch there.
+  const bool observed = inst.is_implicit();
+  obs::MetricsRegistry* obs_metrics =
+      observed ? obs::worker_metrics() : nullptr;
+  constexpr graph::NodeId kNodeChunk = 1u << 16;
+  constexpr graph::NodeId kCollectSampleMask = 1023;
+  for (graph::NodeId chunk_begin = 0; chunk_begin < n;) {
+    const graph::NodeId chunk_end =
+        observed && n - chunk_begin > kNodeChunk ? chunk_begin + kNodeChunk
+                                                 : n;
+    std::optional<obs::Span> chunk_span;
+    if (observed) {
+      chunk_span.emplace("node-range", obs::span_args("begin", chunk_begin));
+    }
+    for (graph::NodeId v = chunk_begin; v < chunk_end; ++v) {
+      if (censor != nullptr && censor->node_blocked(v)) continue;
+      const local::Label own = outputs.own(v);
+      if (excluded(v)) continue;
+      if (obs_metrics != nullptr && (v & kCollectSampleMask) == 0) {
+        const util::Timer collect_timer;
+        workspace.ball.collect(topology, v, radius, workspace.scratch,
+                               censor);
+        obs_metrics->observe("ball_collect_seconds",
+                             collect_timer.elapsed_seconds());
+      } else {
+        workspace.ball.collect(topology, v, radius, workspace.scratch,
+                               censor);
+      }
+      const graph::BallView& ball = workspace.ball;
+      charges.messages_sent += ball.size();
+      charges.words_sent += ball.encoded_words();
+      ++charges.ball_expansions;
+      local::Labeling& ball_output = workspace.outputs;
+      ball_output.resize(ball.size());
+      ball_output[0] = own;
+      for (graph::NodeId m = 1; m < ball.size(); ++m) {
+        ball_output[m] = outputs.member(ball.to_original(m));
+      }
+      local::View view;
+      view.ball = &ball;
+      view.instance = &inst;
+      if (options.grant_n) view.n_nodes = n;
+      if (!decide(DeciderView{view, ball_output})) {
+        accepted = false;
+        if (rejecting != nullptr) rejecting->push_back(v);
+      }
+    }
+    if (observed) obs::node_progress_tick(chunk_end - chunk_begin);
+    chunk_begin = chunk_end;
+  }
+  if (options.telemetry != nullptr) {
+    charges.rounds_executed = static_cast<std::uint64_t>(std::max(radius, 1));
+    options.telemetry->merge(charges);
+  }
+  return accepted;
+}
 
 }  // namespace lnc::decide

@@ -12,8 +12,8 @@ std::string LclDecider::name() const {
 int LclDecider::radius() const { return language_->radius(); }
 
 bool LclDecider::accept(const DeciderView& view) const {
-  lang::LabeledBall ball{view.view.ball, view.view.instance, view.output,
-                         view.ball_output};
+  const lang::LabeledBall ball{view.view.ball, view.view.instance,
+                               view.ball_output};
   return !language_->is_bad_ball(ball);
 }
 

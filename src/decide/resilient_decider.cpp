@@ -45,8 +45,8 @@ double ResilientDecider::guarantee() const {
 
 bool ResilientDecider::accept(const DeciderView& view,
                               const rand::CoinProvider& coins) const {
-  lang::LabeledBall ball{view.view.ball, view.view.instance, view.output,
-                         view.ball_output};
+  const lang::LabeledBall ball{view.view.ball, view.view.instance,
+                               view.ball_output};
   if (!base_->is_bad_ball(ball)) return true;
   const ident::Identity self =
       view.view.instance->identity_of(view.view.ball->to_original(0));

@@ -31,8 +31,8 @@ bool SlackDecider::accept(const DeciderView& view,
                           const rand::CoinProvider& coins) const {
   LNC_EXPECTS(view.view.n_nodes.has_value() &&
               "SlackDecider is a BPLD#node decider: it must be granted n");
-  lang::LabeledBall ball{view.view.ball, view.view.instance, view.output,
-                         view.ball_output};
+  const lang::LabeledBall ball{view.view.ball, view.view.instance,
+                               view.ball_output};
   if (!base_->is_bad_ball(ball)) return true;
   const ident::Identity self =
       view.view.instance->identity_of(view.view.ball->to_original(0));

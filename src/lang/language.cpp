@@ -4,9 +4,9 @@ namespace lnc::lang {
 namespace {
 
 /// Calls `on_bad(v)` for each center v of a bad ball, in node order,
-/// until it returns false. One view and one scratch serve every ball, so
-/// a membership check allocates the O(n) visited arrays once, not once
-/// per node.
+/// until it returns false. One view, one scratch and one ball-local output
+/// buffer serve every ball, so a membership check allocates the O(n)
+/// visited arrays once, not once per node.
 template <typename OnBad>
 void for_each_bad_ball(const LclLanguage& language,
                        const local::Instance& inst,
@@ -15,9 +15,14 @@ void for_each_bad_ball(const LclLanguage& language,
   const int t = language.radius();
   graph::BallView view;
   graph::BallScratch scratch;
+  local::Labeling ball_output;
   for (graph::NodeId v = 0; v < inst.node_count(); ++v) {
     view.collect(topology, v, t, scratch);
-    const LabeledBall labeled{&view, &inst, output, {}};
+    ball_output.resize(view.size());
+    for (graph::NodeId m = 0; m < view.size(); ++m) {
+      ball_output[m] = output[view.to_original(m)];
+    }
+    const LabeledBall labeled{&view, &inst, ball_output};
     if (language.is_bad_ball(labeled) && !on_bad(v)) return;
   }
 }

@@ -25,22 +25,18 @@ namespace lnc::lang {
 /// makes legal/illegal balls meaningful (section 1.1). Languages whose
 /// outputs *name* neighbors (e.g. maximal-matching) may read identities
 /// through `instance`, which preserves portability because the named
-/// identities travel with the ball.
+/// identities travel with the ball. Outputs cover exactly the ball's
+/// members (see decide::DeciderView).
 struct LabeledBall {
   const graph::BallView* ball = nullptr;
   const local::Instance* instance = nullptr;
-  std::span<const local::Label> output;       // by ORIGINAL node index
-  /// Alternative output form covering exactly the ball's members — the
-  /// streaming implicit path never materializes an O(n) labeling (see
-  /// decide::DeciderView). Exactly one of the two spans is non-empty.
   std::span<const local::Label> ball_output;  // by ball-LOCAL index
 
   local::Label input_of(graph::NodeId local) const noexcept {
     return instance->input_of(ball->to_original(local));
   }
   local::Label output_of(graph::NodeId local) const noexcept {
-    return output.empty() ? ball_output[local]
-                          : output[ball->to_original(local)];
+    return ball_output[local];
   }
 };
 

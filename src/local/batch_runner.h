@@ -20,6 +20,7 @@
 // (construction algorithms) and decide/experiment_plans.h (deciders).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -61,14 +62,19 @@ struct SampledConfiguration {
 };
 
 /// Direct-mapped memo of one trial's construction outputs, for the
-/// streaming implicit path (decide/experiment_plans.cpp). Slot
-/// u & (kSlots - 1) holds the last node u stored there: its construction
-/// label plus the size and encoded words of its construction ball (the
-/// node's construction-phase charge). Neighbouring decision balls share
-/// members, so on ring and path most lookups hit (grid and torus only
-/// while a row has under about 340 nodes); a collision simply evicts.
-/// Entries are pure functions of the trial's construction coins: clear()
-/// before every trial.
+/// streaming construct-then-decide loop on implicit instances
+/// (decide/experiment_plans.cpp). Slot u & (kSlots - 1) holds the last
+/// node u stored there: its construction label plus the size and encoded
+/// words of its construction ball (the node's construction-phase charge).
+/// Neighbouring decision balls share members, so on ring and path most
+/// lookups hit (grid and torus only while a row has under about 340
+/// nodes); a collision simply evicts. Entries are pure functions of the
+/// trial's construction coins and fault stream: clear() before every
+/// trial. A miss collects the member's construction ball into `ball`
+/// while the decision ball stays live (both through the worker's one
+/// BallScratch: a scratch is dead between collections), and reads its
+/// coins from `coins`, refilled per block of nodes (sized by the block and
+/// the algorithm's coin_prefix(), never by n).
 class ConstructionMemo {
  public:
   static constexpr std::size_t kSlots = std::size_t{1} << 10;
@@ -81,10 +87,17 @@ class ConstructionMemo {
   };
   static_assert(sizeof(Entry) == 24, "the table is kSlots * 24 bytes");
 
-  /// Empties every slot; the first call allocates the fixed table
-  /// (kSlots * 24 bytes), so arenas that never stream pay nothing.
-  void clear() { slots_.assign(kSlots, Entry{}); }
+  /// Empties the min(n, kSlots) slots a trial of n nodes can map to; the
+  /// first call allocates the fixed table (kSlots * 24 bytes), so arenas
+  /// that never run the loop pay nothing.
+  void clear(graph::NodeId n) {
+    slots_.resize(kSlots);
+    std::fill_n(slots_.begin(), std::min<std::size_t>(n, kSlots), Entry{});
+  }
   Entry& slot(graph::NodeId u) noexcept { return slots_[u & (kSlots - 1)]; }
+
+  graph::BallView ball;
+  rand::CoinTable coins;
 
  private:
   std::vector<Entry> slots_;
@@ -105,24 +118,8 @@ class WorkerArena {
   /// allocating five vectors per node per trial.
   BallWorkspace& ball_workspace() noexcept { return ball_; }
 
-  /// Second reusable ball slot for trial bodies that hold two balls at
-  /// once: the streaming implicit path (decide/experiment_plans.cpp)
-  /// expands a decision-ball member's construction ball, on a
-  /// construction_memo() miss, while the decision ball stays live.
-  BallWorkspace& member_ball_workspace() noexcept { return member_ball_; }
-
-  /// The streaming implicit path's per-trial construction memo.
+  /// The construct-then-decide loop's per-trial construction memo.
   ConstructionMemo& construction_memo() noexcept { return memo_; }
-
-  /// The streaming implicit path's construction coin table, refilled per
-  /// block of nodes — sized by the block and the algorithm's
-  /// coin_prefix(), never by n.
-  rand::CoinTable& coin_table() noexcept { return coin_table_; }
-
-  /// Ball-local output buffer for the streaming implicit path — sized by
-  /// the current decision ball, never by n; filled from
-  /// construction_memo().
-  Labeling& ball_outputs() noexcept { return ball_outputs_; }
 
   /// This worker's telemetry accumulator (lives in the engine scratch so
   /// engine runs on this arena count into it automatically; ball-mode and
@@ -165,10 +162,7 @@ class WorkerArena {
   Labeling labeling_;
   std::vector<Knowledge> knowledge_;
   BallWorkspace ball_;
-  BallWorkspace member_ball_;
   ConstructionMemo memo_;
-  rand::CoinTable coin_table_;
-  Labeling ball_outputs_;
   VectorScratch vector_;
   obs::MetricsRegistry metrics_;
   SampledConfiguration sample_;

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "fault/fault.h"
 #include "util/assert.h"
@@ -11,26 +12,6 @@ namespace {
 
 bool fault_engaged(const ExecOptions& options) {
   return options.fault != nullptr && !options.fault->trivial();
-}
-
-/// Shared kBalls fault plumbing: censor the run and charge the realized
-/// faults (once per trial — this is the ball path's ONLY charging site).
-template <typename RunBody>
-void run_censored_balls(const Instance& inst, const ExecOptions& options,
-                        RunOptions& run_options, RunBody&& run) {
-  std::optional<fault::BallCensor> censor;
-  if (fault_engaged(options)) {
-    LNC_EXPECTS(options.fault_coins != nullptr &&
-                "non-trivial fault model requires its coin stream");
-    censor.emplace(*options.fault, *options.fault_coins,
-                   [&inst](graph::NodeId v) { return inst.identity_of(v); });
-    run_options.ball_filter = &*censor;
-  }
-  run();
-  if (censor.has_value() && options.arena != nullptr) {
-    charge_fault_telemetry(inst, *options.fault, *options.fault_coins,
-                           options.arena->telemetry());
-  }
 }
 
 /// Per-node compute step shared by the messages and two-phase modes.
@@ -149,20 +130,32 @@ void run_two_phase_mode(const Instance& inst, int radius,
 
 }  // namespace
 
+std::optional<fault::BallCensor> trial_censor(
+    const Instance& inst, const fault::FaultModel* model,
+    const rand::CoinProvider* fault_coins) {
+  if (model == nullptr || model->trivial()) return std::nullopt;
+  LNC_EXPECTS(fault_coins != nullptr &&
+              "non-trivial fault model requires its coin stream");
+  return fault::BallCensor(
+      *model, *fault_coins,
+      [&inst](graph::NodeId v) { return inst.identity_of(v); });
+}
+
 void charge_fault_telemetry(const Instance& inst,
                             const fault::FaultModel& model,
                             const rand::CoinProvider& fault_coins,
                             Telemetry& telemetry) {
-  const graph::NodeId n = inst.node_count();
+  const graph::Topology& topology = inst.topology();
   auto failed = [&](graph::NodeId v) {
     return model.ball_node_failed(fault_coins, inst.identity_of(v));
   };
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (failed(v)) ++telemetry.nodes_crashed;
-  }
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (failed(v)) continue;
-    for (graph::NodeId w : inst.g.neighbors(v)) {
+  std::vector<graph::NodeId> row;
+  for (graph::NodeId v = 0; v < inst.node_count(); ++v) {
+    if (failed(v)) {
+      ++telemetry.nodes_crashed;
+      continue;
+    }
+    for (const graph::NodeId w : topology.neighbors_of(v, row)) {
       // Each surviving undirected edge is drawn once (lower endpoint).
       if (w <= v || failed(w)) continue;
       switch (model.ball_edge_fault(fault_coins, inst.identity_of(v),
@@ -202,75 +195,45 @@ std::optional<ExecMode> exec_mode_from_string(std::string_view text) noexcept {
 void run_construction_into(const Instance& inst, const BallAlgorithm& algo,
                            ExecMode mode, Labeling& output,
                            const ExecOptions& options) {
-  switch (mode) {
-    case ExecMode::kBalls: {
-      RunOptions run_options;
-      run_options.grant_n = options.grant_n;
-      if (options.arena != nullptr) {
-        run_options.telemetry = &options.arena->telemetry();
-        run_options.ball = &options.arena->ball_workspace();
-      }
-      run_censored_balls(inst, options, run_options, [&] {
-        run_ball_algorithm_into(inst, algo, output, run_options);
-      });
-      return;
-    }
-    case ExecMode::kMessages:
-      LNC_EXPECTS(!fault_engaged(options) &&
-                  "simulation modes do not support fault models");
-      run_messages_mode(
-          inst, algo.name(), algo.radius(),
-          [&algo](const View& view) { return algo.compute(view); }, output,
-          options);
-      return;
-    case ExecMode::kTwoPhase:
-      LNC_EXPECTS(!fault_engaged(options) &&
-                  "simulation modes do not support fault models");
-      run_two_phase_mode(
-          inst, algo.radius(),
-          [&algo](const View& view) { return algo.compute(view); }, output,
-          options);
-      return;
-  }
+  // A deterministic algorithm is a randomized one that reads no coins.
+  const rand::PhiloxCoins unread(0, rand::Stream::kAux);
+  run_construction_into(inst, AsRandomized(algo), unread, mode, output,
+                        options);
 }
 
 void run_construction_into(const Instance& inst,
                            const RandomizedBallAlgorithm& algo,
                            const rand::CoinProvider& coins, ExecMode mode,
                            Labeling& output, const ExecOptions& options) {
-  switch (mode) {
-    case ExecMode::kBalls: {
-      RunOptions run_options;
-      run_options.grant_n = options.grant_n;
-      if (options.arena != nullptr) {
-        run_options.telemetry = &options.arena->telemetry();
-        run_options.ball = &options.arena->ball_workspace();
-      }
-      run_censored_balls(inst, options, run_options, [&] {
-        run_ball_algorithm_into(inst, algo, coins, output, run_options);
-      });
-      return;
+  if (mode != ExecMode::kBalls) {
+    LNC_EXPECTS(!fault_engaged(options) &&
+                "simulation modes do not support fault models");
+    ComputeFromView compute = [&algo, &coins](const View& view) {
+      return algo.compute(view, coins);
+    };
+    if (mode == ExecMode::kMessages) {
+      run_messages_mode(inst, algo.name(), algo.radius(), std::move(compute),
+                        output, options);
+    } else {
+      run_two_phase_mode(inst, algo.radius(), compute, output, options);
     }
-    case ExecMode::kMessages:
-      LNC_EXPECTS(!fault_engaged(options) &&
-                  "simulation modes do not support fault models");
-      run_messages_mode(
-          inst, algo.name(), algo.radius(),
-          [&algo, &coins](const View& view) {
-            return algo.compute(view, coins);
-          },
-          output, options);
-      return;
-    case ExecMode::kTwoPhase:
-      LNC_EXPECTS(!fault_engaged(options) &&
-                  "simulation modes do not support fault models");
-      run_two_phase_mode(
-          inst, algo.radius(),
-          [&algo, &coins](const View& view) {
-            return algo.compute(view, coins);
-          },
-          output, options);
-      return;
+    return;
+  }
+  RunOptions run_options;
+  run_options.grant_n = options.grant_n;
+  if (options.arena != nullptr) {
+    run_options.telemetry = &options.arena->telemetry();
+    run_options.ball = &options.arena->ball_workspace();
+  }
+  // Under a fault model every ball is collected in the trial's realized
+  // fault subgraph, and the realized faults are charged once.
+  const std::optional<fault::BallCensor> censor =
+      trial_censor(inst, options.fault, options.fault_coins);
+  if (censor.has_value()) run_options.ball_filter = &*censor;
+  run_ball_algorithm_into(inst, algo, coins, output, run_options);
+  if (censor.has_value() && options.arena != nullptr) {
+    charge_fault_telemetry(inst, *options.fault, *options.fault_coins,
+                           options.arena->telemetry());
   }
 }
 
@@ -290,6 +253,22 @@ Labeling run_construction(const Instance& inst,
   return output;
 }
 
+const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
+                                const RandomizedBallAlgorithm& algo,
+                                ExecMode mode, bool grant_n,
+                                const fault::FaultModel* fault) {
+  const rand::PhiloxCoins fault_coins = env.fault_coins();
+  ExecOptions options;
+  options.grant_n = grant_n;
+  options.arena = env.arena;
+  options.fault = fault;
+  options.fault_coins = &fault_coins;
+  Labeling& output = env.arena->labeling();
+  run_construction_into(inst, algo, env.construction_coins(), mode, output,
+                        options);
+  return output;
+}
+
 ExperimentPlan construction_plan(std::string name, const Instance& inst,
                                  const RandomizedBallAlgorithm& algo,
                                  OutputPredicate predicate,
@@ -302,16 +281,8 @@ ExperimentPlan construction_plan(std::string name, const Instance& inst,
   plan.base_seed = base_seed;
   plan.success_trial = [&inst, &algo, predicate = std::move(predicate), mode,
                         grant_n, fault](const TrialEnv& env) {
-    const rand::PhiloxCoins coins = env.construction_coins();
-    const rand::PhiloxCoins fault_coins = env.fault_coins();
-    ExecOptions options;
-    options.grant_n = grant_n;
-    options.arena = env.arena;
-    options.fault = fault;
-    options.fault_coins = &fault_coins;
-    Labeling& output = env.arena->labeling();
-    run_construction_into(inst, algo, coins, mode, output, options);
-    return predicate(inst, output);
+    return predicate(inst,
+                     construct_trial(env, inst, algo, mode, grant_n, fault));
   };
   return plan;
 }
@@ -327,16 +298,8 @@ ExperimentPlan construction_value_plan(
   plan.base_seed = base_seed;
   plan.value_trial = [&inst, &algo, statistic = std::move(statistic), mode,
                       grant_n, fault](const TrialEnv& env) {
-    const rand::PhiloxCoins coins = env.construction_coins();
-    const rand::PhiloxCoins fault_coins = env.fault_coins();
-    ExecOptions options;
-    options.grant_n = grant_n;
-    options.arena = env.arena;
-    options.fault = fault;
-    options.fault_coins = &fault_coins;
-    Labeling& output = env.arena->labeling();
-    run_construction_into(inst, algo, coins, mode, output, options);
-    return statistic(inst, output);
+    return statistic(inst,
+                     construct_trial(env, inst, algo, mode, grant_n, fault));
   };
   return plan;
 }

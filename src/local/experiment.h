@@ -24,6 +24,7 @@
 #include "local/simulate.h"
 
 namespace lnc::fault {
+class BallCensor;
 class FaultModel;
 }
 
@@ -54,12 +55,21 @@ struct ExecOptions {
   const rand::CoinProvider* fault_coins = nullptr;
 };
 
+/// The trial's realized fault subgraph as a ball filter, or nullopt when
+/// `model` is null or trivial; a non-trivial model requires the trial's
+/// `fault_coins`.
+std::optional<fault::BallCensor> trial_censor(
+    const Instance& inst, const fault::FaultModel* model,
+    const rand::CoinProvider* fault_coins);
+
 /// Tallies the realized fault subgraph of one trial into `telemetry`:
 /// every failed node (nodes_crashed) and, between surviving nodes, every
 /// dropped or churned edge (messages_dropped / edges_churned). A pure
 /// function of (model, fault coins, instance identities) — the ball
 /// path's deterministic fault accounting, charged exactly once per trial
-/// by run_construction_into. Requires a materialized instance.
+/// by run_construction_into or by the streaming construct-then-decide
+/// loop (decide/experiment_plans.cpp). Reads inst.topology(), so it
+/// holds no O(n) state on implicit instances.
 void charge_fault_telemetry(const Instance& inst,
                             const fault::FaultModel& model,
                             const rand::CoinProvider& fault_coins,
@@ -82,6 +92,14 @@ Labeling run_construction(const Instance& inst,
                           const RandomizedBallAlgorithm& algo,
                           const rand::CoinProvider& coins, ExecMode mode,
                           const ExecOptions& options = {});
+
+/// One plan trial's construction: `algo` under the trial's construction
+/// coins and fault stream (`fault` may be null), into the worker arena's
+/// labeling, which it returns.
+const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
+                                const RandomizedBallAlgorithm& algo,
+                                ExecMode mode, bool grant_n,
+                                const fault::FaultModel* fault);
 
 /// Per-output success / statistic checks. Callers close over languages,
 /// relaxations, or any other acceptance notion.

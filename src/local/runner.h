@@ -69,13 +69,15 @@ class RandomizedBallAlgorithm {
   virtual std::uint64_t coin_prefix() const { return 0; }
 };
 
-/// A reusable ball-collection slot: the view's vectors and the scratch's
-/// visited map keep their capacity across collect() calls. The direct ball
-/// runner holds one per worker, so the steady-state node inspection
-/// allocates nothing (ROADMAP "BallView arenas").
+/// A reusable ball-collection slot: the view's vectors, the scratch's
+/// visited map and the ball-local output buffer keep their capacity across
+/// collect() calls. The direct ball runner and the decision loop
+/// (decide/evaluate.h) hold one per worker, so the steady-state node
+/// inspection allocates nothing (ROADMAP "BallView arenas").
 struct BallWorkspace {
   graph::BallView ball;
   graph::BallScratch scratch;
+  Labeling outputs;  ///< the ball's members' outputs, by ball-LOCAL index
 };
 
 struct RunOptions {

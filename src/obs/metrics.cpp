@@ -79,11 +79,16 @@ void Histogram::merge(const Histogram& other) noexcept {
 }
 
 std::string Histogram::to_json() const {
-  std::string out = "{\"count\": " + std::to_string(count_);
-  out += ", \"sum\": " + format_double(sum_.value());
-  out += ", \"exact_sum\": \"" + sum_.to_hex() + "\"";
-  if (std::isfinite(min_)) out += ", \"min\": " + format_double(min_);
-  if (std::isfinite(max_)) out += ", \"max\": " + format_double(max_);
+  std::string out = "{\"count\": ";
+  out.append(std::to_string(count_)).append(", \"sum\": ");
+  out.append(format_double(sum_.value())).append(", \"exact_sum\": \"");
+  out.append(sum_.to_hex()).append("\"");
+  if (std::isfinite(min_)) {
+    out.append(", \"min\": ").append(format_double(min_));
+  }
+  if (std::isfinite(max_)) {
+    out.append(", \"max\": ").append(format_double(max_));
+  }
   out += ", \"buckets\": [";
   bool first = true;
   for (int i = 0; i < kBucketCount; ++i) {
@@ -91,7 +96,8 @@ std::string Histogram::to_json() const {
     if (n == 0) continue;
     if (!first) out += ", ";
     first = false;
-    out += "[" + std::to_string(i) + ", " + std::to_string(n) + "]";
+    out.append("[").append(std::to_string(i)).append(", ");
+    out.append(std::to_string(n)).append("]");
   }
   out += "]}";
   return out;

@@ -128,7 +128,9 @@ __attribute__((target("avx2"))) void philox_u64_batch_avx2(
 
 // Two interleaved 8-lane blocks: the 10-round mul chain is latency-bound,
 // and a second independent block roughly doubles throughput (~2.5 ns/draw
-// vs ~12.7 serial on the machines this was tuned on).
+// vs ~12.7 serial on the machines this was tuned on). Full-mask maskz
+// shifts and multiplies compute the same lanes as the unmasked forms,
+// which trip GCC 12's -Wmaybe-uninitialized.
 __attribute__((target("avx512f"))) void philox_u64_batch_avx512(
     std::uint64_t key, const std::uint64_t* counter_hi,
     const std::uint64_t* counter_lo, std::uint64_t* out,
@@ -148,19 +150,19 @@ __attribute__((target("avx512f"))) void philox_u64_batch_avx512(
       const __m512i clo = _mm512_loadu_si512(counter_lo + i + 8 * b);
       const __m512i chi = _mm512_loadu_si512(counter_hi + i + 8 * b);
       c0[b] = _mm512_and_si512(clo, mask32);
-      c1[b] = _mm512_srli_epi64(clo, 32);
+      c1[b] = _mm512_maskz_srli_epi64(0xFF, clo, 32);
       c2[b] = _mm512_and_si512(chi, mask32);
-      c3[b] = _mm512_srli_epi64(chi, 32);
+      c3[b] = _mm512_maskz_srli_epi64(0xFF, chi, 32);
     }
     __m512i k0 = key0;
     __m512i k1 = key1;
     for (int round = 0; round < 10; ++round) {
       for (int b = 0; b < kBlocks; ++b) {
-        const __m512i p0 = _mm512_mul_epu32(mul0, c0[b]);
-        const __m512i p1 = _mm512_mul_epu32(mul1, c2[b]);
-        const __m512i hi0 = _mm512_srli_epi64(p0, 32);
+        const __m512i p0 = _mm512_maskz_mul_epu32(0xFF, mul0, c0[b]);
+        const __m512i p1 = _mm512_maskz_mul_epu32(0xFF, mul1, c2[b]);
+        const __m512i hi0 = _mm512_maskz_srli_epi64(0xFF, p0, 32);
         const __m512i lo0 = _mm512_and_si512(p0, mask32);
-        const __m512i hi1 = _mm512_srli_epi64(p1, 32);
+        const __m512i hi1 = _mm512_maskz_srli_epi64(0xFF, p1, 32);
         const __m512i lo1 = _mm512_and_si512(p1, mask32);
         c0[b] = _mm512_xor_si512(_mm512_xor_si512(hi1, c1[b]), k0);
         c1[b] = lo1;
@@ -171,8 +173,9 @@ __attribute__((target("avx512f"))) void philox_u64_batch_avx512(
       k1 = _mm512_add_epi32(k1, weyl1);
     }
     for (int b = 0; b < kBlocks; ++b) {
-      const __m512i word = _mm512_or_si512(_mm512_slli_epi64(c1[b], 32),
-                                           _mm512_and_si512(c0[b], mask32));
+      const __m512i word =
+          _mm512_or_si512(_mm512_maskz_slli_epi64(0xFF, c1[b], 32),
+                          _mm512_and_si512(c0[b], mask32));
       _mm512_storeu_si512(out + i + 8 * b, word);
     }
   }

@@ -150,10 +150,8 @@ std::string validate(const ScenarioSpec& spec) {
 
   // Non-trivial fault models constrain the execution paths: the
   // construction must tolerate silent ports / censored balls
-  // (fault_capable), ball constructions must run in ball mode (the
-  // messages/two-phase simulation modes have no fault semantics), and
-  // implicit streaming points are out (the realized fault subgraph is
-  // charged per materialized trial).
+  // (fault_capable), and ball constructions must run in ball mode (the
+  // messages/two-phase simulation modes have no fault semantics).
   if (spec.fault != "none") {
     if (!construction->fault_capable) {
       return "fault model '" + spec.fault + "' requires a fault-capable "
@@ -170,18 +168,6 @@ std::string validate(const ScenarioSpec& spec) {
                "ball-backed constructions (the simulation-theorem modes "
                "have no fault semantics)";
       }
-    }
-    bool implicit_under_fault =
-        spec.execution == Execution::kImplicit;
-    for (const std::uint64_t n : spec.n_grid) {
-      if (spec.execution == Execution::kAuto && n > kMaterializeCap) {
-        implicit_under_fault = true;
-      }
-    }
-    if (implicit_under_fault) {
-      return "fault model '" + spec.fault + "' requires materialized "
-             "execution (implicit streaming points cannot charge the "
-             "realized fault subgraph's telemetry)";
     }
   }
   if (decider->needs_lcl) {
@@ -355,16 +341,8 @@ CompiledScenario compile(const ScenarioSpec& spec) {
         if (statistic->needs_telemetry) before = env.arena->telemetry();
         StatisticContext ctx;
         if (ball != nullptr) {
-          const rand::PhiloxCoins fault_coins = env.fault_coins();
-          local::ExecOptions exec_options;
-          exec_options.arena = env.arena;
-          if (fault != nullptr) {
-            exec_options.fault = fault;
-            exec_options.fault_coins = &fault_coins;
-          }
-          local::run_construction_into(instance, *ball,
-                                       env.construction_coins(), mode,
-                                       output, exec_options);
+          local::construct_trial(env, instance, *ball, mode,
+                                 /*grant_n=*/false, fault);
           ctx.outcome = Construction::Outcome{ball->radius()};
         } else {
           Construction::RunOptions run_options;
@@ -397,9 +375,8 @@ CompiledScenario compile(const ScenarioSpec& spec) {
     CompiledScenario::GridPoint point;
     point.requested_n = n;
     // Representation choice per grid point (validated above): implicit
-    // points stream neighborhoods on demand and route into the streaming
-    // construct-then-decide plan; everything else materializes the CSR
-    // graph exactly as before.
+    // points stream neighborhoods on demand, everything else materializes
+    // the CSR graph. Both run the same plans; only memory differs.
     const bool implicit_point =
         spec.execution == Execution::kImplicit ||
         (spec.execution == Execution::kAuto && n > kMaterializeCap);
@@ -484,15 +461,12 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             Construction::RunOptions run_options;
             run_options.fault = fault;
             construction->run(*inst_ptr, env, output, run_options);
-            const rand::PhiloxCoins d_coins = env.decision_coins();
             const rand::PhiloxCoins f_coins = env.fault_coins();
-            decide::EvaluateOptions trial_options = eval_options;
-            trial_options.telemetry = &env.arena->telemetry();
-            trial_options.ball = &env.arena->ball_workspace();
-            if (fault != nullptr) trial_options.fault_coins = &f_coins;
-            const decide::DecisionOutcome outcome = decide::evaluate(
-                *inst_ptr, output, *decider, d_coins, trial_options);
-            return outcome.accepted == accept;
+            return decide::evaluate(
+                       *inst_ptr, output, *decider, env.decision_coins(),
+                       decide::trial_options(eval_options, *env.arena,
+                                             f_coins))
+                       .accepted == accept;
           });
     }
 
@@ -568,13 +542,12 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             [inst_ptr, decider, eval_options, accept](
                 const local::TrialEnv& env, const local::Labeling& output,
                 int /*rounds*/, const local::Telemetry& /*delta*/) {
-              const rand::PhiloxCoins d_coins = env.decision_coins();
-              decide::EvaluateOptions trial_options = eval_options;
-              trial_options.telemetry = &env.arena->telemetry();
-              trial_options.ball = &env.arena->ball_workspace();
-              const decide::DecisionOutcome outcome = decide::evaluate(
-                  *inst_ptr, output, *decider, d_coins, trial_options);
-              return outcome.accepted == accept;
+              const rand::PhiloxCoins f_coins = env.fault_coins();
+              return decide::evaluate(
+                         *inst_ptr, output, *decider, env.decision_coins(),
+                         decide::trial_options(eval_options, *env.arena,
+                                               f_coins))
+                         .accepted == accept;
             };
       }
     }

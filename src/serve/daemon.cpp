@@ -36,7 +36,7 @@ std::string string_array_json(const std::vector<std::string>& items) {
   std::string out = "[";
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + util::json_escape(items[i]) + "\"";
+    out.append("\"").append(util::json_escape(items[i])).append("\"");
   }
   out += "]";
   return out;

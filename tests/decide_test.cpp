@@ -1,19 +1,29 @@
 // Tests for src/decide: LD deciders, the amos golden-ratio decider, the
 // f-resilient decider of Corollary 1, the BPLD#node slack decider, the
-// far-from-u evaluation device, and guarantee measurement.
+// far-from-u evaluation device, guarantee measurement, and the streaming
+// construct-then-decide loop against an independent two-pass reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
+#include "algo/rand_coloring.h"
 #include "decide/amos_decider.h"
 #include "decide/evaluate.h"
+#include "decide/experiment_plans.h"
 #include "decide/guarantee.h"
 #include "decide/lcl_decider.h"
 #include "decide/resilient_decider.h"
 #include "decide/slack_decider.h"
+#include "fault/fault.h"
 #include "graph/generators.h"
 #include "lang/amos.h"
 #include "lang/coloring.h"
+#include "lang/mis.h"
+#include "local/batch_runner.h"
+#include "local/experiment.h"
+#include "scenario/registry.h"
 #include "util/math.h"
 
 namespace lnc::decide {
@@ -216,6 +226,143 @@ TEST(FarFrom, UnreachableNodesAlwaysCount) {
   options.far_from = FarFrom{0, 3};  // u in the FIRST component
   const DecisionOutcome outcome = evaluate(inst, y, decider, options);
   EXPECT_FALSE(outcome.accepted);  // the far clash still counts
+}
+
+// The two-pass body of a materialized trial: the direct ball runner
+// fills a labeling (charging every surviving node's construction ball and
+// the trial's realized faults), then evaluate() decides it. It shares no
+// code with the construction memo of the plan's implicit trials, so it is
+// the reference the streaming loop must match bit for bit.
+local::ExperimentPlan two_pass_reference(
+    const local::Instance& inst, const local::RandomizedBallAlgorithm& algo,
+    const RandomizedDecider& decider, std::uint64_t trials,
+    std::uint64_t base_seed, const EvaluateOptions& options,
+    bool success_on_accept) {
+  return local::custom_plan(
+      "two-pass", trials, base_seed,
+      [&inst, &algo, &decider, options,
+       success_on_accept](const local::TrialEnv& env) {
+        const rand::PhiloxCoins fault_coins = env.fault_coins();
+        local::ExecOptions exec_options;
+        exec_options.grant_n = options.grant_n;
+        exec_options.arena = env.arena;
+        exec_options.fault = options.fault;
+        exec_options.fault_coins = &fault_coins;
+        local::Labeling& output = env.arena->labeling();
+        local::run_construction_into(inst, algo, env.construction_coins(),
+                                     local::ExecMode::kBalls, output,
+                                     exec_options);
+        EvaluateOptions decide_options = options;
+        decide_options.telemetry = &env.arena->telemetry();
+        decide_options.ball = &env.arena->ball_workspace();
+        decide_options.fault_coins = &fault_coins;
+        return evaluate(inst, output, decider, env.decision_coins(),
+                        decide_options)
+                   .accepted == success_on_accept;
+      });
+}
+
+// The plan on `topology`'s implicit instance (the streaming loop) against
+// the reference on its materialized instance. far_from is
+// materialized-only, so a far_from case runs the plan materialized too.
+void expect_plan_matches_two_pass(
+    const std::string& topology, std::uint64_t n,
+    const scenario::ParamMap& params,
+    const local::RandomizedBallAlgorithm& algo,
+    const RandomizedDecider& decider, const EvaluateOptions& options,
+    std::uint64_t trials, bool success_on_accept = true) {
+  const std::shared_ptr<const local::Instance> materialized =
+      scenario::interned_instance(topology, n, params);
+  const std::shared_ptr<const local::Instance> planned =
+      options.far_from.has_value()
+          ? materialized
+          : scenario::interned_implicit_instance(topology, n, params);
+  ASSERT_NE(planned, nullptr);
+  ASSERT_EQ(planned->is_implicit(), !options.far_from.has_value());
+  const local::TrialRange all{0, trials};
+  local::BatchRunner runner;
+  const local::ShardTally want = runner.run_shard(
+      two_pass_reference(*materialized, algo, decider, trials, 17, options,
+                         success_on_accept),
+      all);
+  const local::ShardTally got = runner.run_shard(
+      construct_then_decide_plan("plan", *planned, algo, decider, trials, 17,
+                                 options, success_on_accept),
+      all);
+  // A degenerate tally would let an always-accept/reject bug through, and
+  // a fault model that realized nothing would compare fault-free runs.
+  ASSERT_GT(want.successes, 0u);
+  ASSERT_LT(want.successes, want.trials);
+  const local::Telemetry& w = want.telemetry;
+  const local::Telemetry& g = got.telemetry;
+  if (options.fault != nullptr) {
+    ASSERT_GT(w.messages_dropped + w.nodes_crashed + w.edges_churned, 0u);
+  }
+  EXPECT_EQ(got.trials, want.trials);
+  EXPECT_EQ(got.successes, want.successes);
+  EXPECT_EQ(g.messages_sent, w.messages_sent);
+  EXPECT_EQ(g.words_sent, w.words_sent);
+  EXPECT_EQ(g.rounds_executed, w.rounds_executed);
+  EXPECT_EQ(g.ball_expansions, w.ball_expansions);
+  EXPECT_EQ(g.messages_dropped, w.messages_dropped);
+  EXPECT_EQ(g.nodes_crashed, w.nodes_crashed);
+  EXPECT_EQ(g.edges_churned, w.edges_churned);
+}
+
+TEST(ConstructThenDecide, PlanMatchesTheTwoPassReference) {
+  const lang::ProperColoring coloring_lang(3);
+  const algo::UniformRandomColoring coloring(3);
+  const lang::MaximalIndependentSet mis;
+  const scenario::AsRandomizedDecider mis_decider(
+      std::make_unique<LclDecider>(mis));
+  const std::unique_ptr<scenario::Construction> luby_ball =
+      scenario::make_construction("luby-ball", {{"phases", 4}});
+  const local::RandomizedBallAlgorithm& luby = *luby_ball->ball_algorithm();
+  {
+    SCOPED_TRACE("select-id-below / amos under drop, n = 64");
+    const std::unique_ptr<scenario::Construction> select =
+        scenario::make_construction("select-id-below", {{"count", 1}});
+    const auto drop = fault::make_drop(0.1);
+    EvaluateOptions options;
+    options.fault = drop.get();
+    expect_plan_matches_two_pass("ring", 64, {}, *select->ball_algorithm(),
+                                 AmosDecider(), options, 400);
+  }
+  {
+    SCOPED_TRACE("luby-ball on a ring under crash");
+    const auto crash = fault::make_crash(0.05, 1);
+    EvaluateOptions options;
+    options.fault = crash.get();
+    expect_plan_matches_two_pass("ring", 1000, {}, luby, mis_decider, options,
+                                 128);
+  }
+  {
+    SCOPED_TRACE("luby-ball on a torus under churn");
+    const auto churn = fault::make_churn(0.1);
+    EvaluateOptions options;
+    options.fault = churn.get();
+    expect_plan_matches_two_pass("torus", 1024, {{"random-ids", 0}}, luby,
+                                 mis_decider, options, 8);
+  }
+  {
+    SCOPED_TRACE("slack on a ring, no fault");
+    EvaluateOptions options;
+    options.grant_n = true;
+    expect_plan_matches_two_pass("ring", 60, {}, coloring,
+                                 SlackDecider(coloring_lang, 0.65), options,
+                                 400);
+  }
+  {
+    // Claim 5's shape: the far-rejection probability under fresh
+    // construction coins. The three excluded nodes cast no verdict but
+    // still charge their construction balls.
+    SCOPED_TRACE("far from node 0 on a ring");
+    EvaluateOptions options;
+    options.far_from = FarFrom{0, 1};
+    expect_plan_matches_two_pass("ring", 12, {}, coloring,
+                                 ResilientDecider(coloring_lang, 1), options,
+                                 400, /*success_on_accept=*/false);
+  }
 }
 
 TEST(ResilientDecider, RejectsOutOfIntervalP) {

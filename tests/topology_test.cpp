@@ -10,13 +10,15 @@
 //      deterministic telemetry whether the grid point materializes or
 //      streams, at 1 and at 8 threads — on one workload per way the
 //      streaming loop's construction memo behaves (all hits, reuse
-//      across torus rows, random misses and evictions, wrapping balls).
+//      across torus rows, random misses and evictions, wrapping balls)
+//      and under each fault model that censors balls.
 //   3. On the ring the memo computes each construction output about
 //      once per trial (its metrics counters say so).
 //   4. Execution is representation, not semantics: all three Execution
 //      values of one spec share a single serve cache key.
 //   5. Validation rejects implicit execution for scenarios that cannot
-//      stream, with actionable diagnostics.
+//      stream, with actionable diagnostics; a fault model is never the
+//      reason (faulty ball-mode specs stream bit-identically).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -163,6 +165,15 @@ void expect_sweeps_equal(const scenario::SweepResult& a,
     EXPECT_EQ(ra.tally.telemetry.ball_expansions,
               rb.tally.telemetry.ball_expansions)
         << label;
+    EXPECT_EQ(ra.tally.telemetry.messages_dropped,
+              rb.tally.telemetry.messages_dropped)
+        << label;
+    EXPECT_EQ(ra.tally.telemetry.nodes_crashed,
+              rb.tally.telemetry.nodes_crashed)
+        << label;
+    EXPECT_EQ(ra.tally.telemetry.edges_churned,
+              rb.tally.telemetry.edges_churned)
+        << label;
   }
 }
 
@@ -199,6 +210,11 @@ void expect_implicit_matches_materialized(scenario::ScenarioSpec spec,
   ASSERT_GT(reference.rows[0].tally.successes, 0u);
   ASSERT_LT(reference.rows[0].tally.successes,
             reference.rows[0].tally.trials);
+  if (spec.fault != "none") {
+    // A fault model that realized nothing would compare fault-free runs.
+    const local::Telemetry& t = reference.rows[0].tally.telemetry;
+    ASSERT_GT(t.messages_dropped + t.nodes_crashed + t.edges_churned, 0u);
+  }
 
   spec.execution = scenario::Execution::kImplicit;
   ASSERT_EQ(scenario::validate(spec), "");
@@ -260,6 +276,28 @@ TEST(ImplicitTopology, CoinPrefixZeroConstructionsStreamBitIdentically) {
   }
 }
 
+// Faulty ball-mode specs stream too: the streaming loop censors both
+// phases with the trial's realized fault subgraph and charges it once per
+// trial, as the materialized construct-then-evaluate trial does.
+TEST(ImplicitTopology, FaultySpecsStreamBitIdentically) {
+  const stats::ThreadPool pool(8);
+  scenario::ScenarioSpec drop = *scenario::find_preset("ring-amos-drop");
+  drop.n_grid = {1000};
+  drop.trials = 40;
+  scenario::ScenarioSpec crash =
+      streaming_spec({"ring under crash", "ring", 1000, 4, 128});
+  crash.fault = "crash";
+  crash.fault_params = {{"p-crash", 0.05}};
+  scenario::ScenarioSpec churn =
+      streaming_spec({"torus under churn", "torus", 1024, 4, 8});
+  churn.fault = "churn";
+  churn.fault_params = {{"p-churn", 0.1}};
+  for (const scenario::ScenarioSpec& spec : {drop, crash, churn}) {
+    SCOPED_TRACE(spec.topology + " / " + spec.fault);
+    expect_implicit_matches_materialized(spec, pool);
+  }
+}
+
 TEST(ImplicitTopology, RingComputesEachConstructionOutputOnce) {
   scenario::ScenarioSpec spec = streaming_spec();
   spec.execution = scenario::Execution::kImplicit;
@@ -308,57 +346,75 @@ TEST(ImplicitTopology, ExecutionSharesOneCacheKey) {
 }
 
 TEST(ImplicitTopology, ValidationRejectsUnstreamableSpecs) {
-  // Engine-backed construction cannot stream.
-  scenario::ScenarioSpec spec = streaming_spec();
+  // Every rule names what is missing, with or without a fault model: a
+  // faulty spec streams whenever its fault-free twin does.
+  for (const char* fault : {"none", "drop"}) {
+    SCOPED_TRACE(fault);
+    auto implicit_spec = [fault] {
+      scenario::ScenarioSpec spec = streaming_spec();
+      spec.execution = scenario::Execution::kImplicit;
+      spec.fault = fault;
+      return spec;
+    };
+
+    // Engine-backed construction cannot stream.
+    scenario::ScenarioSpec spec = implicit_spec();
+    spec.construction = "luby-mis";
+    spec.params.erase("phases");
+    EXPECT_NE(scenario::validate(spec).find("engine-backed"),
+              std::string::npos);
+
+    // Families without a local neighborhood oracle cannot stream.
+    spec = implicit_spec();
+    spec.topology = "random-tree";
+    EXPECT_NE(scenario::validate(spec).find("no implicit representation"),
+              std::string::npos);
+
+    // Implicit instances compute consecutive identities.
+    spec = implicit_spec();
+    spec.params["random-ids"] = 1;
+    EXPECT_NE(scenario::validate(spec).find("random-ids"),
+              std::string::npos);
+
+    // The exact pseudo-decider reads an O(n) labeling.
+    spec = implicit_spec();
+    spec.decider = "exact";
+    EXPECT_NE(scenario::validate(spec).find("local decider"),
+              std::string::npos);
+
+    // Engine exec modes need a materialized graph to step.
+    spec = implicit_spec();
+    spec.mode = local::ExecMode::kMessages;
+    EXPECT_NE(scenario::validate(spec).find("mode=balls"),
+              std::string::npos);
+
+    // kAuto beyond the cap demands an implicit-capable scenario...
+    spec = implicit_spec();
+    spec.execution = scenario::Execution::kAuto;
+    spec.topology = "random-tree";
+    spec.n_grid = {scenario::kMaterializeCap + 1};
+    EXPECT_NE(scenario::validate(spec).find("materialization cap"),
+              std::string::npos);
+
+    // ...and a streamable spec validates clean there without building
+    // anything of that size.
+    spec = implicit_spec();
+    spec.execution = scenario::Execution::kAuto;
+    spec.n_grid = {scenario::kMaterializeCap + 1};
+    EXPECT_EQ(scenario::validate(spec), "");
+
+    // Node ids are 32-bit on every path.
+    spec = implicit_spec();
+    spec.execution = scenario::Execution::kAuto;
+    spec.n_grid = {std::uint64_t{1} << 32};
+    EXPECT_NE(scenario::validate(spec).find("NodeId"), std::string::npos);
+  }
+}
+
+TEST(ImplicitTopology, FaultyPresetValidatesForImplicitExecution) {
+  scenario::ScenarioSpec spec = *scenario::find_preset("ring-amos-drop");
   spec.execution = scenario::Execution::kImplicit;
-  spec.construction = "luby-mis";
-  spec.params.erase("phases");
-  EXPECT_NE(scenario::validate(spec).find("engine-backed"),
-            std::string::npos);
-
-  // Families without a local neighborhood oracle cannot stream.
-  spec = streaming_spec();
-  spec.execution = scenario::Execution::kImplicit;
-  spec.topology = "random-tree";
-  EXPECT_NE(scenario::validate(spec).find("no implicit representation"),
-            std::string::npos);
-
-  // Implicit instances compute consecutive identities.
-  spec = streaming_spec();
-  spec.execution = scenario::Execution::kImplicit;
-  spec.params["random-ids"] = 1;
-  EXPECT_NE(scenario::validate(spec).find("random-ids"), std::string::npos);
-
-  // The exact pseudo-decider reads an O(n) labeling.
-  spec = streaming_spec();
-  spec.execution = scenario::Execution::kImplicit;
-  spec.decider = "exact";
-  EXPECT_NE(scenario::validate(spec).find("local decider"),
-            std::string::npos);
-
-  // Engine exec modes need a materialized graph to step.
-  spec = streaming_spec();
-  spec.execution = scenario::Execution::kImplicit;
-  spec.mode = local::ExecMode::kMessages;
-  EXPECT_NE(scenario::validate(spec).find("mode=balls"), std::string::npos);
-
-  // kAuto beyond the cap demands an implicit-capable scenario...
-  spec = streaming_spec();
-  spec.topology = "random-tree";
-  spec.n_grid = {scenario::kMaterializeCap + 1};
-  EXPECT_NE(scenario::validate(spec).find("materialization cap"),
-            std::string::npos);
-
-  // ...and a streamable spec validates clean there without building
-  // anything of that size.
-  spec = streaming_spec();
-  spec.n_grid = {scenario::kMaterializeCap + 1};
   EXPECT_EQ(scenario::validate(spec), "");
-
-  // Node ids are 32-bit on every path.
-  spec = streaming_spec();
-  spec.n_grid = {std::uint64_t{1} << 32};
-  EXPECT_NE(scenario::validate(spec).find("NodeId"), std::string::npos);
 }
 
 }  // namespace
