@@ -1,6 +1,7 @@
 #include "decide/evaluate.h"
 
 #include "fault/fault.h"
+#include "local/batch_runner.h"
 #include "local/experiment.h"
 
 namespace lnc::decide {
@@ -32,11 +33,12 @@ DecisionOutcome evaluate_labeling(const local::Instance& inst,
 }  // namespace
 
 EvaluateOptions trial_options(EvaluateOptions options,
-                              local::WorkerArena& arena,
+                              const local::TrialEnv& env,
                               const rand::PhiloxCoins& fault_coins) {
-  options.telemetry = &arena.telemetry();
-  options.ball = &arena.ball_workspace();
+  options.telemetry = &env.arena->telemetry();
+  options.ball = &env.arena->ball_workspace();
   options.fault_coins = &fault_coins;
+  options.ball_tables = env.ball_tables;
   return options;
 }
 

@@ -35,7 +35,7 @@ class FaultModel;
 }
 
 namespace lnc::local {
-class WorkerArena;
+struct TrialEnv;
 }
 
 namespace lnc::decide {
@@ -85,6 +85,11 @@ struct EvaluateOptions {
   /// (local::charge_fault_telemetry).
   const fault::FaultModel* fault = nullptr;
   const rand::CoinProvider* fault_coins = nullptr;
+
+  /// The row's ball tables (same contract as local::RunOptions::
+  /// ball_tables): a fault-free loop views its decision balls in the one
+  /// local::pick_ball_table picks.
+  std::span<const graph::BallTable> ball_tables;
 };
 
 /// Deterministic decider over the configuration.
@@ -101,18 +106,19 @@ DecisionOutcome evaluate(const local::Instance& inst,
                          const rand::CoinProvider& coins,
                          const EvaluateOptions& options = {});
 
-/// `options` for one plan trial on `arena`: the worker's telemetry and
-/// ball slot, and the trial's fault stream.
+/// `options` for one plan trial: the worker arena's telemetry and ball
+/// slot, the trial's fault stream and its row's ball tables.
 EvaluateOptions trial_options(EvaluateOptions options,
-                              local::WorkerArena& arena,
+                              const local::TrialEnv& env,
                               const rand::PhiloxCoins& fault_coins);
 
 /// The one per-node decision loop, in node order. A node the censor
 /// blocks is crashed: no verdict, no charge. Every other node reads its
 /// own output through `outputs.own(v)`, where the construction memo
-/// charges v's construction ball; a counted node then collects its
-/// decision ball under the censor, fills the workspace's ball-local
-/// buffer (`outputs.member(u)` for u != v) and takes `decide(view)`.
+/// charges v's construction ball; a counted node then loads its decision
+/// ball (a table view, or collected under the censor: see
+/// local::pick_ball_table), fills the workspace's ball-local buffer
+/// (`outputs.member(u)` for u != v) and takes `decide(view)`.
 /// There is no early exit; rejecting nodes go to `rejecting` when it is
 /// non-null. options.telemetry, when set, is charged the decision phase:
 /// each counted ball's members and encoded words, one expansion per
@@ -139,6 +145,8 @@ bool decide_each_node(const local::Instance& inst, int radius,
   local::BallWorkspace local_workspace;
   local::BallWorkspace& workspace =
       options.ball != nullptr ? *options.ball : local_workspace;
+  const graph::BallTable* table =
+      local::pick_ball_table(options.ball_tables, inst, radius, censor);
   local::Telemetry charges;
   bool accepted = true;
 
@@ -167,13 +175,11 @@ bool decide_each_node(const local::Instance& inst, int radius,
       if (excluded(v)) continue;
       if (obs_metrics != nullptr && (v & kCollectSampleMask) == 0) {
         const util::Timer collect_timer;
-        workspace.ball.collect(topology, v, radius, workspace.scratch,
-                               censor);
+        workspace.load(topology, table, v, radius, censor);
         obs_metrics->observe("ball_collect_seconds",
                              collect_timer.elapsed_seconds());
       } else {
-        workspace.ball.collect(topology, v, radius, workspace.scratch,
-                               censor);
+        workspace.load(topology, table, v, radius, censor);
       }
       const graph::BallView& ball = workspace.ball;
       charges.messages_sent += ball.size();

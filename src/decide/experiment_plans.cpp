@@ -99,7 +99,7 @@ local::ExperimentPlan acceptance_plan(
                         success_on_accept](const local::TrialEnv& env) {
     const rand::PhiloxCoins fault_coins = env.fault_coins();
     return evaluate(inst, output, decider, env.decision_coins(),
-                    trial_options(options, *env.arena, fault_coins))
+                    trial_options(options, env, fault_coins))
                .accepted == success_on_accept;
   };
   return plan;
@@ -128,7 +128,7 @@ local::ExperimentPlan construct_then_decide_plan(
           env, inst, algo, mode, options.grant_n, options.fault);
       const rand::PhiloxCoins fault_coins = env.fault_coins();
       return evaluate(inst, output, decider, env.decision_coins(),
-                      trial_options(options, *env.arena, fault_coins))
+                      trial_options(options, env, fault_coins))
                  .accepted == success_on_accept;
     };
     return plan;
@@ -143,7 +143,7 @@ local::ExperimentPlan construct_then_decide_plan(
     const rand::PhiloxCoins f_coins = env.fault_coins();
     local::WorkerArena& arena = *env.arena;
     const EvaluateOptions decide_options =
-        trial_options(options, arena, f_coins);
+        trial_options(options, env, f_coins);
     const std::optional<fault::BallCensor> censor =
         local::trial_censor(inst, options.fault, &f_coins);
     const graph::BallFilter* filter = censor.has_value() ? &*censor : nullptr;
@@ -204,7 +204,7 @@ local::ExperimentPlan guarantee_side_plan(
     const rand::PhiloxCoins fault_coins = env.fault_coins();
     return evaluate(sample.inst(), sample.output, decider,
                     env.decision_coins(),
-                    trial_options(options, arena, fault_coins))
+                    trial_options(options, env, fault_coins))
                .accepted == want_accept;
   };
   return plan;

@@ -1,6 +1,7 @@
 #include "graph/ball.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "rand/splitmix.h"
 #include "util/assert.h"
@@ -91,12 +92,17 @@ template <typename Rows, typename Visited>
 void BallView::collect_one_pass(NodeId center, int radius, const Rows& rows,
                                 Visited& visited, const BallFilter* filter,
                                 std::vector<std::size_t>& cursor) {
+  std::vector<NodeId>& members = own_.members;
+  std::vector<int>& distances = own_.distances;
+  std::vector<NodeId>& host_degrees = own_.host_degrees;
+  std::vector<std::uint32_t>& offsets = own_.offsets;
+  std::vector<NodeId>& adjacency = own_.adjacency;
   radius_ = radius;
-  members_.assign(1, center);
-  distances_.assign(1, 0);
-  host_degrees_.clear();
-  offsets_.assign(1, 0);
-  adjacency_.clear();
+  members.assign(1, center);
+  distances.assign(1, 0);
+  host_degrees.clear();
+  offsets.assign(1, 0);
+  adjacency.clear();
   visited.find(center);
   visited.insert(center, 0);
 
@@ -106,27 +112,27 @@ void BallView::collect_one_pass(NodeId center, int radius, const Rows& rows,
   // now unless node-blocked — so the member's row is exactly the local
   // indices met while scanning it, sorted.
   NodeId interior = 0;
-  for (; interior < members_.size() && distances_[interior] < radius;
+  for (; interior < members.size() && distances[interior] < radius;
        ++interior) {
-    const NodeId u = members_[interior];
-    const int du = distances_[interior];
+    const NodeId u = members[interior];
+    const int du = distances[interior];
     const std::span<const NodeId> row = rows(u);
-    host_degrees_.push_back(static_cast<NodeId>(row.size()));
+    host_degrees.push_back(static_cast<NodeId>(row.size()));
     for (const NodeId w : row) {
       if (filter != nullptr && filter->edge_blocked(u, w)) continue;
       NodeId b = visited.find(w);
       if (b == kInvalidNode) {
         if (filter != nullptr && filter->node_blocked(w)) continue;
-        b = static_cast<NodeId>(members_.size());
+        b = static_cast<NodeId>(members.size());
         visited.insert(w, b);
-        members_.push_back(w);
-        distances_.push_back(du + 1);
+        members.push_back(w);
+        distances.push_back(du + 1);
       }
-      adjacency_.push_back(b);
+      adjacency.push_back(b);
     }
-    sort_row(adjacency_.data() + offsets_.back(),
-             adjacency_.size() - offsets_.back());
-    offsets_.push_back(adjacency_.size());
+    sort_row(adjacency.data() + offsets.back(),
+             adjacency.size() - offsets.back());
+    offsets.push_back(static_cast<std::uint32_t>(adjacency.size()));
   }
 
   // Boundary members (distance == radius, local indices from `interior`
@@ -134,27 +140,39 @@ void BallView::collect_one_pass(NodeId center, int radius, const Rows& rows,
   // size. The paper's edge rule drops their edges to each other, so
   // their rows are exactly the reversed interior edges, ascending
   // because the interior rows are walked in local order.
-  const NodeId size = static_cast<NodeId>(members_.size());
+  const NodeId size = static_cast<NodeId>(members.size());
   for (NodeId b = interior; b < size; ++b) {
-    host_degrees_.push_back(static_cast<NodeId>(rows(members_[b]).size()));
+    host_degrees.push_back(static_cast<NodeId>(rows(members[b]).size()));
   }
-  const std::size_t interior_edges = adjacency_.size();
+  const std::size_t interior_edges = adjacency.size();
   cursor.assign(size - interior, 0);
   for (std::size_t e = 0; e < interior_edges; ++e) {
-    if (adjacency_[e] >= interior) ++cursor[adjacency_[e] - interior];
+    if (adjacency[e] >= interior) ++cursor[adjacency[e] - interior];
   }
   for (NodeId b = interior; b < size; ++b) {
-    const std::size_t begin = offsets_.back();
-    offsets_.push_back(begin + cursor[b - interior]);
+    const std::size_t begin = offsets.back();
+    offsets.push_back(
+        static_cast<std::uint32_t>(begin + cursor[b - interior]));
     cursor[b - interior] = begin;
   }
-  adjacency_.resize(offsets_.back());
+  adjacency.resize(offsets.back());
   for (NodeId a = 0; a < interior; ++a) {
-    for (std::size_t e = offsets_[a]; e < offsets_[a + 1]; ++e) {
-      const NodeId b = adjacency_[e];
-      if (b >= interior) adjacency_[cursor[b - interior]++] = a;
+    for (std::size_t e = offsets[a]; e < offsets[a + 1]; ++e) {
+      const NodeId b = adjacency[e];
+      if (b >= interior) adjacency[cursor[b - interior]++] = a;
     }
   }
+  point_at_own();
+}
+
+void BallView::point_at_own() noexcept {
+  members_ = own_.members.data();
+  distances_ = own_.distances.data();
+  host_degrees_ = own_.host_degrees.data();
+  offsets_ = own_.offsets.data();
+  adjacency_ = own_.adjacency.data();
+  size_ = static_cast<NodeId>(own_.members.size());
+  adjacency_size_ = static_cast<std::uint32_t>(own_.adjacency.size());
 }
 
 BallView::BallView(const Graph& g, NodeId center, int radius) {
@@ -165,6 +183,37 @@ BallView::BallView(const Graph& g, NodeId center, int radius) {
 BallView::BallView(const Topology& topology, NodeId center, int radius) {
   BallScratch scratch;
   collect(topology, center, radius, scratch);
+}
+
+BallView::BallView(const BallView& other) { *this = other; }
+
+BallView& BallView::operator=(const BallView& other) {
+  if (this == &other) return *this;
+  own_ = other.own_;
+  members_ = other.members_;
+  distances_ = other.distances_;
+  host_degrees_ = other.host_degrees_;
+  offsets_ = other.offsets_;
+  adjacency_ = other.adjacency_;
+  size_ = other.size_;
+  adjacency_size_ = other.adjacency_size_;
+  radius_ = other.radius_;
+  // A collected source reads its own storage: read the copy of it.
+  if (other.members_ == other.own_.members.data()) point_at_own();
+  return *this;
+}
+
+void BallView::view(const BallTable& table, NodeId center) {
+  LNC_EXPECTS(center + 1 < table.member_begin_.size());
+  const std::uint32_t first = table.member_begin_[center];
+  radius_ = table.radius_;
+  size_ = table.member_begin_[center + 1] - first;
+  members_ = table.members_.data() + first;
+  distances_ = table.distances_.data() + first;
+  host_degrees_ = table.host_degrees_.data() + first;
+  offsets_ = table.offsets_.data() + first + center;
+  adjacency_ = table.adjacency_.data() + table.adjacency_begin_[center];
+  adjacency_size_ = offsets_[size_];
 }
 
 void BallView::collect(const Topology& topology, NodeId center, int radius,
@@ -199,9 +248,106 @@ void BallView::collect(const Graph& g, NodeId center, int radius,
       filter, scratch.cursor_);
 }
 
+BallTable::BallTable(const Graph& g, int radius)
+    : BallTable(unfilled(g, radius)) {
+  BallView ball;
+  BallScratch scratch;
+  measure(0, g.node_count(), ball, scratch);
+  allocate();
+  fill(0, g.node_count(), ball, scratch);
+}
+
+BallTable BallTable::unfilled(const Graph& g, int radius) {
+  LNC_EXPECTS(radius >= 0);
+  BallTable table;
+  table.graph_ = &g;
+  table.radius_ = radius;
+  table.member_begin_.assign(std::size_t{g.node_count()} + 1, 0);
+  table.adjacency_begin_.assign(std::size_t{g.node_count()} + 1, 0);
+  return table;
+}
+
+void BallTable::measure(NodeId begin, NodeId end, BallView& ball,
+                        BallScratch& scratch) {
+  LNC_EXPECTS(begin <= end && end < member_begin_.size());
+  for (NodeId v = begin; v < end; ++v) {
+    ball.collect(*graph_, v, radius_, scratch);
+    member_begin_[v + 1] = ball.size_;
+    adjacency_begin_[v + 1] = ball.adjacency_size_;
+  }
+}
+
+void BallTable::allocate() {
+  // Prefix sums in 64 bits: the 32-bit offsets must hold every total.
+  std::uint64_t members = 0;
+  std::uint64_t adjacency = 0;
+  for (std::size_t v = 1; v < member_begin_.size(); ++v) {
+    members += member_begin_[v];
+    adjacency += adjacency_begin_[v];
+    member_begin_[v] = static_cast<std::uint32_t>(members);
+    adjacency_begin_[v] = static_cast<std::uint32_t>(adjacency);
+  }
+  const std::uint64_t offsets = members + member_begin_.size() - 1;
+  LNC_EXPECTS(offsets <= UINT32_MAX && adjacency <= UINT32_MAX &&
+              "ball table exceeds 32-bit offsets");
+  members_.resize(members);
+  distances_.resize(members);
+  host_degrees_.resize(members);
+  offsets_.resize(offsets);
+  adjacency_.resize(adjacency);
+}
+
+void BallTable::fill(NodeId begin, NodeId end, BallView& ball,
+                     BallScratch& scratch) {
+  LNC_EXPECTS(begin <= end && end < member_begin_.size());
+  for (NodeId v = begin; v < end; ++v) {
+    ball.collect(*graph_, v, radius_, scratch);
+    const std::uint32_t first = member_begin_[v];
+    const std::uint32_t edges = adjacency_begin_[v];
+    LNC_ASSERT(ball.size_ == member_begin_[v + 1] - first &&
+               ball.adjacency_size_ == adjacency_begin_[v + 1] - edges);
+    std::copy_n(ball.members_, ball.size_, members_.data() + first);
+    std::copy_n(ball.distances_, ball.size_, distances_.data() + first);
+    std::copy_n(ball.host_degrees_, ball.size_, host_degrees_.data() + first);
+    std::copy_n(ball.offsets_, ball.size_ + 1, offsets_.data() + first + v);
+    std::copy_n(ball.adjacency_, ball.adjacency_size_,
+                adjacency_.data() + edges);
+  }
+}
+
+std::uint64_t BallTable::bytes() const noexcept {
+  return sizeof(std::uint32_t) * (member_begin_.capacity() +
+                                  adjacency_begin_.capacity() +
+                                  offsets_.capacity()) +
+         sizeof(NodeId) * (members_.capacity() + host_degrees_.capacity() +
+                           adjacency_.capacity()) +
+         sizeof(int) * distances_.capacity();
+}
+
+std::uint64_t BallTable::byte_bound(NodeId n, NodeId max_degree, int radius) {
+  // Members within distance r: 1 + d + d(d - 1) + ..., stopped at n.
+  // Layers are clamped to n, so nothing here overflows.
+  const std::uint64_t branching = max_degree > 0 ? max_degree - 1 : 0;
+  std::uint64_t members = 1;
+  std::uint64_t layer = max_degree;
+  for (int d = 0; d < radius && members < n; ++d) {
+    members += layer;
+    layer = std::min<std::uint64_t>(layer * branching, n);
+  }
+  members = std::min<std::uint64_t>(members, n);
+  // Per member: id, distance, host degree and offset, plus at most
+  // max_degree row entries; per node one more offset and two begins.
+  // In double, so that a bound past 2^64 saturates instead of wrapping.
+  const double bytes =
+      (static_cast<double>(members) * (16.0 + 4.0 * max_degree) + 12.0) *
+          static_cast<double>(n) +
+      8.0;
+  return bytes < 0x1p64 ? static_cast<std::uint64_t>(bytes) : UINT64_MAX;
+}
+
 std::uint64_t BallView::structure_signature() const {
   std::uint64_t h = 0x62616C6C7369676EULL;  // "ballsign"
-  h = rand::mix_keys(h, members_.size());
+  h = rand::mix_keys(h, size_);
   for (NodeId i = 0; i < size(); ++i) {
     h = rand::mix_keys(h, static_cast<std::uint64_t>(distances_[i]));
     for (NodeId j : neighbors(i)) {

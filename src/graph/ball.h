@@ -10,6 +10,15 @@
 // to produce exactly this object. Everything downstream — ball-based
 // algorithms, LCL bad-ball checkers (Definition 1), the order-invariant
 // wrapper (Claim 1) — consumes BallView.
+//
+// A BallView points at one of two things. collect() fills the view's own
+// storage and points the view at it; view() points it at an entry of a
+// BallTable, which holds every ball of one CSR graph at one radius, and
+// copies nothing. Across Monte-Carlo trials on one instance only the
+// coins change, so a fault-free materialized sweep row collects each
+// ball once into a table (scenario::run_sweep) and every trial views it.
+// Both kinds read the same: a table entry is what collect() returns for
+// the same center and radius.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +70,11 @@ class BallScratch {
   std::vector<NodeId> fetch_;        // neighbors_of synthesis buffer
 };
 
+class BallTable;
+
 class BallView {
  public:
-  /// An empty view; fill with collect().
+  /// An empty view; fill with collect() or view().
   BallView() = default;
 
   /// Collects B_G(center, radius). O(|ball| + edges inside).
@@ -71,6 +82,14 @@ class BallView {
 
   /// Same, from any topology (dispatches like collect below).
   BallView(const Topology& topology, NodeId center, int radius);
+
+  /// A copy reads the ball its source reads: a collected view's copy owns
+  /// a copy of the ball, a table view's copy views the same entry. Moves
+  /// keep the same rule.
+  BallView(const BallView& other);
+  BallView& operator=(const BallView& other);
+  BallView(BallView&& other) noexcept = default;
+  BallView& operator=(BallView&& other) noexcept = default;
 
   /// Re-collects B_G(center, radius) into this view, reusing this view's
   /// vector capacity and the scratch's visited map. Bit-identical to a
@@ -94,10 +113,14 @@ class BallView {
   void collect(const Topology& topology, NodeId center, int radius,
                BallScratch& scratch, const BallFilter* filter = nullptr);
 
+  /// Points this view at `table`'s entry for `center`, B(center,
+  /// table.radius()) of the table's graph, without copying it. The view
+  /// reads the table until the next collect() or view(), so the table
+  /// must outlive that reading.
+  void view(const BallTable& table, NodeId center);
+
   /// Number of nodes in the ball.
-  NodeId size() const noexcept {
-    return static_cast<NodeId>(members_.size());
-  }
+  NodeId size() const noexcept { return size_; }
 
   int radius() const noexcept { return radius_; }
 
@@ -109,7 +132,9 @@ class BallView {
 
   /// All original indices, in BFS discovery order (center first; nodes at
   /// distance d precede nodes at distance d+1).
-  std::span<const NodeId> members() const noexcept { return members_; }
+  std::span<const NodeId> members() const noexcept {
+    return {members_, size_};
+  }
 
   /// Distance from the center of local node i (0 <= dist <= radius).
   int distance(NodeId local) const noexcept { return distances_[local]; }
@@ -117,8 +142,7 @@ class BallView {
   /// Neighbors of local node i *inside the ball*, as local indices, per the
   /// paper's edge rule (no edges between two distance-t nodes).
   std::span<const NodeId> neighbors(NodeId local) const noexcept {
-    return {adjacency_.data() + offsets_[local],
-            adjacency_.data() + offsets_[local + 1]};
+    return {adjacency_ + offsets_[local], adjacency_ + offsets_[local + 1]};
   }
 
   NodeId degree_in_ball(NodeId local) const noexcept {
@@ -140,8 +164,7 @@ class BallView {
   /// neighbor count, plus the in-ball neighbor lists. Matches the shape of
   /// the flooding collector's serialization (local/ball_collector.cpp).
   std::uint64_t encoded_words() const noexcept {
-    return 1 + 4 * static_cast<std::uint64_t>(members_.size()) +
-           static_cast<std::uint64_t>(adjacency_.size());
+    return 1 + 4 * static_cast<std::uint64_t>(size_) + adjacency_size_;
   }
 
   /// A structural fingerprint of the ball: adjacency + distances serialized
@@ -160,12 +183,92 @@ class BallView {
                         Visited& visited, const BallFilter* filter,
                         std::vector<std::size_t>& cursor);
 
+  // Points the accessors at own_, which collect() just filled.
+  void point_at_own() noexcept;
+
+  friend class BallTable;
+
+  // The ball collect() builds. A table view leaves it alone, so its
+  // capacity stays warm for the next collect().
+  struct Storage {
+    std::vector<NodeId> members;       // local -> original
+    std::vector<int> distances;        // local -> distance from center
+    std::vector<NodeId> host_degrees;
+    std::vector<std::uint32_t> offsets;  // size + 1, into adjacency
+    std::vector<NodeId> adjacency;     // local indices
+  };
+  Storage own_;
+
+  // What every accessor reads: own_ after collect(), a table entry after
+  // view().
+  const NodeId* members_ = nullptr;
+  const int* distances_ = nullptr;
+  const NodeId* host_degrees_ = nullptr;
+  const std::uint32_t* offsets_ = nullptr;
+  const NodeId* adjacency_ = nullptr;
+  NodeId size_ = 0;
+  std::uint32_t adjacency_size_ = 0;
   int radius_ = 0;
-  std::vector<NodeId> members_;     // local -> original
-  std::vector<int> distances_;      // local -> distance from center
+};
+
+/// Every ball B(v, r) of one CSR graph at one radius r, in flat read-only
+/// arrays: entry v is exactly what BallView::collect(g, v, r) builds, and
+/// the same one-pass kernel fills it. Each array is one exact-size
+/// allocation indexed by 32-bit offsets. The table records its graph, so
+/// a loop can check that a table belongs to the instance it runs on.
+///
+/// Building costs at most two collections per node: measure() sizes each
+/// entry, allocate() sizes the arrays, fill() collects again and copies.
+/// A caller may split measure() and fill() over node ranges and run the
+/// ranges concurrently, each with its own view and scratch (graph/ sits
+/// below the thread pool, so the caller brings the threads).
+class BallTable {
+ public:
+  BallTable() = default;
+
+  /// Every radius-`radius` ball of g, built on this thread. Keeps a
+  /// pointer to g, which must outlive the table.
+  BallTable(const Graph& g, int radius);
+
+  /// The split build: an unfilled table of g's radius-`radius` balls.
+  /// Call measure() over ranges covering [0, n), then allocate() once,
+  /// then fill() over ranges covering [0, n). Calls of one step may run
+  /// concurrently on disjoint ranges; steps may not overlap.
+  static BallTable unfilled(const Graph& g, int radius);
+  void measure(NodeId begin, NodeId end, BallView& ball,
+               BallScratch& scratch);
+  void allocate();
+  void fill(NodeId begin, NodeId end, BallView& ball, BallScratch& scratch);
+
+  const Graph* graph() const noexcept { return graph_; }
+  int radius() const noexcept { return radius_; }
+
+  /// Heap bytes the table holds.
+  std::uint64_t bytes() const noexcept;
+
+  /// An upper bound on bytes() of a table over any graph with n nodes and
+  /// maximum degree max_degree, known before building: a ball holds at
+  /// most min(n, 1 + d + d(d - 1) + ... + d(d - 1)^(radius - 1)) members
+  /// (the Moore bound), each with at most d in-ball neighbours.
+  static std::uint64_t byte_bound(NodeId n, NodeId max_degree, int radius);
+
+ private:
+  friend class BallView;
+
+  const Graph* graph_ = nullptr;
+  int radius_ = 0;
+  // Entry v's members, distances and host degrees sit at
+  // [member_begin_[v], member_begin_[v + 1]); its size + 1 ball-local
+  // offsets at member_begin_[v] + v; its in-ball rows at
+  // adjacency_begin_[v]. measure() leaves each entry's counts at v + 1
+  // and allocate() turns them into prefix sums.
+  std::vector<std::uint32_t> member_begin_;
+  std::vector<std::uint32_t> adjacency_begin_;
+  std::vector<NodeId> members_;
+  std::vector<int> distances_;
   std::vector<NodeId> host_degrees_;
-  std::vector<std::size_t> offsets_;
-  std::vector<NodeId> adjacency_;   // local indices
+  std::vector<std::uint32_t> offsets_;
+  std::vector<NodeId> adjacency_;
 };
 
 }  // namespace lnc::graph

@@ -120,6 +120,7 @@ void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
     TrialEnv env;
     env.index = i;
     env.seed = stats::trial_seed(plan.base_seed, i);
+    env.ball_tables = ball_tables_;
     // Observability channel for this worker: deep engine code (ball
     // collection, vector kernels) reaches the registry through the
     // thread-local pointer. Installed only when metrics are on, so the
@@ -192,6 +193,7 @@ void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
           env.index = begin + local;
           env.seed = stats::trial_seed(plan.base_seed, env.index);
           env.arena = &arena;
+          env.ball_tables = ball_tables_;
           body(worker, env, out, rounds, delta);
         });
     const double batch_seconds = batch_timer.elapsed_seconds();
@@ -209,6 +211,19 @@ void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
     pool_->parallel_for_workers(batches, run_batch);
   } else {
     for (std::uint64_t b = 0; b < batches; ++b) run_batch(0, b);
+  }
+}
+
+void BatchRunner::run_on_workers(
+    std::uint64_t count,
+    const std::function<void(WorkerArena&, std::uint64_t)>& body) {
+  if (pool_ != nullptr) {
+    pool_->parallel_for_workers(
+        count, [&](unsigned worker, std::uint64_t i) {
+          body(arenas_[worker], i);
+        });
+  } else {
+    for (std::uint64_t i = 0; i < count; ++i) body(arenas_[0], i);
   }
 }
 

@@ -189,6 +189,12 @@ struct TrialEnv {
   std::uint64_t seed = 0;
   WorkerArena* arena = nullptr;
 
+  /// The read-only ball tables of the trial's row (graph/ball.h), empty
+  /// unless whoever runs the plan set them (BatchRunner::set_ball_tables).
+  /// construct_trial and decide::trial_options hand them to the ball
+  /// runner and the decision loop.
+  std::span<const graph::BallTable> ball_tables;
+
   /// Derives a sub-seed for an auxiliary purpose within the trial.
   std::uint64_t derive(std::uint64_t tag) const noexcept {
     return rand::mix_keys(seed, tag);
@@ -395,6 +401,22 @@ class BatchRunner {
     progress_ = progress;
   }
 
+  /// Ball tables every following trial receives in TrialEnv::ball_tables
+  /// until the next call; they must outlive those runs and belong to the
+  /// instance of the plans run (scenario::run_sweep sets a row's tables
+  /// around its run_shard and clears them after). Never affects results.
+  void set_ball_tables(std::span<const graph::BallTable> tables) noexcept {
+    ball_tables_ = tables;
+  }
+
+  /// Calls body(arena, i) for every i in [0, count) on the runner's
+  /// workers, each call with its worker's arena, and returns when all
+  /// are done: work a caller spreads over the pool outside any plan, as
+  /// scenario::run_sweep builds a row's ball tables.
+  void run_on_workers(
+      std::uint64_t count,
+      const std::function<void(WorkerArena&, std::uint64_t)>& body);
+
  private:
   template <typename Body>
   void for_each_trial(const ExperimentPlan& plan, TrialRange range,
@@ -419,6 +441,7 @@ class BatchRunner {
   Telemetry last_telemetry_;
   obs::MetricsRegistry last_metrics_;
   obs::Progress* progress_ = nullptr;
+  std::span<const graph::BallTable> ball_tables_;
 };
 
 }  // namespace lnc::local

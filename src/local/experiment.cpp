@@ -221,6 +221,7 @@ void run_construction_into(const Instance& inst,
   }
   RunOptions run_options;
   run_options.grant_n = options.grant_n;
+  run_options.ball_tables = options.ball_tables;
   if (options.arena != nullptr) {
     run_options.telemetry = &options.arena->telemetry();
     run_options.ball = &options.arena->ball_workspace();
@@ -263,6 +264,7 @@ const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
   options.arena = env.arena;
   options.fault = fault;
   options.fault_coins = &fault_coins;
+  options.ball_tables = env.ball_tables;
   Labeling& output = env.arena->labeling();
   run_construction_into(inst, algo, env.construction_coins(), mode, output,
                         options);

@@ -53,6 +53,10 @@ struct ExecOptions {
   /// apply faults through EngineOptions instead (scenario/builtins.cpp).
   const fault::FaultModel* fault = nullptr;
   const rand::CoinProvider* fault_coins = nullptr;
+
+  /// The row's ball tables (RunOptions::ball_tables); only kBalls reads
+  /// them.
+  std::span<const graph::BallTable> ball_tables;
 };
 
 /// The trial's realized fault subgraph as a ball filter, or nullopt when
@@ -95,7 +99,7 @@ Labeling run_construction(const Instance& inst,
 
 /// One plan trial's construction: `algo` under the trial's construction
 /// coins and fault stream (`fault` may be null), into the worker arena's
-/// labeling, which it returns.
+/// labeling, which it returns. Ball mode reads the trial's ball tables.
 const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
                                 const RandomizedBallAlgorithm& algo,
                                 ExecMode mode, bool grant_n,

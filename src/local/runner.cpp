@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/assert.h"
+
 namespace lnc::local {
 namespace {
 
@@ -21,14 +23,15 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
   BallWorkspace local_workspace;
   BallWorkspace& workspace =
       options.ball != nullptr ? *options.ball : local_workspace;
+  const graph::BallTable* table =
+      pick_ball_table(options.ball_tables, inst, radius, options.ball_filter);
   for (graph::NodeId v = 0; v < n; ++v) {
     if (options.ball_filter != nullptr &&
         options.ball_filter->node_blocked(v)) {
       continue;  // crashed center: tombstone 0, no collection, no charge
     }
-    workspace.ball.collect(inst.topology(), v, radius, workspace.scratch,
-                           options.ball_filter);
-    const graph::BallView& ball = workspace.ball;
+    const graph::BallView& ball = workspace.load(
+        inst.topology(), table, v, radius, options.ball_filter);
     View view;
     view.ball = &ball;
     view.instance = &inst;
@@ -53,6 +56,19 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
 }
 
 }  // namespace
+
+const graph::BallTable* pick_ball_table(
+    std::span<const graph::BallTable> tables, const Instance& inst,
+    int radius, const graph::BallFilter* censor) {
+  if (censor != nullptr) return nullptr;
+  for (const graph::BallTable& table : tables) {
+    if (table.radius() != radius) continue;
+    LNC_EXPECTS(table.graph() == &inst.g &&
+                "a ball table of another instance's graph");
+    return &table;
+  }
+  return nullptr;
+}
 
 void run_ball_algorithm_into(const Instance& inst, const BallAlgorithm& algo,
                              Labeling& output, const RunOptions& options) {

@@ -78,7 +78,32 @@ struct BallWorkspace {
   graph::BallView ball;
   graph::BallScratch scratch;
   Labeling outputs;  ///< the ball's members' outputs, by ball-LOCAL index
+
+  /// B(v, radius) in `ball`: a view of `table`'s entry when `table` is
+  /// set (pick_ball_table below), else collected from `topology` under
+  /// `censor`.
+  const graph::BallView& load(const graph::Topology& topology,
+                              const graph::BallTable* table, graph::NodeId v,
+                              int radius, const graph::BallFilter* censor) {
+    if (table != nullptr) {
+      ball.view(*table, v);
+    } else {
+      ball.collect(topology, v, radius, scratch, censor);
+    }
+    return ball;
+  }
 };
+
+/// The one choice between a ball table and live collection, made once per
+/// loop by the ball runner and by the decision loop (decide/evaluate.h):
+/// the table among `tables` that holds inst's radius-`radius` balls, or
+/// null, meaning collect live. A loop with a `censor` always collects
+/// live: each trial censors different balls, so a table of the intact
+/// graph is wrong for it. A table of the right radius must belong to
+/// inst's graph (asserted).
+const graph::BallTable* pick_ball_table(
+    std::span<const graph::BallTable> tables, const Instance& inst,
+    int radius, const graph::BallFilter* censor);
 
 struct RunOptions {
   bool grant_n = false;
@@ -102,6 +127,13 @@ struct RunOptions {
   /// function of the trial). Modeled telemetry charges only the balls of
   /// surviving nodes — crashed nodes neither announce nor read.
   const graph::BallFilter* ball_filter = nullptr;
+
+  /// Read-only tables of this instance's balls (graph/ball.h), shared by
+  /// the trials of a fault-free materialized sweep row. When
+  /// pick_ball_table finds one for the algorithm's radius, the run views
+  /// B(v, radius) in it instead of collecting it; results and telemetry
+  /// are the same either way.
+  std::span<const graph::BallTable> ball_tables;
 };
 
 /// Runs a deterministic ball algorithm at every node.

@@ -128,6 +128,12 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
+  /// Replaces the args the span will record, for values known only once
+  /// the spanned work is done. Does nothing on an inert span.
+  void set_args(std::string args_json) {
+    if (armed_) args_json_ = std::move(args_json);
+  }
+
  private:
   const char* name_;
   std::string args_json_;

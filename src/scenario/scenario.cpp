@@ -1,5 +1,6 @@
 #include "scenario/scenario.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -387,6 +388,16 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             : interned_instance(spec.topology, n, spec.params, instance_seed);
     LNC_EXPECTS(point.instance != nullptr);
     const local::Instance& inst = *point.instance;
+    if (!implicit_point && fault == nullptr) {
+      if (ball != nullptr && spec.mode == local::ExecMode::kBalls) {
+        point.ball_radii.push_back(ball->radius());
+      }
+      if (decider != nullptr &&
+          std::find(point.ball_radii.begin(), point.ball_radii.end(),
+                    decider->radius()) == point.ball_radii.end()) {
+        point.ball_radii.push_back(decider->radius());
+      }
+    }
 
     if (spec.workload == local::WorkloadKind::kValue) {
       if (ball != nullptr && !statistic->needs_telemetry) {
@@ -464,8 +475,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
             const rand::PhiloxCoins f_coins = env.fault_coins();
             return decide::evaluate(
                        *inst_ptr, output, *decider, env.decision_coins(),
-                       decide::trial_options(eval_options, *env.arena,
-                                             f_coins))
+                       decide::trial_options(eval_options, env, f_coins))
                        .accepted == accept;
           });
     }
@@ -545,8 +555,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
               const rand::PhiloxCoins f_coins = env.fault_coins();
               return decide::evaluate(
                          *inst_ptr, output, *decider, env.decision_coins(),
-                         decide::trial_options(eval_options, *env.arena,
-                                               f_coins))
+                         decide::trial_options(eval_options, env, f_coins))
                          .accepted == accept;
             };
       }

@@ -121,6 +121,12 @@ class CompiledScenario {
     std::uint64_t requested_n = 0;
     std::shared_ptr<const local::Instance> instance;
     local::ExperimentPlan plan;
+    /// The radii whose balls every trial of the plan collects alike,
+    /// which run_sweep may serve from per-row ball tables: the ball
+    /// construction's radius in balls mode and the decider's radius.
+    /// Empty on implicit points (they hold no O(n) state) and under a
+    /// fault model (each trial censors different balls).
+    std::vector<int> ball_radii;
   };
 
   const ScenarioSpec& spec() const noexcept { return spec_; }

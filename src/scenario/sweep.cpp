@@ -19,6 +19,66 @@
 #include "util/timer.h"
 
 namespace lnc::scenario {
+namespace {
+
+/// Rows of fewer trials collect every ball live. Building a table costs
+/// two collections per node, and each trial served from it saves one per
+/// node, so a table pays back from the third trial on.
+constexpr std::uint64_t kMinTableTrials = 3;
+
+/// The most bytes one row's ball tables may take, judged before building
+/// from BallTable::byte_bound (a Moore bound); a row over it collects
+/// live. It keeps a table small next to the instance it speeds up: a
+/// radius-4 table of a 2^20-node ring alone is over 200 MiB.
+constexpr std::uint64_t kBallTableBudget = std::uint64_t{64} << 20;
+
+/// Nodes per range of a table build spread over the runner's workers.
+constexpr graph::NodeId kTableBuildRange = 1024;
+
+/// A row's ball tables: one per radius of point.ball_radii, smallest
+/// first, while their bounds fit kBallTableBudget together; none for a
+/// row of fewer than kMinTableTrials trials. Each is built over node
+/// ranges on the runner's workers, inside one `ball-table` trace span.
+std::vector<graph::BallTable> build_ball_tables(
+    const CompiledScenario::GridPoint& point, std::uint64_t trials,
+    local::BatchRunner& runner) {
+  std::vector<graph::BallTable> tables;
+  if (trials < kMinTableTrials || point.ball_radii.empty()) return tables;
+  const graph::Graph& g = point.instance->g;
+  const graph::NodeId n = g.node_count();
+  const graph::NodeId max_degree = g.max_degree();
+  const std::uint64_t ranges = (n + kTableBuildRange - 1) / kTableBuildRange;
+  std::vector<int> radii = point.ball_radii;
+  std::sort(radii.begin(), radii.end());
+  tables.reserve(radii.size());
+  std::uint64_t bound = 0;
+  for (const int radius : radii) {
+    bound += graph::BallTable::byte_bound(n, max_degree, radius);
+    if (bound > kBallTableBudget) break;
+    obs::Span span("ball-table");
+    graph::BallTable& table =
+        tables.emplace_back(graph::BallTable::unfilled(g, radius));
+    auto over_ranges = [&](auto step) {
+      runner.run_on_workers(
+          ranges, [&](local::WorkerArena& arena, std::uint64_t i) {
+            local::BallWorkspace& workspace = arena.ball_workspace();
+            const graph::NodeId begin =
+                static_cast<graph::NodeId>(i) * kTableBuildRange;
+            (table.*step)(begin, std::min(n, begin + kTableBuildRange),
+                          workspace.ball, workspace.scratch);
+          });
+    };
+    over_ranges(&graph::BallTable::measure);
+    table.allocate();
+    over_ranges(&graph::BallTable::fill);
+    span.set_args(
+        obs::span_args("radius", static_cast<std::uint64_t>(radius)) + ", " +
+        obs::span_args("bytes", table.bytes()));
+  }
+  return tables;
+}
+
+}  // namespace
 
 SweepResult run_sweep(const CompiledScenario& scenario,
                       const SweepOptions& options) {
@@ -50,10 +110,15 @@ SweepResult run_sweep(const CompiledScenario& scenario,
     {
       // True elapsed wall-clock per grid point (one measurement, NOT the
       // per-trial sum telemetry.wall_seconds accumulates) plus the row's
-      // trace span. Timing-only observability.
+      // trace span. Timing-only observability. The row's ball tables
+      // live for this scope only.
       const obs::Span row_span("row", obs::span_args("n", row.requested_n));
       const util::Timer row_timer;
+      const std::vector<graph::BallTable> tables =
+          build_ball_tables(point, range.count(), runner);
+      runner.set_ball_tables(tables);
       row.tally = runner.run_shard(point.plan, range);
+      runner.set_ball_tables({});
       row.elapsed_seconds = row_timer.elapsed_seconds();
     }
     result.metrics.merge(runner.last_metrics());

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "algo/rand_coloring.h"
@@ -23,7 +24,11 @@
 #include "lang/mis.h"
 #include "local/batch_runner.h"
 #include "local/experiment.h"
+#include "obs/trace.h"
+#include "scenario/presets.h"
 #include "scenario/registry.h"
+#include "scenario/sweep.h"
+#include "stats/threadpool.h"
 #include "util/math.h"
 
 namespace lnc::decide {
@@ -363,6 +368,174 @@ TEST(ConstructThenDecide, PlanMatchesTheTwoPassReference) {
                                  ResilientDecider(coloring_lang, 1), options,
                                  400, /*success_on_accept=*/false);
   }
+}
+
+void expect_tallies_equal(const local::ShardTally& got,
+                          const local::ShardTally& want) {
+  EXPECT_EQ(got.trials, want.trials);
+  EXPECT_EQ(got.successes, want.successes);
+  EXPECT_TRUE(got.value_sum == want.value_sum);
+  EXPECT_TRUE(got.value_sum_sq == want.value_sum_sq);
+  EXPECT_EQ(got.counts, want.counts);
+  const local::Telemetry& g = got.telemetry;
+  const local::Telemetry& w = want.telemetry;
+  EXPECT_EQ(g.messages_sent, w.messages_sent);
+  EXPECT_EQ(g.words_sent, w.words_sent);
+  EXPECT_EQ(g.rounds_executed, w.rounds_executed);
+  EXPECT_EQ(g.ball_expansions, w.ball_expansions);
+  EXPECT_EQ(g.messages_dropped, w.messages_dropped);
+  EXPECT_EQ(g.nodes_crashed, w.nodes_crashed);
+  EXPECT_EQ(g.edges_churned, w.edges_churned);
+}
+
+// run_sweep of a one-point spec on an 8-worker pool, whose trials share
+// the row's tables, traced, so the test sees which ball tables the row
+// built (one `ball-table` span each).
+struct TracedSweep {
+  scenario::SweepResult result;
+  std::size_t tables = 0;
+};
+
+TracedSweep traced_sweep(const scenario::CompiledScenario& compiled) {
+  const stats::ThreadPool pool(8);
+  scenario::SweepOptions options;
+  options.pool = &pool;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.enable();
+  TracedSweep sweep{scenario::run_sweep(compiled, options)};
+  recorder.disable();
+  const std::string trace = recorder.to_json();
+  recorder.clear();
+  const std::string span = "\"name\": \"ball-table\"";
+  for (std::size_t at = trace.find(span); at != std::string::npos;
+       at = trace.find(span, at + 1)) {
+    ++sweep.tables;
+  }
+  return sweep;
+}
+
+// Fault-free materialized rows of >= 3 trials read their balls from
+// per-row tables (one per distinct radius), and must tally exactly what
+// live collection does: the two-pass reference for decider specs, the
+// same plan on a runner without tables for statistic specs. A 2-trial
+// row and a row whose tables would exceed the byte budget build none.
+TEST(BallTables, TableServedSweepsMatchTheLiveReference) {
+  auto ring_luby = [](std::uint64_t n, int phases, std::uint64_t trials) {
+    scenario::ScenarioSpec spec;
+    spec.name = "table-luby";
+    spec.topology = "ring";
+    spec.language = "mis";
+    spec.construction = "luby-ball";
+    spec.decider = "lcl";
+    spec.params = {{"phases", phases}};
+    spec.n_grid = {n};
+    spec.trials = trials;
+    spec.base_seed = 5;
+    return spec;
+  };
+  auto preset = [](const char* name, std::uint64_t n, std::uint64_t trials) {
+    scenario::ScenarioSpec spec = *scenario::find_preset(name);
+    spec.n_grid = {n};
+    spec.trials = trials;
+    return spec;
+  };
+  scenario::ScenarioSpec torus = ring_luby(1024, 4, 16);
+  torus.topology = "torus";
+  scenario::ScenarioSpec sizes = ring_luby(200, 2, 40);
+  sizes.decider = "exact";
+  sizes.workload = local::WorkloadKind::kValue;
+  sizes.statistic = "output-size";
+  scenario::ScenarioSpec words = sizes;
+  words.workload = local::WorkloadKind::kCounter;
+  words.statistic = "words";
+  scenario::ScenarioSpec over_budget = ring_luby(1 << 16, 1, 3);
+  over_budget.topology = "hypercube";
+  struct Case {
+    const char* label;
+    scenario::ScenarioSpec spec;
+    bool builds_tables;
+  };
+  for (const Case& c : {
+           Case{"luby-ball ring", ring_luby(1000, 4, 64), true},
+           Case{"luby-ball torus", torus, true},
+           Case{"slack ring", preset("ring-slack-coloring", 60, 400), true},
+           Case{"amos", preset("ring-amos-yes", 64, 400), true},
+           Case{"resilient",
+                preset("hard-ring-resilient-coloring", 12, 400), true},
+           Case{"value output-size", sizes, true},
+           Case{"counter words", words, true},
+           Case{"2-trial row", ring_luby(1000, 4, 2), false},
+           Case{"over the byte budget", over_budget, false},
+       }) {
+    SCOPED_TRACE(c.label);
+    scenario::ScenarioSpec spec = c.spec;
+    spec.execution = scenario::Execution::kMaterialized;
+    ASSERT_EQ(scenario::validate(spec), "");
+    const scenario::CompiledScenario compiled = scenario::compile(spec);
+    const scenario::CompiledScenario::GridPoint& point = compiled.points()[0];
+    const local::RandomizedBallAlgorithm& algo =
+        *compiled.construction().ball_algorithm();
+    const TracedSweep sweep = traced_sweep(compiled);
+    std::set<int> radii = {algo.radius()};
+    if (compiled.decider() != nullptr) {
+      radii.insert(compiled.decider()->radius());
+    }
+    EXPECT_EQ(sweep.tables, c.builds_tables ? radii.size() : 0u);
+
+    local::BatchRunner live;
+    const local::TrialRange all{0, spec.trials};
+    local::ShardTally want;
+    if (compiled.decider() != nullptr) {
+      EvaluateOptions options;
+      options.grant_n = scenario::deciders().find(spec.decider)->needs_n;
+      want = live.run_shard(
+          two_pass_reference(*point.instance, algo, *compiled.decider(),
+                             spec.trials, point.plan.base_seed, options,
+                             spec.success_on_accept),
+          all);
+      if (c.builds_tables) {
+        ASSERT_GT(want.successes, 0u);
+        ASSERT_LT(want.successes, want.trials);
+      }
+    } else {
+      want = live.run_shard(point.plan, all);
+    }
+    expect_tallies_equal(sweep.result.rows[0].tally, want);
+  }
+}
+
+// A censored trial collects live even when its runner offers tables: each
+// trial's fault model censors its own balls.
+TEST(BallTables, CensoredTrialsNeverReadATable) {
+  const std::shared_ptr<const local::Instance> inst =
+      scenario::interned_instance("ring", 1000, {});
+  const std::unique_ptr<scenario::Construction> luby_ball =
+      scenario::make_construction("luby-ball", {{"phases", 4}});
+  const local::RandomizedBallAlgorithm& luby = *luby_ball->ball_algorithm();
+  const lang::MaximalIndependentSet mis;
+  const scenario::AsRandomizedDecider decider(
+      std::make_unique<LclDecider>(mis));
+  const auto crash = fault::make_crash(0.05, 1);
+  EvaluateOptions options;
+  options.fault = crash.get();
+  const std::vector<graph::BallTable> tables = {
+      graph::BallTable(inst->g, luby.radius()),
+      graph::BallTable(inst->g, decider.radius())};
+  const local::TrialRange all{0, 64};
+  local::BatchRunner with_tables;
+  with_tables.set_ball_tables(tables);
+  const local::ShardTally got = with_tables.run_shard(
+      construct_then_decide_plan("plan", *inst, luby, decider, 64, 17,
+                                 options),
+      all);
+  local::BatchRunner live;
+  const local::ShardTally want = live.run_shard(
+      two_pass_reference(*inst, luby, decider, 64, 17, options, true), all);
+  ASSERT_GT(want.telemetry.nodes_crashed, 0u);
+  ASSERT_GT(want.successes, 0u);
+  ASSERT_LT(want.successes, want.trials);
+  expect_tallies_equal(got, want);
 }
 
 TEST(ResilientDecider, RejectsOutOfIntervalP) {

@@ -401,6 +401,126 @@ TEST(Ball, CollectionMatchesThePaperDefinitionUnderFilters) {
   EXPECT_GT(blocked_member_edges, 0);
 }
 
+// The table's graphs: every family the sweeps run, plus a disconnected
+// union with isolated nodes (balls of a single member and no rows).
+std::vector<Graph> table_graphs() {
+  std::vector<Graph> graphs;
+  graphs.push_back(cycle(23));
+  graphs.push_back(path(17));
+  graphs.push_back(grid(6, 5));
+  graphs.push_back(torus(7, 6));
+  graphs.push_back(hypercube(6));
+  graphs.push_back(binary_tree(40));
+  graphs.push_back(random_regular(48, 3, 5));
+  graphs.push_back(gnp_hash(60, 0.08, 7, 9));
+  const Graph ring = cycle(5);
+  const Graph line = path(4);
+  const Graph isolated = Graph::Builder(3).build();
+  graphs.push_back(disjoint_union({&ring, &isolated, &line}).graph);
+  return graphs;
+}
+
+void expect_same_ball(const BallView& got, const BallView& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  ASSERT_EQ(got.radius(), want.radius()) << where;
+  ASSERT_TRUE(std::equal(got.members().begin(), got.members().end(),
+                         want.members().begin(), want.members().end()))
+      << where;
+  for (NodeId i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.distance(i), want.distance(i)) << where;
+    ASSERT_EQ(got.host_degree(i), want.host_degree(i)) << where;
+    const auto got_row = got.neighbors(i);
+    const auto want_row = want.neighbors(i);
+    ASSERT_TRUE(std::equal(got_row.begin(), got_row.end(), want_row.begin(),
+                           want_row.end()))
+        << where << " row " << i;
+  }
+  EXPECT_EQ(got.encoded_words(), want.encoded_words()) << where;
+  EXPECT_EQ(got.structure_signature(), want.structure_signature()) << where;
+}
+
+// Entry v of BallTable(g, r) is BallView(g, v, r), whether the table was
+// built in one call or split into uneven ranges measured and filled out
+// of order (as workers would); its byte bound covers what it holds.
+TEST(BallTable, EveryEntryEqualsTheCollectedBall) {
+  const std::vector<Graph> graphs = table_graphs();
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    const NodeId n = g.node_count();
+    for (int radius = 0; radius <= 4; ++radius) {
+      const BallTable whole(g, radius);
+      BallTable split = BallTable::unfilled(g, radius);
+      BallView build_view;
+      BallScratch build_scratch;
+      constexpr NodeId kRange = 7;
+      for (NodeId begin = 0; begin < n; begin += kRange) {
+        split.measure(begin, std::min(n, begin + kRange), build_view,
+                      build_scratch);
+      }
+      split.allocate();
+      for (NodeId begin = (n - 1) / kRange * kRange;; begin -= kRange) {
+        split.fill(begin, std::min(n, begin + kRange), build_view,
+                   build_scratch);
+        if (begin == 0) break;
+      }
+      for (const BallTable* table : {&whole, static_cast<const BallTable*>(&split)}) {
+        EXPECT_EQ(table->graph(), &g);
+        EXPECT_EQ(table->radius(), radius);
+        EXPECT_LE(table->bytes(),
+                  BallTable::byte_bound(n, g.max_degree(), radius));
+        BallView view;
+        for (NodeId v = 0; v < n; ++v) {
+          view.view(*table, v);
+          expect_same_ball(view, BallView(g, v, radius),
+                           "graph " + std::to_string(gi) + " r" +
+                               std::to_string(radius) + " center " +
+                               std::to_string(v));
+        }
+      }
+    }
+  }
+}
+
+// One view bound to a table entry, re-collected live, then copied and
+// moved, reads the right ball at every step; copies of a table view keep
+// viewing the table, copies of a collected view own their ball.
+TEST(BallTable, ViewsSurviveRecollectionCopiesAndMoves) {
+  const Graph g = torus(6, 5);
+  const int radius = 2;
+  const BallTable table(g, radius);
+  BallScratch scratch;
+  BallView view;
+  view.view(table, 3);
+  expect_same_ball(view, BallView(g, 3, radius), "table entry 3");
+  view.collect(g, 17, radius, scratch);
+  expect_same_ball(view, BallView(g, 17, radius), "collected 17");
+  BallView collected_copy(view);
+  view.view(table, 8);
+  expect_same_ball(view, BallView(g, 8, radius), "table entry 8");
+  expect_same_ball(collected_copy, BallView(g, 17, radius),
+                   "copy of collected 17");
+  BallView table_copy;
+  table_copy.collect(g, 0, radius, scratch);
+  table_copy = view;
+  view.collect(g, 25, radius, scratch);
+  expect_same_ball(table_copy, BallView(g, 8, radius), "copy of entry 8");
+  expect_same_ball(view, BallView(g, 25, radius), "collected 25");
+  BallView moved_collected(std::move(collected_copy));
+  expect_same_ball(moved_collected, BallView(g, 17, radius),
+                   "moved collected 17");
+  BallView moved_table;
+  moved_table = std::move(table_copy);
+  expect_same_ball(moved_table, BallView(g, 8, radius), "moved entry 8");
+  moved_table.collect(g, 9, radius, scratch);
+  expect_same_ball(moved_table, BallView(g, 9, radius),
+                   "moved view re-collected");
+  BallView self_copy = moved_collected;
+  const BallView& alias = self_copy;
+  self_copy = alias;
+  expect_same_ball(self_copy, BallView(g, 17, radius), "self-assigned copy");
+}
+
 TEST(Ops, DisjointUnion) {
   const Graph a = cycle(4);
   const Graph b = path(3);
