@@ -5,6 +5,7 @@
 #include "bench_common.h"
 
 #include <initializer_list>
+#include <thread>
 #include <utility>
 
 #include "algo/weak_color_mc.h"

@@ -25,6 +25,10 @@ class UniformRandomColoring final : public local::RandomizedBallAlgorithm {
   local::Label compute(const local::View& view,
                        const rand::CoinProvider& coins) const override;
 
+  /// compute() reads draw 0 of the center, and a later draw only when
+  /// next_below rejects one.
+  std::uint64_t coin_prefix() const override { return 1; }
+
   int colors() const noexcept { return colors_; }
 
  private:

@@ -28,6 +28,7 @@ struct MemoOutputs {
   bool grant_n;
   std::uint64_t halo;  ///< t_cons + t_dec, the coin window's margin
   local::ConstructionMemo& memo;
+  rand::CoinTable& table;  ///< the worker's, refilled per block
   graph::BallScratch& scratch;  ///< shared with the decision balls
   local::Telemetry charges = {};  ///< the construction phase, from own()
   std::uint64_t block_end = 0;
@@ -45,14 +46,14 @@ struct MemoOutputs {
 
   local::Label member(graph::NodeId u) { return lookup(u).label; }
 
-  // Construction coins come from a table refilled every kCoinBlock nodes
-  // by one philox_u64_batch call: draws [0, coin_prefix()) of every
-  // identity within t_cons + t_dec of the block (identity = v + 1 here),
-  // so each is drawn once per block, not once per ball that contains it.
-  // Identities outside the window (ring wrap, other grid rows, random
-  // neighbours) and draws past the prefix fall back to Philox, so every
-  // draw is the one the trial's construction coins make; a prefix of 0
-  // leaves the table empty.
+  // Construction coins come from the worker's coin table, refilled every
+  // kCoinBlock nodes in batched Philox calls: draws [0, coin_prefix()) of
+  // every identity within t_cons + t_dec of the block (identity = v + 1
+  // here), so each is drawn once per block, not once per ball that
+  // contains it. Identities outside the window (ring wrap, other grid
+  // rows, random neighbours) and draws past the prefix fall back to
+  // Philox, so every draw is the one the trial's construction coins
+  // make; a prefix of 0 leaves the table empty.
   static constexpr graph::NodeId kCoinBlock = 256;
 
   void refill_coins(graph::NodeId v) {
@@ -62,7 +63,7 @@ struct MemoOutputs {
     const std::uint64_t first = begin >= halo ? begin + 1 - halo : 1;
     const std::uint64_t last = std::min<std::uint64_t>(
         begin + kCoinBlock + halo, inst.node_count());
-    memo.coins.fill(coins, first, last - first + 1, algo.coin_prefix());
+    table.fill(coins, first, last - first + 1, algo.coin_prefix());
   }
 
   const local::ConstructionMemo::Entry& lookup(graph::NodeId u) {
@@ -78,7 +79,7 @@ struct MemoOutputs {
     view.ball = &ball;
     view.instance = &inst;
     if (grant_n) view.n_nodes = inst.node_count();
-    entry = {u, ball.size(), algo.compute(view, memo.coins),
+    entry = {u, ball.size(), algo.compute(view, table),
              ball.encoded_words()};
     return entry;
   }
@@ -152,7 +153,7 @@ local::ExperimentPlan construct_then_decide_plan(
     MemoOutputs outputs{
         inst, algo, c_coins, filter, options.grant_n,
         static_cast<std::uint64_t>(algo.radius() + decider.radius()), memo,
-        arena.ball_workspace().scratch};
+        arena.coin_table(), arena.ball_workspace().scratch};
     const bool accepted = decide_each_node(
         inst, decider.radius(), decide_options, filter, outputs,
         [&](const DeciderView& view) { return decider.accept(view, d_coins); });

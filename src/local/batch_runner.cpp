@@ -161,14 +161,23 @@ void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
 template <typename Body>
 void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
                                         TrialRange range, Body&& body) {
-  const std::uint64_t batch_size =
+  if (range.count() == 0) return;
+  // Near-equal batches, a multiple of the worker count of them (while the
+  // range has that many trials), each at most batch_trials: every worker
+  // gets the same share of lockstep work and none idles through a short
+  // last batch. Earlier batches take the remainder.
+  const std::uint64_t cap =
       std::max<std::uint64_t>(plan.optimization.batch_trials, 1);
-  const std::uint64_t batches =
-      (range.count() + batch_size - 1) / batch_size;
+  const std::uint64_t workers = worker_count();
+  const std::uint64_t batches = std::min(
+      range.count(), ((range.count() + cap - 1) / cap + workers - 1) /
+                         workers * workers);
+  const std::uint64_t base = range.count() / batches;
+  const std::uint64_t extra = range.count() % batches;
   auto run_batch = [&](unsigned worker, std::uint64_t b) {
     WorkerArena& arena = arenas_[worker];
-    const std::uint64_t begin = range.begin + b * batch_size;
-    const std::uint64_t end = std::min(range.end, begin + batch_size);
+    const std::uint64_t begin = range.begin + b * base + std::min(b, extra);
+    const std::uint64_t end = begin + base + (b < extra ? 1 : 0);
     obs::MetricsRegistry* metrics =
         obs::metrics_enabled() ? &arena.metrics() : nullptr;
     const obs::WorkerMetricsScope metrics_scope(metrics);

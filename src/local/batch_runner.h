@@ -73,8 +73,9 @@ struct SampledConfiguration {
 /// trial. A miss collects the member's construction ball into `ball`
 /// while the decision ball stays live (both through the worker's one
 /// BallScratch: a scratch is dead between collections), and reads its
-/// coins from `coins`, refilled per block of nodes (sized by the block and
-/// the algorithm's coin_prefix(), never by n).
+/// coins from the worker's coin table (WorkerArena::coin_table), refilled
+/// per block of nodes (sized by the block and the algorithm's
+/// coin_prefix(), never by n).
 class ConstructionMemo {
  public:
   static constexpr std::size_t kSlots = std::size_t{1} << 10;
@@ -97,7 +98,6 @@ class ConstructionMemo {
   Entry& slot(graph::NodeId u) noexcept { return slots_[u & (kSlots - 1)]; }
 
   graph::BallView ball;
-  rand::CoinTable coins;
 
  private:
   std::vector<Entry> slots_;
@@ -120,6 +120,12 @@ class WorkerArena {
 
   /// The construct-then-decide loop's per-trial construction memo.
   ConstructionMemo& construction_memo() noexcept { return memo_; }
+
+  /// This worker's construction coin table: filled per trial over the
+  /// instance's identities by construct_trial (local/experiment.h), or per
+  /// block of nodes by the streaming construct-then-decide loop. Its
+  /// arrays keep their capacity across fills.
+  rand::CoinTable& coin_table() noexcept { return coins_; }
 
   /// This worker's telemetry accumulator (lives in the engine scratch so
   /// engine runs on this arena count into it automatically; ball-mode and
@@ -163,6 +169,7 @@ class WorkerArena {
   std::vector<Knowledge> knowledge_;
   BallWorkspace ball_;
   ConstructionMemo memo_;
+  rand::CoinTable coins_;
   VectorScratch vector_;
   obs::MetricsRegistry metrics_;
   SampledConfiguration sample_;
@@ -422,10 +429,11 @@ class BatchRunner {
   void for_each_trial(const ExperimentPlan& plan, TrialRange range,
                       bool fresh_arenas, Body&& body);
 
-  /// Vectorized dispatch: cuts `range` into consecutive lockstep batches
-  /// of plan.optimization.batch_trials (a pure function of the range, NOT
-  /// of the thread count) and runs each through run_vector_batch on the
-  /// executing worker's scratch. `body` sees one call per trial.
+  /// Vectorized dispatch: cuts `range` into consecutive near-equal
+  /// lockstep batches, a multiple of worker_count() of them and each at
+  /// most plan.optimization.batch_trials, and runs each through
+  /// run_vector_batch on the executing worker's scratch. `body` sees one
+  /// call per trial; results never depend on the batching.
   template <typename Body>
   void for_each_vector_trial(const ExperimentPlan& plan, TrialRange range,
                              Body&& body);

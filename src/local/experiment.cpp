@@ -1,5 +1,6 @@
 #include "local/experiment.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -12,6 +13,15 @@ namespace {
 
 bool fault_engaged(const ExecOptions& options) {
   return options.fault != nullptr && !options.fault->trivial();
+}
+
+/// The smallest and largest identity of a non-empty instance.
+std::pair<ident::Identity, ident::Identity> identity_range(
+    const Instance& inst) {
+  if (inst.is_implicit()) return {1, inst.node_count()};
+  const auto [low, high] =
+      std::minmax_element(inst.ids.raw().begin(), inst.ids.raw().end());
+  return {*low, *high};
 }
 
 /// Per-node compute step shared by the messages and two-phase modes.
@@ -258,6 +268,7 @@ const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
                                 const RandomizedBallAlgorithm& algo,
                                 ExecMode mode, bool grant_n,
                                 const fault::FaultModel* fault) {
+  const rand::PhiloxCoins coins = env.construction_coins();
   const rand::PhiloxCoins fault_coins = env.fault_coins();
   ExecOptions options;
   options.grant_n = grant_n;
@@ -266,8 +277,18 @@ const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
   options.fault_coins = &fault_coins;
   options.ball_tables = env.ball_tables;
   Labeling& output = env.arena->labeling();
-  run_construction_into(inst, algo, env.construction_coins(), mode, output,
-                        options);
+  const rand::CoinProvider* provider = &coins;
+  const std::uint64_t prefix = algo.coin_prefix();
+  if (prefix > 0 && inst.node_count() > 0) {
+    const auto [first, last] = identity_range(inst);
+    const std::uint64_t span = last - first + 1;
+    if (span <= kCoinTableBudget / sizeof(std::uint64_t) / prefix) {
+      rand::CoinTable& table = env.arena->coin_table();
+      table.fill(coins, first, span, prefix);
+      provider = &table;
+    }
+  }
+  run_construction_into(inst, algo, *provider, mode, output, options);
   return output;
 }
 

@@ -97,9 +97,21 @@ Labeling run_construction(const Instance& inst,
                           const rand::CoinProvider& coins, ExecMode mode,
                           const ExecOptions& options = {});
 
+/// The most bytes construct_trial's per-trial coin table may take: draws
+/// [0, coin_prefix()) of every identity between the instance's smallest
+/// and largest, 8 bytes each. Like the vector engine's batch budget, it
+/// keeps the table cache-sized next to the trial that reads it; sparse
+/// identities or huge instances skip the table.
+inline constexpr std::uint64_t kCoinTableBudget = std::uint64_t{4} << 20;
+
 /// One plan trial's construction: `algo` under the trial's construction
 /// coins and fault stream (`fault` may be null), into the worker arena's
 /// labeling, which it returns. Ball mode reads the trial's ball tables.
+/// When the algorithm declares a coin_prefix() and the instance's
+/// identity range times the prefix fits kCoinTableBudget, the trial's
+/// coins are first drawn in batched Philox calls into the worker's coin
+/// table, and every ball reads its members' coins there; the table is
+/// the trial's coins bit for bit.
 const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
                                 const RandomizedBallAlgorithm& algo,
                                 ExecMode mode, bool grant_n,

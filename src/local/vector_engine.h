@@ -55,7 +55,11 @@ struct OptimizationConfig {
 
   Backend backend = Backend::kAuto;
 
-  /// Trials advanced in lockstep per batch (vectorized backend only).
+  /// The most trials one lockstep batch advances (vectorized backend
+  /// only): a cap that keeps a batch's SoA state cache-sized. The runner
+  /// cuts a range into near-equal batches under it, as many as a multiple
+  /// of its worker count (local/batch_runner.h), so batches are often
+  /// smaller than the cap.
   std::uint64_t batch_trials = 32;
 
   /// The auto-tuning entry point: picks batched for workloads too small

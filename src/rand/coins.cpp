@@ -1,5 +1,8 @@
 #include "rand/coins.h"
 
+#include <algorithm>
+#include <array>
+
 namespace lnc::rand {
 
 void CoinTable::fill(const PhiloxCoins& coins, std::uint64_t first_identity,
@@ -10,17 +13,24 @@ void CoinTable::fill(const PhiloxCoins& coins, std::uint64_t first_identity,
   prefix_ = prefix;
   const std::size_t size = static_cast<std::size_t>(count * prefix);
   draws_.resize(size);
-  counter_hi_.resize(size);
-  counter_lo_.resize(size);
-  std::size_t i = 0;
-  for (std::uint64_t slot = 0; slot < count; ++slot) {
-    for (std::uint64_t k = 0; k < prefix; ++k, ++i) {
-      counter_hi_[i] = first_identity + slot;
-      counter_lo_[i] = k;
+  // Table entry i is draw i % prefix of identity first + i / prefix.
+  std::array<std::uint64_t, kFillBlock> counter_hi{};
+  std::array<std::uint64_t, kFillBlock> counter_lo{};
+  std::uint64_t identity = first_identity;
+  std::uint64_t draw_index = 0;
+  for (std::size_t begin = 0; begin < size; begin += kFillBlock) {
+    const std::size_t block = std::min(kFillBlock, size - begin);
+    for (std::size_t j = 0; j < block; ++j) {
+      counter_hi[j] = identity;
+      counter_lo[j] = draw_index;
+      if (++draw_index == prefix) {
+        draw_index = 0;
+        ++identity;
+      }
     }
+    philox_u64_batch(key_, counter_hi.data(), counter_lo.data(),
+                     draws_.data() + begin, block);
   }
-  philox_u64_batch(key_, counter_hi_.data(), counter_lo_.data(),
-                   draws_.data(), size);
 }
 
 std::uint64_t coin_fingerprint(const CoinProvider& provider,

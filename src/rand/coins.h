@@ -13,6 +13,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -59,16 +60,22 @@ class PhiloxCoins final : public CoinProvider {
 };
 
 /// PhiloxCoins with a block of draws precomputed: draws [0, prefix) of
-/// every identity in [first, first + count), filled by ONE
-/// philox_u64_batch call. draw() reads the table inside it and falls back
-/// to philox_u64 outside it, so a filled table is the same pure function
-/// as the PhiloxCoins it was filled from, bit for bit, for any identity
-/// and draw index. The streaming implicit path (decide/experiment_plans.cpp)
-/// refills one per block of nodes, whose balls draw mostly from one
-/// contiguous identity window. The arrays keep their capacity across
-/// fills; not thread-safe while filling.
+/// every identity in [first, first + count), filled by philox_u64_batch
+/// calls of kFillBlock draws each. draw() reads the table inside it and
+/// falls back to philox_u64 outside it, so a filled table is the same pure
+/// function as the PhiloxCoins it was filled from, bit for bit, for any
+/// identity and draw index. A materialized trial fills one over all of
+/// its instance's identities (local::construct_trial); the streaming
+/// implicit path (decide/experiment_plans.cpp) refills one per block of
+/// nodes, whose balls draw mostly from one contiguous identity window.
+/// The table holds 8 bytes per draw and keeps its capacity across fills;
+/// not thread-safe while filling.
 class CoinTable final : public CoinProvider {
  public:
+  /// Draws per philox_u64_batch call of fill(); its counters live on the
+  /// stack, one block at a time.
+  static constexpr std::size_t kFillBlock = 256;
+
   void fill(const PhiloxCoins& coins, std::uint64_t first_identity,
             std::uint64_t count, std::uint64_t prefix);
 
@@ -87,8 +94,6 @@ class CoinTable final : public CoinProvider {
   std::uint64_t count_ = 0;
   std::uint64_t prefix_ = 0;
   std::vector<std::uint64_t> draws_;  // [slot * prefix_ + draw_index]
-  std::vector<std::uint64_t> counter_hi_;
-  std::vector<std::uint64_t> counter_lo_;
 };
 
 /// Decorator counting total draws (thread-safe); used by tests asserting

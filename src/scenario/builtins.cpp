@@ -496,16 +496,19 @@ class SelectIdBelow final : public local::RandomizedBallAlgorithm {
   std::uint64_t count_;
 };
 
-/// K-phase Luby MIS simulated inside the radius-K ball. Phase-j priorities
-/// are pure functions of (coins, identity, j), so every ball containing a
-/// node replays the same trajectory for it — the consistency the implicit
-/// streaming path relies on when it recomputes members' outputs from their
-/// own balls. The center's state after K phases depends on exactly its
-/// radius-K ball (a node at distance d is simulated faithfully through
-/// phase K-d, and only its early phases reach the center), so simulating
-/// the whole ball and reading the center is a faithful K-round LOCAL
-/// algorithm; the simulation stops once the center is decided. Output:
-/// 1 = joined the MIS; undecided centers output 0.
+/// K phases of Luby's MIS simulated inside the radius-K ball, reading the
+/// center. Phase-j priorities are pure functions of (coins, identity, j),
+/// so every ball containing a node replays the same trajectory for it —
+/// the consistency the implicit streaming path relies on when it
+/// recomputes members' outputs from their own balls. This is NOT K-phase
+/// global Luby: whether a node joins in phase j depends on its
+/// radius-(2j - 1) ball (a neighbour leaves the race when one of ITS
+/// neighbours joins), so the radius-K simulation matches global Luby at
+/// the center only through phase floor((K + 1) / 2); later phases run on
+/// a truncated view of the ball's rim. It is still a K-round Monte-Carlo
+/// LOCAL algorithm, and the presets measure it, not global Luby. The
+/// simulation stops once the center is decided. Output: 1 = joined the
+/// MIS; undecided centers output 0.
 class LubyBallMis final : public local::RandomizedBallAlgorithm {
  public:
   explicit LubyBallMis(int phases) : phases_(phases) {}
@@ -688,9 +691,12 @@ void register_constructions(Registry<ConstructionEntry>& constructions) {
        }});
   constructions.add(
       {"luby-ball",
-       "K-phase Luby MIS simulated inside the radius-K ball — a "
-       "constant-round Monte-Carlo MIS construction (ball-backed, so it "
-       "streams over implicit giga-scale topologies).",
+       "K phases of Luby's MIS simulated inside the radius-K ball and "
+       "read at the center — a constant-round Monte-Carlo MIS "
+       "construction (ball-backed, so it streams over implicit "
+       "giga-scale topologies). It matches global Luby only through "
+       "phase floor((K+1)/2): later phases see a truncated ball, so its "
+       "outputs need not be an MIS even where K-phase Luby's would be.",
        {{"phases", 2, "Luby phases K (= ball radius)", 1, 64}},
        /*randomized=*/true, /*ring_only=*/false,
        /*default_language=*/"mis",

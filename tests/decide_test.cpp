@@ -538,6 +538,133 @@ TEST(BallTables, CensoredTrialsNeverReadATable) {
   expect_tallies_equal(got, want);
 }
 
+// The value-plan counterpart of two_pass_reference: the construction
+// under plain PhiloxCoins, then `statistic` of its labeling.
+local::ExperimentPlan plain_coin_value_reference(
+    const local::Instance& inst, const local::RandomizedBallAlgorithm& algo,
+    local::OutputStatistic statistic, std::uint64_t trials,
+    std::uint64_t base_seed, const fault::FaultModel* fault) {
+  return local::custom_value_plan(
+      "plain-coins", trials, base_seed,
+      [&inst, &algo, statistic = std::move(statistic),
+       fault](const local::TrialEnv& env) {
+        const rand::PhiloxCoins fault_coins = env.fault_coins();
+        local::ExecOptions exec_options;
+        exec_options.arena = env.arena;
+        exec_options.fault = fault;
+        exec_options.fault_coins = &fault_coins;
+        local::Labeling& output = env.arena->labeling();
+        local::run_construction_into(inst, algo, env.construction_coins(),
+                                     local::ExecMode::kBalls, output,
+                                     exec_options);
+        return statistic(inst, output);
+      });
+}
+
+// construct_trial runs a materialized trial's ball algorithm on a coin
+// table of the instance's whole identity range when that range times the
+// algorithm's coin_prefix() fits kCoinTableBudget; the references draw
+// every coin from plain PhiloxCoins. A success plan (tally and every
+// deterministic counter) and a value plan (the exact sum of the labels,
+// which any wrong coin would move) must match bit for bit, and sparse
+// identities must overflow the budget and fall back.
+TEST(CoinTables, TableRunsMatchPlainPhiloxRuns) {
+  const lang::MaximalIndependentSet mis;
+  const scenario::AsRandomizedDecider mis_decider(
+      std::make_unique<LclDecider>(mis));
+  const local::OutputStatistic label_sum = [](const local::Instance&,
+                                              const local::Labeling& out) {
+    double sum = 0;
+    for (const local::Label label : out) sum += static_cast<double>(label);
+    return sum;
+  };
+  const auto compare = [&](const local::Instance& inst,
+                           const local::RandomizedBallAlgorithm& algo,
+                           const RandomizedDecider& decider,
+                           const EvaluateOptions& options, bool fits) {
+    const std::uint64_t span =
+        inst.ids.max_identity() - inst.ids.min_identity() + 1;
+    ASSERT_GT(algo.coin_prefix(), 0u);
+    EXPECT_EQ(span * algo.coin_prefix() * sizeof(std::uint64_t) <=
+                  local::kCoinTableBudget,
+              fits);
+    constexpr std::uint64_t kTrials = 16;
+    const local::TrialRange all{0, kTrials};
+    local::BatchRunner runner;
+    const local::ShardTally want = runner.run_shard(
+        two_pass_reference(inst, algo, decider, kTrials, 23, options,
+                           /*success_on_accept=*/true),
+        all);
+    const local::ShardTally got = runner.run_shard(
+        construct_then_decide_plan("plan", inst, algo, decider, kTrials, 23,
+                                   options),
+        all);
+    expect_tallies_equal(got, want);
+    const local::ShardTally want_sum = runner.run_shard(
+        plain_coin_value_reference(inst, algo, label_sum, kTrials, 29,
+                                   options.fault),
+        all);
+    const local::ShardTally got_sum = runner.run_shard(
+        local::construction_value_plan("labels", inst, algo, label_sum,
+                                       kTrials, 29, local::ExecMode::kBalls,
+                                       /*grant_n=*/false, options.fault),
+        all);
+    ASSERT_FALSE(want_sum.value_sum.is_zero());
+    expect_tallies_equal(got_sum, want_sum);
+  };
+  struct Graph {
+    const char* name;
+    graph::Graph g;
+    int phases;
+  };
+  const Graph graphs[] = {
+      {"ring", graph::cycle(500), 4},
+      {"torus", graph::torus(20, 20), 5},
+      {"random-regular", graph::random_regular(400, 3, 41), 5},
+  };
+  for (const Graph& graph : graphs) {
+    const std::unique_ptr<scenario::Construction> luby_ball =
+        scenario::make_construction("luby-ball", {{"phases", graph.phases}});
+    const local::RandomizedBallAlgorithm& luby = *luby_ball->ball_algorithm();
+    const graph::NodeId n = graph.g.node_count();
+    struct Ids {
+      const char* name;
+      ident::IdAssignment ids;
+      bool fits;
+    };
+    for (const Ids& ids :
+         {Ids{"consecutive", ident::consecutive(n), true},
+          Ids{"random", ident::random_permutation(n, 43), true},
+          Ids{"sparse", ident::random_sparse(n, 1, std::uint64_t{1} << 40, 47),
+              false}}) {
+      SCOPED_TRACE(std::string("luby-ball on a ") + graph.name + ", " +
+                   ids.name + " ids");
+      compare(local::make_instance(graph.g, ids.ids), luby, mis_decider, {},
+              ids.fits);
+    }
+  }
+  {
+    SCOPED_TRACE("luby-ball on a ring under crash");
+    const std::unique_ptr<scenario::Construction> luby_ball =
+        scenario::make_construction("luby-ball", {{"phases", 4}});
+    const auto crash = fault::make_crash(0.05, 1);
+    EvaluateOptions options;
+    options.fault = crash.get();
+    compare(local::make_instance(graph::cycle(500),
+                                 ident::random_permutation(500, 53)),
+            *luby_ball->ball_algorithm(), mis_decider, options, true);
+  }
+  {
+    SCOPED_TRACE("rand-coloring on a ring against the slack decider");
+    const lang::ProperColoring coloring_lang(3);
+    const algo::UniformRandomColoring coloring(3);
+    EvaluateOptions options;
+    options.grant_n = true;
+    compare(ring_instance(60), coloring, SlackDecider(coloring_lang, 0.65),
+            options, true);
+  }
+}
+
 TEST(ResilientDecider, RejectsOutOfIntervalP) {
   const lang::ProperColoring base(3);
   EXPECT_DEATH(ResilientDecider(base, 2, 0.5), "p_");

@@ -146,10 +146,14 @@ TEST(Coins, TableMatchesPhiloxInsideAndOutsideItsWindow) {
   struct Window {
     std::uint64_t first, count, prefix;
   };
-  // Then a one-id window, a far window, and prefix 0: an empty table.
-  for (const Window w : {Window{1, 261, 4}, Window{252, 266, 4},
-                         Window{764, n - 764 + 1, 4}, Window{1, 1, 1},
-                         Window{1ull << 40, 37, 9}, Window{5, 10, 0}}) {
+  // Then a one-id window, a far window, prefix 0 (an empty table), and
+  // fills of more than one kFillBlock-draw block and not a multiple of
+  // it, one of them with a prefix that does not divide the block.
+  constexpr std::uint64_t kBlock = CoinTable::kFillBlock;
+  for (const Window w :
+       {Window{1, 261, 4}, Window{252, 266, 4}, Window{764, n - 764 + 1, 4},
+        Window{1, 1, 1}, Window{1ull << 40, 37, 9}, Window{5, 10, 0},
+        Window{1, 3 * kBlock + 5, 1}, Window{900, kBlock + 7, 3}}) {
     table.fill(coins, w.first, w.count, w.prefix);
     expect_table_is_philox(table, coins, w.first, w.count, w.prefix);
   }

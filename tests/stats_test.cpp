@@ -2,9 +2,17 @@
 // epilogues, exact sums, summaries.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <fstream>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "rand/splitmix.h"
@@ -144,6 +152,150 @@ TEST(ThreadPool, ZeroAndOneCount) {
     calls.fetch_add(1);
   });
   EXPECT_EQ(calls.load(), 1);
+}
+
+// The `Threads:` line of /proc/self/status: the kernel's count of this
+// process's threads.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return -1;
+}
+
+// The thread count once it has held still for 20 ms (up to 2 s): a joined
+// thread leaves the kernel's count a moment after join returns.
+int settled_threads() {
+  int last = process_threads();
+  for (int tries = 0; tries < 100; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = process_threads();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+TEST(ThreadPool, DispatchesRunOnItsOwnWorkerThreads) {
+  // 200 dispatches run on exactly thread_count kernel threads, worker w
+  // always on the same one, and never on the caller's: the pool keeps
+  // its workers, and the caller only waits.
+  const ThreadPool pool(4);
+  std::mutex mutex;
+  std::set<pid_t> tids;
+  std::vector<std::set<pid_t>> tids_of_worker(pool.thread_count());
+  for (int dispatch = 0; dispatch < 200; ++dispatch) {
+    pool.parallel_for_workers(16, [&](unsigned worker, std::uint64_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      const std::lock_guard<std::mutex> guard(mutex);
+      tids.insert(::gettid());
+      tids_of_worker[worker].insert(::gettid());
+    });
+  }
+  EXPECT_EQ(tids.size(), pool.thread_count());
+  EXPECT_EQ(tids.count(::gettid()), 0u);
+  for (const std::set<pid_t>& of_worker : tids_of_worker) {
+    EXPECT_EQ(of_worker.size(), 1u);
+  }
+}
+
+TEST(ThreadPool, StartsNoThreadUntilADispatchNeedsOne) {
+  const int before = settled_threads();
+  {
+    const ThreadPool pool(4);
+    EXPECT_EQ(process_threads(), before);
+    // Inline calls (one index) need no worker either.
+    pool.parallel_for_workers(1, [](unsigned, std::uint64_t) {});
+    EXPECT_EQ(process_threads(), before);
+    // A two-index range starts two workers, a four-index one all four,
+    // and they stay after the dispatch.
+    pool.parallel_for_workers(2, [](unsigned, std::uint64_t) {});
+    EXPECT_EQ(process_threads(), before + 2);
+    pool.parallel_for_workers(100, [](unsigned, std::uint64_t) {});
+    EXPECT_EQ(process_threads(), before + 4);
+    pool.parallel_for_workers(100, [](unsigned, std::uint64_t) {});
+    EXPECT_EQ(process_threads(), before + 4);
+  }
+  EXPECT_EQ(settled_threads(), before);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRange) {
+  // lnc_serve's connection threads share one pool: four external threads
+  // dispatch on it at once, and each covers its own range exactly once.
+  const ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr std::uint64_t kCount = 1000;
+  std::vector<std::vector<std::atomic<int>>> hits;
+  for (int c = 0; c < kCallers; ++c) hits.emplace_back(kCount);
+  {
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&pool, &hits, c] {
+        for (int rep = 0; rep < 25; ++rep) {
+          pool.parallel_for_workers(
+              kCount, [&hits, c, &pool](unsigned worker, std::uint64_t i) {
+                EXPECT_LT(worker, pool.thread_count());
+                hits[c][i].fetch_add(1, std::memory_order_relaxed);
+              });
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+  }
+  for (const auto& caller_hits : hits) {
+    for (const auto& h : caller_hits) EXPECT_EQ(h.load(), 25);
+  }
+}
+
+TEST(ThreadPool, NestedCallRunsInlineOnTheCallingWorker) {
+  const ThreadPool pool(4);
+  std::atomic<int> inner_calls{0};
+  std::atomic<int> off_thread{0};
+  pool.parallel_for_workers(8, [&](unsigned outer, std::uint64_t) {
+    const pid_t tid = ::gettid();
+    pool.parallel_for_workers(10, [&](unsigned inner, std::uint64_t) {
+      inner_calls.fetch_add(1);
+      if (inner != outer || ::gettid() != tid) off_thread.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 80);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPool, ABodysExceptionReachesTheCaller) {
+  const ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for_workers(
+                   100,
+                   [](unsigned, std::uint64_t i) {
+                     if (i == 50) throw std::runtime_error("trial 50");
+                   }),
+               std::runtime_error);
+  // The pool stays usable, and the next call covers its whole range.
+  std::atomic<int> calls{0};
+  pool.parallel_for_workers(100, [&](unsigned, std::uint64_t) {
+    calls.fetch_add(1);
+  });
+  EXPECT_EQ(calls.load(), 100);
+}
+
+TEST(ThreadPool, DestructionJoinsCleanly) {
+  const int before = settled_threads();
+  { const ThreadPool never_dispatched(4); }
+  EXPECT_EQ(process_threads(), before);
+  std::atomic<int> calls{0};
+  {
+    const ThreadPool pool(4);
+    for (int rep = 0; rep < 10; ++rep) {
+      pool.parallel_for_workers(64, [&](unsigned, std::uint64_t) {
+        calls.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_EQ(calls.load(), 640);
+  EXPECT_EQ(settled_threads(), before);
 }
 
 TEST(MonteCarlo, EstimatesAFairCoin) {

@@ -17,6 +17,7 @@
 #include "ident/identity.h"
 #include "local/batch_runner.h"
 #include "local/vector_engine.h"
+#include "obs/trace.h"
 #include "rand/coins.h"
 #include "scenario/presets.h"
 #include "scenario/scenario.h"
@@ -165,6 +166,47 @@ TEST(VectorEngine, BatchWidthsPreserveBitIdentity) {
   variant("batch_trials=7",
           [](OptimizationConfig& c) { c.batch_trials = 7; });
   variant("batch_trials=3", [](OptimizationConfig& c) { c.batch_trials = 3; });
+
+  // On a pool the batch count rounds up to a multiple of the workers.
+  // Under a cap of 3 the 40 trials run as 15 or 16 batches of 2 or 3 on
+  // every pool size; under 64, as one batch per worker.
+  for (const unsigned workers : {3u, 4u, 8u}) {
+    const stats::ThreadPool pool(workers);
+    local::BatchRunner pooled(&pool);
+    for (const std::uint64_t cap : {std::uint64_t{3}, std::uint64_t{64}}) {
+      local::ExperimentPlan plan = base_plan;
+      plan.optimization.batch_trials = cap;
+      expect_tallies_identical(baseline, pooled.run_shard(plan, range),
+                               "workers=" + std::to_string(workers) +
+                                   " batch_trials=" + std::to_string(cap));
+    }
+  }
+
+  // 300 trials under a 64-trial cap on 4 workers: five batches would fit
+  // the cap, and the runner rounds up to eight batches of 37 or 38.
+  scenario::ScenarioSpec spec300 = forced;
+  spec300.trials = 300;
+  const scenario::CompiledScenario wide = scenario::compile(spec300);
+  local::ExperimentPlan plan300 = wide.points()[0].plan;
+  plan300.optimization.batch_trials = 64;
+  const stats::ThreadPool pool(4);
+  local::BatchRunner pooled(&pool);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.enable();
+  const local::ShardTally traced = pooled.run_shard(plan300, {0, 300});
+  recorder.disable();
+  const std::string trace = recorder.to_json();
+  recorder.clear();
+  std::size_t batches = 0;
+  const std::string span = "\"name\": \"batch\"";
+  for (std::size_t at = trace.find(span); at != std::string::npos;
+       at = trace.find(span, at + 1)) {
+    ++batches;
+  }
+  EXPECT_EQ(batches, 8u);
+  expect_tallies_identical(runner.run_shard(plan300, {0, 300}), traced,
+                           "300 trials, 8 batches vs 5");
 }
 
 TEST(VectorEngine, AutomaticConfigPicksSaneBackends) {
