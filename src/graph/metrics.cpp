@@ -154,30 +154,6 @@ bool is_biconnected(const Topology& g) {
          articulation_points(g).empty();
 }
 
-bool is_bipartite(const Topology& g) {
-  std::vector<int> side(g.node_count(), -1);
-  std::queue<NodeId> queue;
-  std::vector<NodeId> scratch;
-  for (NodeId start = 0; start < g.node_count(); ++start) {
-    if (side[start] != -1) continue;
-    side[start] = 0;
-    queue.push(start);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop();
-      for (NodeId w : g.neighbors_of(u, scratch)) {
-        if (side[w] == -1) {
-          side[w] = 1 - side[u];
-          queue.push(w);
-        } else if (side[w] == side[u]) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
 int girth(const Topology& g) {
   // For each node, BFS until a cross/back edge closes a cycle through it.
   int best = -1;

@@ -1,5 +1,5 @@
 // Structural measurements: BFS distances, diameter, connectivity,
-// biconnectivity, bipartiteness, girth.
+// biconnectivity, girth.
 //
 // Every function here needs only node_count() and neighbor scans, so the
 // whole module speaks Topology (graph/topology.h): a materialized Graph
@@ -48,8 +48,6 @@ std::vector<NodeId> articulation_points(const Topology& g);
 
 /// Connected, has >= 3 nodes, and no articulation point.
 bool is_biconnected(const Topology& g);
-
-bool is_bipartite(const Topology& g);
 
 /// Length of a shortest cycle; -1 for forests. O(n * m) BFS sweep.
 int girth(const Topology& g);

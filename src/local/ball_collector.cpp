@@ -136,4 +136,38 @@ std::vector<std::pair<ident::Identity, ident::Identity>> knowledge_edges(
   return edges;
 }
 
+ReconstructedBall reconstruct_ball(const Knowledge& knowledge,
+                                   ident::Identity center_identity) {
+  // Stable node order: identities ascending (any order works; algorithms
+  // may only read identities and inputs, never raw indices).
+  std::vector<ident::Identity> ids;
+  ids.reserve(knowledge.size());
+  for (const auto& [id, record] : knowledge) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+
+  auto index_of = [&ids](ident::Identity id) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    LNC_ASSERT(it != ids.end() && *it == id);
+    return static_cast<graph::NodeId>(it - ids.begin());
+  };
+
+  graph::Graph::Builder builder(static_cast<graph::NodeId>(ids.size()));
+  for (const auto& [a, b] : knowledge_edges(knowledge)) {
+    builder.add_edge(index_of(a), index_of(b));
+  }
+
+  Labeling input(ids.size(), 0);
+  for (const auto& [id, record] : knowledge) {
+    input[index_of(id)] = record.input;
+  }
+
+  ReconstructedBall result;
+  result.instance.g = builder.build();
+  result.instance.input = std::move(input);
+  result.instance.ids = ident::IdAssignment(std::move(ids));
+  result.center = result.instance.ids.index_of(center_identity);
+  LNC_ASSERT(result.center != graph::kInvalidNode);
+  return result;
+}
+
 }  // namespace lnc::local

@@ -5,9 +5,14 @@
 // between two distance-t nodes, matching the paper's ball definition).
 //
 // This is the constructive half of the "simulation theorem" of section
-// 2.1.1: any t-round algorithm can be replayed on top of this protocol.
-// tests/local_test.cpp checks that the knowledge gathered here coincides
-// with graph::BallView node-for-node and edge-for-edge.
+// 2.1.1: "an algorithm A performing in t rounds can be simulated by an
+// algorithm B executing two phases: First, every node v collects all data
+// from nodes at distance at most t from v; Second, every node simulates
+// the execution of A in B_G(v, t)." Phase one is this protocol; phase two
+// starts from reconstruct_ball below, and local/experiment.cpp runs both
+// as the messages and two-phase execution modes. tests/local_test.cpp
+// checks that the knowledge gathered here coincides with graph::BallView
+// node-for-node and edge-for-edge.
 #pragma once
 
 #include <cstdint>
@@ -73,5 +78,16 @@ void collect_balls_into(const Instance& inst, int radius,
 /// known. This equals the edge set of B_G(v, t) mapped to identities.
 std::vector<std::pair<ident::Identity, ident::Identity>> knowledge_edges(
     const Knowledge& knowledge);
+
+/// The ball reconstructed from a knowledge table: a standalone instance
+/// whose nodes 0..m-1 are the known identities in ascending order, plus
+/// the local index of the collecting node (the center).
+struct ReconstructedBall {
+  Instance instance;         ///< graph + inputs + identities, ball-only
+  graph::NodeId center = 0;  ///< index of the collector in `instance`
+};
+
+ReconstructedBall reconstruct_ball(const Knowledge& knowledge,
+                                   ident::Identity center_identity);
 
 }  // namespace lnc::local

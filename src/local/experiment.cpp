@@ -27,6 +27,26 @@ std::pair<ident::Identity, ident::Identity> identity_range(
 /// Per-node compute step shared by the messages and two-phase modes.
 using ComputeFromView = std::function<Label(const View&)>;
 
+/// Phase two of the simulation theorem at one node: rebuild B_G(v,
+/// radius) from v's knowledge table and apply `compute` to it. The
+/// reconstruction holds exactly the ball (ball_collector tests), so the
+/// view is the one a direct run sees, modulo node indexing, which the
+/// View interface hides.
+Label compute_on_reconstruction(const Knowledge& knowledge,
+                                ident::Identity center, int radius,
+                                std::optional<std::uint64_t> n_nodes,
+                                const ComputeFromView& compute,
+                                BallWorkspace& workspace) {
+  const ReconstructedBall ball = reconstruct_ball(knowledge, center);
+  workspace.ball.collect(ball.instance.g, ball.center, radius,
+                         workspace.scratch);
+  View view;
+  view.ball = &workspace.ball;
+  view.instance = &ball.instance;
+  view.n_nodes = n_nodes;
+  return compute(view);
+}
+
 /// The simulation theorem executed inside the node: flood for t rounds
 /// (inherited collector behavior), then reconstruct B_G(v, t) from the
 /// knowledge table and apply the ball algorithm locally.
@@ -52,14 +72,9 @@ class SimulatingProgram final : public BallCollectorProgram {
 
  private:
   void finish() {
-    const ReconstructedBall ball =
-        reconstruct_ball(knowledge(), self_identity());
-    const graph::BallView view_ball(ball.instance.g, ball.center, radius());
-    View view;
-    view.ball = &view_ball;
-    view.instance = &ball.instance;
-    view.n_nodes = n_nodes_;
-    out_ = (*compute_)(view);
+    BallWorkspace workspace;
+    out_ = compute_on_reconstruction(knowledge(), self_identity(), radius(),
+                                     n_nodes_, *compute_, workspace);
   }
 
   const ComputeFromView* compute_;
@@ -120,16 +135,11 @@ void run_two_phase_mode(const Instance& inst, int radius,
   BallWorkspace& workspace = options.arena != nullptr
                                  ? options.arena->ball_workspace()
                                  : local_workspace;
+  const std::optional<std::uint64_t> n_nodes =
+      options.grant_n ? std::optional<std::uint64_t>(n) : std::nullopt;
   for (graph::NodeId v = 0; v < n; ++v) {
-    const ReconstructedBall ball = reconstruct_ball(tables[v], inst.ids[v]);
-    workspace.ball.collect(ball.instance.g, ball.center, radius,
-                           workspace.scratch);
-    const graph::BallView& view_ball = workspace.ball;
-    View view;
-    view.ball = &view_ball;
-    view.instance = &ball.instance;
-    if (options.grant_n) view.n_nodes = n;
-    output[v] = compute(view);
+    output[v] = compute_on_reconstruction(tables[v], inst.ids[v], radius,
+                                          n_nodes, compute, workspace);
   }
   if (options.arena != nullptr) {
     // Phase-one flooding was measured by the engine; phase two only

@@ -9,7 +9,11 @@
 //                *inside the node program* (the simulation theorem,
 //                executed as one engine program);
 //   kTwoPhase  — phase one collects balls through the engine, phase two
-//                reconstructs and computes in the harness (local/simulate).
+//                reconstructs and computes in the harness.
+//
+// Both simulation modes reconstruct B_G(v, t) from the flooding
+// collector's knowledge table (local/ball_collector.h) and compute on it
+// through one helper.
 //
 // tests/batch_test.cpp asserts the three modes agree label for label.
 //
@@ -21,7 +25,6 @@
 
 #include "local/batch_runner.h"
 #include "local/runner.h"
-#include "local/simulate.h"
 
 namespace lnc::fault {
 class BallCensor;

@@ -10,14 +10,32 @@
 namespace lnc::orchestrate {
 
 RunManifest plan_run(const scenario::ScenarioSpec& spec,
-                     const std::string& run_dir, unsigned shard_count) {
-  if (shard_count == 0) {
-    throw std::runtime_error("a run needs at least one shard");
-  }
+                     const std::string& run_dir, unsigned shard_count,
+                     const scenario::SweepResult* baseline) {
   const std::string error = scenario::validate(spec);
   if (!error.empty()) {
     throw std::runtime_error("invalid scenario '" + spec.name +
                              "': " + error);
+  }
+  const std::uint64_t begin = baseline != nullptr ? baseline->trial_end : 0;
+  if (baseline != nullptr && !baseline->complete()) {
+    throw std::runtime_error(
+        "top-up baseline is incomplete — merge it (or rerun) first");
+  }
+  if (baseline != nullptr &&
+      (baseline->trial_begin != 0 || begin >= spec.trials)) {
+    throw std::runtime_error(
+        "top-up baseline covers trials [" +
+        std::to_string(baseline->trial_begin) + ", " + std::to_string(begin) +
+        ") but the spec asks for " + std::to_string(spec.trials) +
+        " — nothing to top up (or a non-prefix baseline)");
+  }
+  const std::uint64_t width = spec.trials - begin;
+  if (shard_count == 0 || shard_count > width) {
+    throw std::runtime_error(
+        "a run of " + std::to_string(width) + " trial(s) needs between 1 "
+        "and " + std::to_string(width) + " shards (asked for " +
+        std::to_string(shard_count) + ")");
   }
   std::filesystem::create_directories(run_dir);
   if (std::filesystem::exists(run_dir + "/manifest.json")) {
@@ -28,47 +46,19 @@ RunManifest plan_run(const scenario::ScenarioSpec& spec,
   }
 
   RunManifest manifest = make_manifest(run_dir, spec.name, shard_count);
+  manifest.trial_begin = begin;
+  manifest.trial_end = spec.trials;
   const std::string write_error = util::write_file_atomic(
       manifest.spec_path(), scenario::spec_to_json(spec));
   if (!write_error.empty()) {
     throw std::runtime_error("spec freeze failed: " + write_error);
   }
-  save_manifest(manifest);
-  return manifest;
-}
-
-RunManifest plan_topup_run(const scenario::ScenarioSpec& spec,
-                           const std::string& run_dir, unsigned shard_count,
-                           const scenario::SweepResult& baseline) {
-  if (!baseline.complete()) {
-    throw std::runtime_error(
-        "top-up baseline is incomplete — merge it (or rerun) first");
-  }
-  if (baseline.trial_begin != 0 || baseline.trial_end >= spec.trials) {
-    throw std::runtime_error(
-        "top-up baseline covers trials [" +
-        std::to_string(baseline.trial_begin) + ", " +
-        std::to_string(baseline.trial_end) + ") but the spec asks for " +
-        std::to_string(spec.trials) +
-        " — nothing to top up (or a non-prefix baseline)");
-  }
-  // An empty shard slice would degrade to a full `--shard i/k` job (a
-  // zero-width range is the "no range" encoding) — forbid more shards
-  // than there are trials to compute.
-  const std::uint64_t width = spec.trials - baseline.trial_end;
-  if (shard_count > width) {
-    throw std::runtime_error(
-        "top-up computes only " + std::to_string(width) +
-        " trial(s); use at most that many shards (asked for " +
-        std::to_string(shard_count) + ")");
-  }
-  RunManifest manifest = plan_run(spec, run_dir, shard_count);
-  manifest.trial_begin = baseline.trial_end;
-  manifest.trial_end = spec.trials;
-  const std::string write_error =
-      scenario::write_json_file(manifest.baseline_path(), baseline);
-  if (!write_error.empty()) {
-    throw std::runtime_error("baseline freeze failed: " + write_error);
+  if (baseline != nullptr) {
+    const std::string baseline_error =
+        scenario::write_json_file(manifest.baseline_path(), *baseline);
+    if (!baseline_error.empty()) {
+      throw std::runtime_error("baseline freeze failed: " + baseline_error);
+    }
   }
   save_manifest(manifest);
   return manifest;

@@ -1,7 +1,8 @@
 // Whole-run orchestration: spec in, bit-identical merged SweepResult out.
 //
-//   plan_run    — freeze a validated spec into a fresh run directory
-//                 (spec.json + manifest.json, every shard pending);
+//   plan_run    — freeze a validated spec (and a top-up's cached
+//                 baseline) into a fresh run directory (spec.json +
+//                 manifest.json, every shard pending);
 //   execute_run — supervise the manifest's jobs over a Transport
 //                 (orchestrate/supervisor.h), then gather;
 //   merge_run   — read the shard result files of a fully-done manifest
@@ -26,26 +27,20 @@
 namespace lnc::orchestrate {
 
 /// Creates the run directory (parents included), writes the frozen spec
-/// and a fresh all-pending manifest, and returns it. Throws when the spec
-/// does not validate, when the directory already holds a manifest (resume
-/// instead — silently restarting would discard completed shards), or on
-/// I/O failure. shard_count must be >= 1.
+/// and a fresh all-pending manifest, and returns it. The fleet computes
+/// trials [b, spec.trials) of `spec` in shard_count contiguous ranges,
+/// where b is 0 for a cold run. A TOP-UP run passes a cached `baseline`,
+/// a complete result covering [0, b) with b < spec.trials, computed
+/// under `spec` at fewer trials (the same seed: the cache key's
+/// canonical one); it is frozen as baseline.json and merged in front of
+/// the shard outputs, bit-identical to a cold run. Throws when the spec
+/// does not validate, on such a bad baseline, when shard_count is 0 or
+/// exceeds the trials to run (a shard needs a non-empty range), when the
+/// directory already holds a manifest (resume instead — silently
+/// restarting would discard completed shards), or on I/O failure.
 RunManifest plan_run(const scenario::ScenarioSpec& spec,
-                     const std::string& run_dir, unsigned shard_count);
-
-/// Plans a TOP-UP run: the fleet computes only trials
-/// [baseline_trials, spec.trials) of `spec`, split into shard_count
-/// contiguous ranges, and the merge folds the cached `baseline` result
-/// (frozen as baseline.json in the run directory) in as the range part
-/// [0, baseline_trials) of the shard outputs — bit-identical to a cold
-/// full-width fleet run. `baseline` must be a complete result covering
-/// [0, baseline_trials) with baseline_trials < spec.trials, and `spec`
-/// must be the baseline's own spec at the raised trial count (same seed
-/// — the cache key's canonical one). Same directory rules as plan_run;
-/// resume works unchanged (baseline.json rides in the run directory).
-RunManifest plan_topup_run(const scenario::ScenarioSpec& spec,
-                           const std::string& run_dir, unsigned shard_count,
-                           const scenario::SweepResult& baseline);
+                     const std::string& run_dir, unsigned shard_count,
+                     const scenario::SweepResult* baseline = nullptr);
 
 struct LaunchOutcome {
   bool ok = false;  ///< every shard done and the merge succeeded

@@ -81,8 +81,9 @@ std::string manifest_to_json(const RunManifest& manifest) {
      << "\", \"spec_file\": \"" << util::json_escape(manifest.spec_file)
      << "\", \"shard_count\": " << manifest.shard_count;
   if (manifest.is_topup()) {
-    // Only top-up runs carry the range keys — classic manifests stay
-    // byte-compatible with older binaries.
+    // Only top-up runs carry the range keys: a cold run's manifest stays
+    // byte-compatible with older binaries, which merge a range-keyed
+    // run with its baseline.json.
     os << ", \"trial_begin\": " << manifest.trial_begin
        << ", \"trial_end\": " << manifest.trial_end;
   }
@@ -177,12 +178,31 @@ RunManifest load_manifest(std::string run_dir) {
     throw std::runtime_error("no manifest at '" + path +
                              "' (not a run directory?)");
   }
+  RunManifest manifest;
   try {
-    return manifest_from_json(text, std::move(run_dir));
+    manifest = manifest_from_json(text, std::move(run_dir));
   } catch (const std::exception& ex) {
     throw std::runtime_error("corrupt manifest '" + path +
                              "': " + ex.what());
   }
+  if (manifest.trial_end == 0) {
+    std::string spec_text;
+    const std::string read_error =
+        util::read_file(manifest.spec_path(), spec_text);
+    if (!read_error.empty()) {
+      throw std::runtime_error("run directory has no frozen spec: " +
+                               read_error);
+    }
+    manifest.trial_end = scenario::spec_from_json(spec_text).trials;
+  }
+  // Planners that allowed more shards than trials left trailing shards
+  // with empty slices; the other shards keep their slices without them.
+  const std::uint64_t width = manifest.trial_end - manifest.trial_begin;
+  if (manifest.shard_count > width) {
+    manifest.shard_count = static_cast<unsigned>(width);
+    manifest.shards.resize(manifest.shard_count);
+  }
+  return manifest;
 }
 
 }  // namespace lnc::orchestrate

@@ -52,12 +52,13 @@ struct RunManifest {
   std::string scenario;                 ///< spec name (labels status lines)
   std::string spec_file = "spec.json";  ///< run-dir-relative spec path
   unsigned shard_count = 0;
-  /// When nonzero-width, this run covers only trials
-  /// [trial_begin, trial_end) of the frozen spec — a TOP-UP run planned
-  /// against a cached baseline (plan_topup_run): shards split the range
-  /// instead of [0, trials), and baseline.json joins the merge of the
-  /// shard files as the range [0, trial_begin). 0/0 = a classic full run
-  /// (and what pre-range manifests parse as).
+  /// The trials [trial_begin, trial_end) of the frozen spec this run
+  /// computes; the shards split it. A cold run computes [0, trials). A
+  /// TOP-UP run (plan_run with a cached baseline) starts at the
+  /// baseline's end, and baseline.json joins the merge as [0,
+  /// trial_begin). Only top-ups serialize the range: manifest_from_json
+  /// leaves a keyless manifest's range empty, and load_manifest reads it
+  /// from the frozen spec.
   std::uint64_t trial_begin = 0;
   std::uint64_t trial_end = 0;
   std::vector<ShardRecord> shards;      ///< one per shard, index-ordered
@@ -71,7 +72,7 @@ struct RunManifest {
   /// Absolute path of the cached baseline result a top-up run extends.
   std::string baseline_path() const;
 
-  bool is_topup() const noexcept { return trial_end > trial_begin; }
+  bool is_topup() const noexcept { return trial_begin > 0; }
   bool all_done() const noexcept;
 };
 
@@ -89,8 +90,10 @@ RunManifest manifest_from_json(const std::string& text, std::string run_dir);
 /// mid-save never leaves a torn manifest.
 void save_manifest(const RunManifest& manifest);
 
-/// Reads run_dir/manifest.json; throws std::runtime_error when the
-/// directory holds no (or a corrupt) manifest.
+/// Reads run_dir/manifest.json, taking a keyless manifest's range as
+/// [0, trials) of the frozen spec and dropping shards past one per trial
+/// (their slices are empty); throws std::runtime_error when the
+/// directory holds no (or a corrupt) manifest or spec.
 RunManifest load_manifest(std::string run_dir);
 
 }  // namespace lnc::orchestrate

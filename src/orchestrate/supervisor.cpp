@@ -190,19 +190,16 @@ bool JobSupervisor::run(RunManifest& manifest, unsigned sweep_threads) {
   auto run_claimed_jobs = [&]() {
     unsigned shard = 0;
     while (coordinator.claim(shard)) {
+      // The shard's near-equal contiguous slice of the manifest's range:
+      // shard_range over the width, shifted by the start. Merging by
+      // range reassembles the slices exactly.
+      const local::TrialRange slice = local::shard_range(
+          manifest.trial_end - manifest.trial_begin, shard,
+          manifest.shard_count);
       ShardJob job;
       job.shard = shard;
-      job.shard_count = manifest.shard_count;
-      if (manifest.is_topup()) {
-        // Split the manifest's [trial_begin, trial_end) into near-equal
-        // contiguous slices: shard_range over the width, shifted by the
-        // base. Merging by explicit range reassembles them exactly.
-        const local::TrialRange slice = local::shard_range(
-            manifest.trial_end - manifest.trial_begin, shard,
-            manifest.shard_count);
-        job.trial_begin = manifest.trial_begin + slice.begin;
-        job.trial_end = manifest.trial_begin + slice.end;
-      }
+      job.trial_begin = manifest.trial_begin + slice.begin;
+      job.trial_end = manifest.trial_begin + slice.end;
       job.spec_path = manifest.spec_path();
       job.output_path = manifest.output_path(shard);
       job.log_path = manifest.log_path(shard);

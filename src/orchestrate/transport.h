@@ -1,9 +1,8 @@
 // How shard jobs reach an executor (ROADMAP "remote shard launcher").
 //
 // A Transport runs ONE shard job to completion — `lnc_sweep --spec S
-// --shard i/k --out O`, or `--trial-range B:E` in place of `--shard` —
-// and reports how it ended. Both write a result file carrying its trial
-// range, which is all the merge reads. The supervisor
+// --trial-range B:E --out O` — and reports how it ended. The result file
+// carries its trial range, which is all the merge reads. The supervisor
 // (orchestrate/supervisor.h) owns concurrency, deadlines, and retries;
 // transports own only the mechanics of starting the process somewhere and
 // waiting for it. Two real transports ship: LocalProcessTransport
@@ -28,20 +27,15 @@ namespace lnc::orchestrate {
 /// cluster arrangement.
 struct ShardJob {
   unsigned shard = 0;
-  unsigned shard_count = 1;
-  /// When nonzero-width, the job runs `--trial-range begin:end` instead
-  /// of `--shard i/k` — the explicit-extent form used by cache top-up
-  /// runs (and any planner that sizes shards unevenly). Either way the
-  /// result file records its trial range, and every result merges by
-  /// range (scenario::merge_sweep_files).
+  /// The job's non-empty slice [trial_begin, trial_end) of the frozen
+  /// spec's trials; its result merges by range
+  /// (scenario::merge_sweep_files).
   std::uint64_t trial_begin = 0;
   std::uint64_t trial_end = 0;
   std::string spec_path;    ///< frozen spec JSON (scenario::spec_to_json)
   std::string output_path;  ///< where the shard result JSON must land
   std::string log_path;     ///< attempt stdout+stderr (empty: /dev/null)
   unsigned threads = 1;     ///< lnc_sweep --threads for this job
-
-  bool has_trial_range() const noexcept { return trial_end > trial_begin; }
 };
 
 struct TransportResult {

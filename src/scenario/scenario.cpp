@@ -17,6 +17,79 @@ namespace {
 /// Seed-derivation tags separating the per-grid-point streams.
 constexpr std::uint64_t kPlanSeedTag = 0xE1;
 
+/// The deterministic communication a construction step charged: the
+/// growth of the worker's telemetry across it.
+local::Telemetry telemetry_delta(const local::Telemetry& before,
+                                 const local::Telemetry& after) {
+  local::Telemetry delta;
+  delta.messages_sent = after.messages_sent - before.messages_sent;
+  delta.words_sent = after.words_sent - before.words_sent;
+  delta.rounds_executed = after.rounds_executed - before.rounds_executed;
+  delta.ball_expansions = after.ball_expansions - before.ball_expansions;
+  return delta;
+}
+
+/// The workload's finish: what a trial tallies from its construction's
+/// output, rounds and telemetry delta — the statistic for value and
+/// counter workloads, else the global membership check ("exact") or the
+/// decider's verdict, against the accept side. The scalar trial and the
+/// vectorized lockstep path call the same one.
+local::VectorExec workload_finish(local::WorkloadKind workload,
+                                  const local::Instance* inst,
+                                  const lang::Language* language,
+                                  const StatisticEntry* statistic,
+                                  const decide::RandomizedDecider* decider,
+                                  const decide::EvaluateOptions& eval_options,
+                                  bool accept) {
+  local::VectorExec finish;
+  if (statistic != nullptr) {
+    const auto evaluate_statistic =
+        [inst, language, statistic](
+            const local::TrialEnv& /*env*/, const local::Labeling& output,
+            int rounds, const local::Telemetry& delta) {
+          StatisticContext ctx;
+          ctx.instance = inst;
+          ctx.output = &output;
+          ctx.outcome = Construction::Outcome{rounds};
+          ctx.language = language;
+          if (statistic->needs_telemetry) ctx.delta = delta;
+          return statistic->eval(ctx);
+        };
+    if (workload == local::WorkloadKind::kValue) {
+      finish.value_finish = evaluate_statistic;
+    } else {
+      finish.count_finish =
+          [evaluate_statistic](const local::TrialEnv& env,
+                               const local::Labeling& output, int rounds,
+                               const local::Telemetry& delta,
+                               std::span<std::uint64_t> slots) {
+            slots[0] += static_cast<std::uint64_t>(std::llround(
+                evaluate_statistic(env, output, rounds, delta)));
+          };
+    }
+  } else if (decider == nullptr) {
+    finish.success_finish =
+        [inst, language, accept](const local::TrialEnv& /*env*/,
+                                 const local::Labeling& output,
+                                 int /*rounds*/,
+                                 const local::Telemetry& /*delta*/) {
+          return language->contains(*inst, output) == accept;
+        };
+  } else {
+    finish.success_finish =
+        [inst, decider, eval_options, accept](
+            const local::TrialEnv& env, const local::Labeling& output,
+            int /*rounds*/, const local::Telemetry& /*delta*/) {
+          const rand::PhiloxCoins f_coins = env.fault_coins();
+          return decide::evaluate(
+                     *inst, output, *decider, env.decision_coins(),
+                     decide::trial_options(eval_options, env, f_coins))
+                     .accepted == accept;
+        };
+  }
+  return finish;
+}
+
 /// The one unknown-component diagnostic every registry lookup emits:
 /// "unknown <kind> '<name>'; available: a, b, c". Uniform across all six
 /// registries so callers (and tests) can rely on one shape.
@@ -329,42 +402,24 @@ CompiledScenario compile(const ScenarioSpec& spec) {
       spec.workload != local::WorkloadKind::kSuccess
           ? statistics().find(spec.statistic)
           : nullptr;
-  // Shared per-trial body of the custom statistic paths: run the
-  // construction (ball algorithms through the spec's exec mode, so
-  // --mode means the same thing on every workload path), snapshot the
-  // telemetry delta when the statistic reads it, evaluate.
+  // A trial's construction step: ball algorithms through the spec's exec
+  // mode (so --mode means the same thing on every workload), engine
+  // programs through Construction::run, into the worker's labeling.
+  // Returns the rounds the construction ran.
   const local::ExecMode mode = spec.mode;
-  const auto evaluate_statistic =
-      [language, construction, statistic, ball, mode,
-       fault](const local::Instance& instance, const local::TrialEnv& env) {
-        local::Labeling& output = env.arena->labeling();
-        local::Telemetry before;
-        if (statistic->needs_telemetry) before = env.arena->telemetry();
-        StatisticContext ctx;
-        if (ball != nullptr) {
-          local::construct_trial(env, instance, *ball, mode,
-                                 /*grant_n=*/false, fault);
-          ctx.outcome = Construction::Outcome{ball->radius()};
-        } else {
-          Construction::RunOptions run_options;
-          run_options.fault = fault;
-          ctx.outcome = construction->run(instance, env, output, run_options);
-        }
-        if (statistic->needs_telemetry) {
-          const local::Telemetry& after = env.arena->telemetry();
-          ctx.delta.messages_sent =
-              after.messages_sent - before.messages_sent;
-          ctx.delta.words_sent = after.words_sent - before.words_sent;
-          ctx.delta.rounds_executed =
-              after.rounds_executed - before.rounds_executed;
-          ctx.delta.ball_expansions =
-              after.ball_expansions - before.ball_expansions;
-        }
-        ctx.instance = &instance;
-        ctx.output = &output;
-        ctx.language = language;
-        return statistic->eval(ctx);
-      };
+  const auto construct = [construction, ball, mode, fault](
+                             const local::Instance& instance,
+                             const local::TrialEnv& env) {
+    if (ball != nullptr) {
+      local::construct_trial(env, instance, *ball, mode, /*grant_n=*/false,
+                             fault);
+      return ball->radius();
+    }
+    Construction::RunOptions run_options;
+    run_options.fault = fault;
+    return construction->run(instance, env, env.arena->labeling(), run_options)
+        .rounds;
+  };
 
   compiled.points_.reserve(spec.n_grid.size());
   for (const std::uint64_t n : spec.n_grid) {
@@ -399,93 +454,51 @@ CompiledScenario compile(const ScenarioSpec& spec) {
       }
     }
 
-    if (spec.workload == local::WorkloadKind::kValue) {
-      if (ball != nullptr && !statistic->needs_telemetry) {
-        // Ball-based construction: route through the standard value-plan
-        // factory (honoring the exec mode). Ball runs execute in their
-        // radius, so the outcome is a grid-point constant.
-        const Construction::Outcome ball_outcome{ball->radius()};
-        point.plan = local::construction_value_plan(
-            plan_name, inst, *ball,
-            [language, statistic, ball_outcome](
-                const local::Instance& instance,
-                const local::Labeling& output) {
-              StatisticContext ctx;
-              ctx.instance = &instance;
-              ctx.output = &output;
-              ctx.outcome = ball_outcome;
-              ctx.language = language;
-              return statistic->eval(ctx);
-            },
-            spec.trials, plan_seed, spec.mode, /*grant_n=*/false, fault);
-      } else {
-        const local::Instance* inst_ptr = point.instance.get();
-        point.plan = local::custom_value_plan(
-            plan_name, spec.trials, plan_seed,
-            [inst_ptr, evaluate_statistic](const local::TrialEnv& env) {
-              return evaluate_statistic(*inst_ptr, env);
-            });
-      }
-    } else if (spec.workload == local::WorkloadKind::kCounter) {
-      const local::Instance* inst_ptr = point.instance.get();
-      point.plan = local::custom_count_plan(
-          plan_name, spec.trials, plan_seed, 1,
-          [inst_ptr, evaluate_statistic](const local::TrialEnv& env,
-                                         std::span<std::uint64_t> slots) {
-            slots[0] += static_cast<std::uint64_t>(
-                std::llround(evaluate_statistic(*inst_ptr, env)));
-          });
-    } else if (decider == nullptr) {
-      // "exact": success == (global membership verdict == accept side).
-      if (ball != nullptr) {
-        point.plan = local::construction_plan(
-            plan_name, inst, *ball,
-            [language, accept](const local::Instance& instance,
-                               const local::Labeling& output) {
-              return language->contains(instance, output) == accept;
-            },
-            spec.trials, plan_seed, spec.mode, /*grant_n=*/false, fault);
-      } else {
-        const local::Instance* inst_ptr = point.instance.get();
-        point.plan = local::custom_plan(
-            plan_name, spec.trials, plan_seed,
-            [inst_ptr, language, construction, accept, fault](
-                const local::TrialEnv& env) {
-              local::Labeling& output = env.arena->labeling();
-              Construction::RunOptions run_options;
-              run_options.fault = fault;
-              construction->run(*inst_ptr, env, output, run_options);
-              return language->contains(*inst_ptr, output) == accept;
-            });
-      }
-    } else if (ball != nullptr) {
+    if (ball != nullptr && decider != nullptr) {
       point.plan = decide::construct_then_decide_plan(
           plan_name, inst, *ball, *decider, spec.trials, plan_seed,
           eval_options, accept, spec.mode);
     } else {
       const local::Instance* inst_ptr = point.instance.get();
-      point.plan = local::custom_plan(
-          plan_name, spec.trials, plan_seed,
-          [inst_ptr, construction, decider, eval_options, accept,
-           fault](const local::TrialEnv& env) {
-            local::Labeling& output = env.arena->labeling();
-            Construction::RunOptions run_options;
-            run_options.fault = fault;
-            construction->run(*inst_ptr, env, output, run_options);
-            const rand::PhiloxCoins f_coins = env.fault_coins();
-            return decide::evaluate(
-                       *inst_ptr, output, *decider, env.decision_coins(),
-                       decide::trial_options(eval_options, env, f_coins))
-                       .accepted == accept;
-          });
+      local::VectorExec finish = workload_finish(
+          spec.workload, inst_ptr, language, statistic, decider, eval_options,
+          accept);
+      // The scalar trial: the construction step, then the finish (plus a
+      // counter trial's slots) on the worker's labeling.
+      const auto scalar_trial = [inst_ptr, &construct](auto finish_trial) {
+        return [inst_ptr, construct, finish_trial](const local::TrialEnv& env,
+                                                   auto... slots) {
+          const local::Telemetry before = env.arena->telemetry();
+          const int rounds = construct(*inst_ptr, env);
+          return finish_trial(env, env.arena->labeling(), rounds,
+                              telemetry_delta(before, env.arena->telemetry()),
+                              slots...);
+        };
+      };
+      if (finish.success_finish) {
+        point.plan = local::custom_plan(plan_name, spec.trials, plan_seed,
+                                        scalar_trial(finish.success_finish));
+      } else if (finish.value_finish) {
+        point.plan = local::custom_value_plan(
+            plan_name, spec.trials, plan_seed,
+            scalar_trial(finish.value_finish));
+      } else {
+        point.plan = local::custom_count_plan(
+            plan_name, spec.trials, plan_seed, 1,
+            scalar_trial(finish.count_finish));
+      }
+      // Vectorizable engine constructions get the SoA execution hooks,
+      // which call the same finish on each lockstep trial's output.
+      if (vectorizable) {
+        point.plan.vector = std::move(finish);
+        point.plan.vector.instance = inst_ptr;
+        point.plan.vector.factory = engine_factory;
+      }
     }
 
     // Backend selection. Every plan carries an OptimizationConfig so a
     // forced --backend naive/batched is honored on every path; kAuto
-    // resolves through the size-based tuner. Vectorizable engine
-    // constructions additionally get the SoA execution hooks — the
-    // workload-matching finish turns each lockstep trial's output into
-    // exactly what the scalar trial body would have tallied.
+    // resolves through the size-based tuner.
     {
       double mean_degree = 0.0;
       if (inst.is_implicit()) {
@@ -503,62 +516,6 @@ CompiledScenario compile(const ScenarioSpec& spec) {
         config.backend = spec.backend;
       }
       point.plan.optimization = config;
-    }
-    if (vectorizable) {
-      const local::Instance* inst_ptr = point.instance.get();
-      point.plan.vector.instance = inst_ptr;
-      point.plan.vector.factory = engine_factory;
-      if (spec.workload == local::WorkloadKind::kValue ||
-          spec.workload == local::WorkloadKind::kCounter) {
-        const auto finish_statistic =
-            [inst_ptr, language, statistic](
-                const local::TrialEnv& /*env*/, const local::Labeling& output,
-                int rounds, const local::Telemetry& delta) {
-              StatisticContext ctx;
-              ctx.instance = inst_ptr;
-              ctx.output = &output;
-              ctx.outcome = Construction::Outcome{rounds};
-              ctx.language = language;
-              if (statistic->needs_telemetry) ctx.delta = delta;
-              return statistic->eval(ctx);
-            };
-        if (spec.workload == local::WorkloadKind::kValue) {
-          point.plan.vector.value_finish =
-              [finish_statistic](const local::TrialEnv& env,
-                                 const local::Labeling& output, int rounds,
-                                 const local::Telemetry& delta) {
-                return finish_statistic(env, output, rounds, delta);
-              };
-        } else {
-          point.plan.vector.count_finish =
-              [finish_statistic](const local::TrialEnv& env,
-                                 const local::Labeling& output, int rounds,
-                                 const local::Telemetry& delta,
-                                 std::span<std::uint64_t> slots) {
-                slots[0] += static_cast<std::uint64_t>(
-                    std::llround(finish_statistic(env, output, rounds, delta)));
-              };
-        }
-      } else if (decider == nullptr) {
-        point.plan.vector.success_finish =
-            [inst_ptr, language, accept](const local::TrialEnv& /*env*/,
-                                         const local::Labeling& output,
-                                         int /*rounds*/,
-                                         const local::Telemetry& /*delta*/) {
-              return language->contains(*inst_ptr, output) == accept;
-            };
-      } else {
-        point.plan.vector.success_finish =
-            [inst_ptr, decider, eval_options, accept](
-                const local::TrialEnv& env, const local::Labeling& output,
-                int /*rounds*/, const local::Telemetry& /*delta*/) {
-              const rand::PhiloxCoins f_coins = env.fault_coins();
-              return decide::evaluate(
-                         *inst_ptr, output, *decider, env.decision_coins(),
-                         decide::trial_options(eval_options, env, f_coins))
-                         .accepted == accept;
-            };
-      }
     }
     compiled.points_.push_back(std::move(point));
   }

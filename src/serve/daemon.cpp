@@ -107,7 +107,8 @@ std::string handle_request_line(SweepService& service,
          << ", \"hits\": " << stats.hits << ", \"topups\": " << stats.topups
          << ", \"misses\": " << stats.misses
          << ", \"trials_computed\": " << stats.trials_computed
-         << ", \"trials_reused\": " << stats.trials_reused << "}"
+         << ", \"trials_reused\": " << stats.trials_reused
+         << ", \"key_locks\": " << stats.key_locks << "}"
          << ", \"metrics\": " << service.metrics_snapshot().to_json()
          << ", \"identity\": {\"seed_stream_epoch\": "
          << util::seed_stream_epoch() << ", \"build_rev\": \""

@@ -10,7 +10,8 @@
 // Introspection (runs no trials):
 //   {"op": "stats"}
 // answers {"status": "ok", "stats": {"queries": N, "hits": H,
-//   "topups": U, "misses": M, "trials_computed": C, "trials_reused": R},
+//   "topups": U, "misses": M, "trials_computed": C, "trials_reused": R,
+//   "key_locks": K (keys with a query in flight)},
 //   "metrics": {<latency histograms: cache_lookup_seconds,
 //   query_seconds>}, "identity": {...}}.
 //

@@ -127,6 +127,8 @@ std::string ResultStore::store(CacheEntry entry) const {
            ") but the entry spec declares " +
            std::to_string(entry.spec.trials);
   }
+  const std::optional<CacheEntry> stored = lookup(entry.key);
+  if (stored && stored->spec.trials >= entry.spec.trials) return {};
   entry.seed_stream_epoch = util::seed_stream_epoch();
   entry.build_rev = util::build_rev();
   return util::write_file_atomic(path_for(entry.key), entry_to_json(entry));

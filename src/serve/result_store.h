@@ -56,9 +56,13 @@ class ResultStore {
                                    std::string* diagnostic = nullptr) const;
 
   /// Persists the entry atomically at path_for(entry.key), stamping the
-  /// current epoch/build rev. Requires a complete result whose covered
-  /// trials equal entry.spec.trials. Returns empty on success, else a
-  /// human-readable error.
+  /// current epoch/build rev, unless the store already holds a valid
+  /// entry for the key covering at least as many trials: that entry is
+  /// kept, so a store never loses trials and the first writer's seed
+  /// stays canonical (a check, then a write: two processes racing on one
+  /// key can still both write). Requires a complete result whose covered
+  /// trials equal entry.spec.trials. Returns empty on success (written
+  /// or kept), else a human-readable error.
   std::string store(CacheEntry entry) const;
 
  private:

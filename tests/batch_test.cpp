@@ -5,8 +5,9 @@
 //    estimates for thread counts 1, 2, and 8 (the contract that makes
 //    every experiment in the repo replayable from a 64-bit seed);
 //  * execution-mode agreement — balls, native messages, and two-phase
-//    simulation produce identical labelings for every algorithm family
-//    covered by simulate_test.cpp, deterministic AND randomized;
+//    simulation produce identical labelings on six graph families for
+//    algorithms that read identities, inputs, distances and ball
+//    structure, deterministic AND randomized;
 //  * arena reuse — warm per-worker arenas do not leak state between
 //    trials or between consecutive runs.
 #include <gtest/gtest.h>
@@ -26,7 +27,7 @@ namespace {
 using local::BatchRunner;
 using local::ExecMode;
 
-// -- algorithms mirrored from simulate_test.cpp ----------------------------
+// -- algorithms that read only model-visible data --------------------------
 
 class CenterRank final : public local::BallAlgorithm {
  public:

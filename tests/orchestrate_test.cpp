@@ -122,6 +122,8 @@ TEST(Manifest, SaveLoadRoundTripsThroughTheRunDirectory) {
   std::filesystem::create_directories(dir);
   RunManifest manifest = orchestrate::make_manifest(dir, "io-demo", 2);
   manifest.shards[1].state = ShardState::kDone;
+  std::ofstream(manifest.spec_path())
+      << scenario::spec_to_json(shrunk("ring-amos-yes", 24, 16));
   orchestrate::save_manifest(manifest);
   // Atomic save leaves no tmp file behind.
   EXPECT_FALSE(
@@ -131,6 +133,27 @@ TEST(Manifest, SaveLoadRoundTripsThroughTheRunDirectory) {
   EXPECT_EQ(loaded.scenario, "io-demo");
   EXPECT_EQ(loaded.shards[1].state, ShardState::kDone);
   EXPECT_EQ(loaded.output_path(0), dir + "/shard-0.json");
+  // A keyless (cold) manifest computes every trial of its frozen spec.
+  EXPECT_EQ(loaded.trial_begin, 0u);
+  EXPECT_EQ(loaded.trial_end, 24u);
+  EXPECT_FALSE(loaded.is_topup());
+}
+
+TEST(Manifest, LoadDropsShardsWithEmptySlices) {
+  // A run directory planned with 3 shards of a 2-trial spec: shard 2's
+  // slice is empty, so the loaded run keeps shards 0 and 1, whose slices
+  // are the same 1-trial ranges under 2 shards as under 3.
+  const std::string dir = fresh_dir("manifest-wide");
+  std::filesystem::create_directories(dir);
+  RunManifest manifest = orchestrate::make_manifest(dir, "wide", 3);
+  std::ofstream(manifest.spec_path())
+      << scenario::spec_to_json(shrunk("ring-amos-yes", 2, 16));
+  orchestrate::save_manifest(manifest);
+
+  const RunManifest loaded = orchestrate::load_manifest(dir);
+  EXPECT_EQ(loaded.shard_count, 2u);
+  EXPECT_EQ(loaded.shards.size(), 2u);
+  EXPECT_EQ(loaded.trial_end, 2u);
 }
 
 TEST(Manifest, RejectsCorruptInput) {
@@ -187,7 +210,8 @@ TEST(SpecJson, SpecRoundTripsFieldForField) {
 TEST(Transport, TemplateRenderingQuotesAndSubstitutes) {
   orchestrate::ShardJob job;
   job.shard = 2;
-  job.shard_count = 5;
+  job.trial_begin = 12;
+  job.trial_end = 18;
   job.spec_path = "/run/spec.json";
   job.output_path = "/run/shard-2.json";
 
@@ -197,8 +221,8 @@ TEST(Transport, TemplateRenderingQuotesAndSubstitutes) {
   const std::string rendered = orchestrate::render_template(
       "ssh worker{shard} {cmd}", "lnc_sweep", job);
   EXPECT_EQ(rendered,
-            "ssh worker2 lnc_sweep --spec /run/spec.json --shard 2/5 "
-            "--out /run/shard-2.json");
+            "ssh worker2 lnc_sweep --spec /run/spec.json --trial-range "
+            "12:18 --out /run/shard-2.json");
 
   // No {cmd}: the command is appended.
   EXPECT_EQ(orchestrate::render_template("srun -N1", "lnc_sweep", job)
@@ -374,7 +398,7 @@ TEST(EndToEnd, TopUpFleetMergesBitIdenticalToColdRun) {
   const scenario::SweepResult baseline = reference_run(small);
 
   const std::string dir = fresh_dir("e2e-topup");
-  RunManifest manifest = orchestrate::plan_topup_run(big, dir, 3, baseline);
+  RunManifest manifest = orchestrate::plan_run(big, dir, 3, &baseline);
   EXPECT_TRUE(manifest.is_topup());
   EXPECT_EQ(manifest.trial_begin, 14u);
   EXPECT_EQ(manifest.trial_end, 40u);
@@ -393,16 +417,30 @@ TEST(EndToEnd, TopUpPlanningRejectsBadBaselines) {
   ScenarioSpec small = shrunk("ring-amos-yes", 10, 16);
   const scenario::SweepResult baseline = reference_run(small);
   // Nothing to top up: the baseline already covers the request.
-  EXPECT_THROW(orchestrate::plan_topup_run(small, fresh_dir("topup-none"),
-                                           1, baseline),
-               std::runtime_error);
+  EXPECT_THROW(
+      orchestrate::plan_run(small, fresh_dir("topup-none"), 1, &baseline),
+      std::runtime_error);
   // More shards than missing trials would degrade an empty slice into a
   // full-width job — must be refused outright.
   ScenarioSpec big = small;
   big.trials = 12;
-  EXPECT_THROW(orchestrate::plan_topup_run(big, fresh_dir("topup-wide"),
-                                           3, baseline),
+  EXPECT_THROW(
+      orchestrate::plan_run(big, fresh_dir("topup-wide"), 3, &baseline),
+      std::runtime_error);
+}
+
+TEST(Resume, ColdPlanRefusesMoreShardsThanTrials) {
+  // Every shard runs a non-empty trial range, so a cold 2-trial run
+  // takes at most 2 shards (lnc_launch clamps before planning).
+  const ScenarioSpec spec = shrunk("ring-amos-yes", 2, 16);
+  EXPECT_THROW(orchestrate::plan_run(spec, fresh_dir("cold-wide"), 3),
                std::runtime_error);
+  EXPECT_THROW(orchestrate::plan_run(spec, fresh_dir("cold-none"), 0),
+               std::runtime_error);
+  const RunManifest manifest =
+      orchestrate::plan_run(spec, fresh_dir("cold-exact"), 2);
+  EXPECT_EQ(manifest.trial_begin, 0u);
+  EXPECT_EQ(manifest.trial_end, 2u);
 }
 
 }  // namespace

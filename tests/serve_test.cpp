@@ -264,6 +264,32 @@ TEST(ResultStore, RoundTripsAnEntry) {
   expect_rows_bit_identical(entry.result, loaded->result);
 }
 
+TEST(ResultStore, NeverReplacesAnEntryCoveringMoreTrials) {
+  // A smaller write-back (a racing miss, or the resume of a superseded
+  // run) must not throw away trials the store already holds.
+  const serve::ResultStore store(fresh_dir("keep-larger"));
+  const ScenarioSpec big = shrunk("ring-amos-yes", 20, 16);
+  ScenarioSpec small = big;
+  small.trials = 8;
+  small.base_seed = big.base_seed + 1;
+  const CacheKey key = serve::cache_key(big);
+  ASSERT_EQ(key, serve::cache_key(small));
+  ASSERT_EQ(store.store({key, 0, {}, big, cold_run(big)}), "");
+  ASSERT_EQ(store.store({key, 0, {}, small, cold_run(small)}), "");
+  std::optional<CacheEntry> kept = store.lookup(key);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->spec.trials, 20u);
+  EXPECT_EQ(kept->spec.base_seed, big.base_seed);
+
+  // An entry covering more trials does replace a smaller one.
+  ScenarioSpec bigger = big;
+  bigger.trials = 30;
+  ASSERT_EQ(store.store({key, 0, {}, bigger, cold_run(bigger)}), "");
+  kept = store.lookup(key);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->spec.trials, 30u);
+}
+
 TEST(ResultStore, MissingEntryIsADiagnosedMiss) {
   const serve::ResultStore store(fresh_dir("absent"));
   std::string diagnostic;
@@ -500,7 +526,27 @@ TEST(SweepService, ConcurrentIdenticalQueriesShareOneComputation) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.trials_computed, 14u);
+  EXPECT_EQ(stats.key_locks, 0u) << "the last of the two frees the lock";
   expect_rows_bit_identical(a.result, b.result);
+}
+
+TEST(SweepService, IdleKeyLocksAreFreed) {
+  // The key covers n but not the trial count or the seed: 40 values of n
+  // are 40 keys, and none keeps a lock once its query is answered.
+  serve::ServiceOptions options;
+  options.threads = 1;
+  serve::SweepService service(fresh_dir("key-locks"), options);
+  for (std::uint64_t n = 8; n < 48; ++n) {
+    EXPECT_EQ(service.query(shrunk("ring-amos-yes", 2, n)).outcome,
+              CacheOutcome::kMiss);
+  }
+  const serve::SweepService::Stats stats = service.stats();
+  EXPECT_EQ(stats.misses, 40u);
+  EXPECT_EQ(stats.key_locks, 0u);
+  // The daemon's stats reply reports the same count.
+  EXPECT_NE(serve::handle_request_line(service, "{\"op\": \"stats\"}")
+                .find("\"key_locks\": 0}"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------ wire protocol --

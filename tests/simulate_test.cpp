@@ -1,10 +1,15 @@
-// Tests for local/simulate: the two-phase message-passing simulation of
-// ball algorithms agrees with the direct ball runner — the executable
-// content of the paper's section-2.1.1 simulation argument.
+// Tests for the simulation theorem (paper, section 2.1.1) as the
+// messages and two-phase execution modes run it: the ball reconstructed
+// from a flooding collector's knowledge table is B_G(v, t), phase one
+// charges exactly t engine rounds, and granted knowledge of n reaches the
+// simulated algorithm. tests/batch_test.cpp checks that both modes agree
+// with the direct ball runner label for label.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "graph/generators.h"
-#include "local/simulate.h"
+#include "local/experiment.h"
 
 namespace lnc::local {
 namespace {
@@ -27,35 +32,6 @@ class CenterRank final : public BallAlgorithm {
   int radius_;
 };
 
-/// Sum of inputs weighted by distance — reads inputs + distances.
-class DistanceWeightedSum final : public BallAlgorithm {
- public:
-  std::string name() const override { return "distance-weighted-sum"; }
-  int radius() const override { return 2; }
-  Label compute(const View& view) const override {
-    Label sum = 0;
-    for (graph::NodeId i = 0; i < view.ball->size(); ++i) {
-      sum += view.input(i) *
-             static_cast<Label>(view.ball->distance(i) + 1);
-    }
-    return sum;
-  }
-};
-
-/// Degree profile of the ball — reads pure structure (degrees in ball).
-class DegreeProfile final : public BallAlgorithm {
- public:
-  std::string name() const override { return "degree-profile"; }
-  int radius() const override { return 1; }
-  Label compute(const View& view) const override {
-    Label profile = view.ball->degree_in_ball(0);
-    for (graph::NodeId nbr : view.ball->neighbors(0)) {
-      profile += 100 * view.ball->degree_in_ball(nbr);
-    }
-    return profile;
-  }
-};
-
 Instance labeled_instance(graph::Graph g, std::uint64_t seed) {
   const graph::NodeId n = g.node_count();
   Instance inst = make_instance(std::move(g),
@@ -67,41 +43,17 @@ Instance labeled_instance(graph::Graph g, std::uint64_t seed) {
   return inst;
 }
 
-class SimulateProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(SimulateProperty, MessagePassingEqualsDirectBallRun) {
-  graph::Graph g;
-  switch (GetParam()) {
-    case 0: g = graph::cycle(17); break;
-    case 1: g = graph::grid(5, 4); break;
-    case 2: g = graph::binary_tree(31); break;
-    case 3: g = graph::petersen(); break;
-    case 4: g = graph::random_regular(24, 3, 11); break;
-    default: g = graph::hypercube(4); break;
-  }
-  const Instance inst = labeled_instance(std::move(g), 13);
-
-  const CenterRank rank2(2);
-  EXPECT_EQ(run_via_messages(inst, rank2).output,
-            run_ball_algorithm(inst, rank2));
-
-  const DistanceWeightedSum sums;
-  EXPECT_EQ(run_via_messages(inst, sums).output,
-            run_ball_algorithm(inst, sums));
-
-  const DegreeProfile profile;
-  EXPECT_EQ(run_via_messages(inst, profile).output,
-            run_ball_algorithm(inst, profile));
-}
-
-INSTANTIATE_TEST_SUITE_P(Families, SimulateProperty, ::testing::Range(0, 6));
-
-TEST(Simulate, RoundCountEqualsRadius) {
+TEST(Simulate, TwoPhaseChargesExactlyRadiusEngineRounds) {
   const Instance inst = labeled_instance(graph::cycle(12), 3);
-  const CenterRank rank3(3);
-  EXPECT_EQ(run_via_messages(inst, rank3).rounds, 3);
-  const CenterRank rank0(0);
-  EXPECT_EQ(run_via_messages(inst, rank0).rounds, 0);
+  for (const int radius : {0, 3}) {
+    WorkerArena arena;
+    ExecOptions options;
+    options.arena = &arena;
+    run_construction(inst, CenterRank(radius), ExecMode::kTwoPhase, options);
+    EXPECT_EQ(arena.telemetry().rounds_executed,
+              static_cast<std::uint64_t>(radius))
+        << "radius " << radius;
+  }
 }
 
 TEST(Simulate, ReconstructionMatchesBallMembership) {
@@ -138,9 +90,12 @@ TEST(Simulate, GrantNReachesTheAlgorithm) {
     }
   };
   const Instance inst = labeled_instance(graph::cycle(9), 2);
-  EngineOptions options;
+  ExecOptions options;
   options.grant_n = true;
-  EXPECT_EQ(run_via_messages(inst, NReader{}, options).output[0], 9u);
+  for (const ExecMode mode : {ExecMode::kMessages, ExecMode::kTwoPhase}) {
+    EXPECT_EQ(run_construction(inst, NReader{}, mode, options)[0], 9u)
+        << to_string(mode);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // lnc_launch — the distributed sweep orchestrator (src/orchestrate).
 //
-// Turns any scenario into a fleet of `lnc_sweep --shard i/k` jobs, runs
-// them over a pluggable transport with per-job timeouts and
-// retry-with-backoff, records every state transition in a persistent run
-// manifest, and gathers the shard results into the EXACT unsharded
-// SweepResult (estimates, exact-sum value accumulators, counter slots,
-// and deterministic telemetry counters are bit-identical — the same
-// merge contract `lnc_sweep --merge` obeys).
+// Turns any scenario into a fleet of `lnc_sweep --trial-range B:E` jobs
+// (at most one shard per trial to run), runs them over a pluggable
+// transport with per-job timeouts and retry-with-backoff, records every
+// state transition in a persistent run manifest, and gathers the shard
+// results into the EXACT unsharded SweepResult (estimates, exact-sum
+// value accumulators, counter slots, and deterministic telemetry
+// counters are bit-identical — the same merge contract `lnc_sweep
+// --merge` obeys).
 //
 //   lnc_launch SPEC --shards K [overrides] [options]
 //       Plan a fresh run directory and execute it. SPEC and the overrides
@@ -46,15 +47,17 @@
 //   --progress           live fleet heartbeat on stderr (shards done,
 //                        throughput, ETA) between the per-transition
 //                        launch[...] lines
-//   --cache DIR          content-addressed result store (serve/): a
-//                        cached result at >= the requested trials is
-//                        served without launching any shard; a cached
-//                        PREFIX turns the fleet into a top-up run that
-//                        computes only the missing trial range and merges
-//                        bit-identically; misses run the classic fleet.
-//                        Merged results are written back to the store
-//                        (also on --resume, by re-reading the frozen
-//                        spec).
+//   --cache DIR          content-addressed result store (serve/), with
+//                        the decision lnc_sweep --cache and lnc_serve
+//                        make (serve::plan_query): a cached result at >=
+//                        the requested trials is served without launching
+//                        any shard; a cached PREFIX turns the fleet into
+//                        a top-up run that computes only the missing
+//                        trial range and merges bit-identically; a miss
+//                        is a top-up from nothing. Merged results are
+//                        written back to the store (also on --resume, by
+//                        re-reading the frozen spec), which keeps an
+//                        entry covering at least as many trials.
 //   --inject-fail S[:T]  TEST HOOK: fail shard S's first T attempts
 //                        (default 1) before reaching the transport — CI
 //                        exercises the retry path with this.
@@ -317,48 +320,24 @@ int report_outcome(const orchestrate::RunManifest& manifest,
 
 /// Serves a cache hit: same report shape as a merged run, but no fleet
 /// ever launches and no run directory is created.
-int report_cached(const serve::CacheEntry& entry, const Options& options) {
-  std::cout << "=== " << entry.result.scenario << " (served from cache, "
-            << entry.spec.trials << " trials, key "
-            << entry.key.substr(0, 16) << ") ===\n";
-  scenario::to_table(entry.result).print(std::cout);
-  for (const std::string& line : scenario::summary_lines(entry.result)) {
+int report_cached(const serve::QueryPlan& plan, const Options& options) {
+  const scenario::SweepResult& result = *plan.baseline;
+  std::cout << "=== " << result.scenario << " (served from cache, "
+            << plan.trials_reused << " trials, key "
+            << plan.key.substr(0, 16) << ") ===\n";
+  scenario::to_table(result).print(std::cout);
+  for (const std::string& line : scenario::summary_lines(result)) {
     std::cout << line << "\n";
   }
   if (options.out_file) {
     const std::string write_error =
-        scenario::write_json_file(*options.out_file, entry.result);
+        scenario::write_json_file(*options.out_file, result);
     if (!write_error.empty()) {
       std::cerr << write_error << "\n";
       return 1;
     }
   }
   return 0;
-}
-
-/// Stores a freshly merged result under its spec's key — unless the
-/// store already covers at least as many trials (a concurrent writer or
-/// the resume of a superseded run); fewer-trial entries are replaced.
-/// Write-back failure is a warning, never a run failure: the result
-/// itself is already merged and reported.
-void write_back(const serve::ResultStore& store,
-                const scenario::ScenarioSpec& spec,
-                const scenario::SweepResult& merged) {
-  const serve::CacheKey key = serve::cache_key(spec);
-  const std::optional<serve::CacheEntry> existing = store.lookup(key);
-  if (existing && existing->spec.trials >= spec.trials) return;
-  serve::CacheEntry entry;
-  entry.key = key;
-  entry.spec = spec;
-  entry.result = merged;
-  const std::string error = store.store(std::move(entry));
-  if (!error.empty()) {
-    std::cerr << "warning: cache write-back failed: " << error << "\n";
-  } else {
-    std::cerr << "cache[" << merged.scenario << "]: stored "
-              << spec.trials << " trial(s) under key " << key.substr(0, 16)
-              << "\n";
-  }
 }
 
 }  // namespace
@@ -455,81 +434,44 @@ int main(int argc, char** argv) {
         // (orchestrate::render_template throws on others) — surface that
         // BEFORE plan_run puts anything on disk.
         orchestrate::ShardJob probe;
-        probe.shard = 0;
-        probe.shard_count = options.shards;
         probe.spec_path = run_dir + "/spec.json";
         probe.output_path = run_dir + "/shard-0.json";
         orchestrate::render_template(*options.ssh_template,
                                      options.remote_sweep, probe);
       }
-      std::optional<serve::CacheEntry> entry;
-      serve::CacheKey key;
+      // Without --cache a run is a miss: every trial, from nothing.
+      serve::QueryPlan plan;
+      plan.run_spec = spec;
       if (store) {
-        key = serve::cache_key(spec);
-        std::string diagnostic;
-        entry = store->lookup(key, &diagnostic);
-        if (!entry && diagnostic != "no entry") {
-          std::cerr << "note: cache: " << diagnostic << "\n";
+        plan = serve::plan_query(*store, spec);
+        for (const std::string& note : plan.notes) {
+          std::cerr << "note: " << note << "\n";
         }
-      }
-      const auto print_cache_line = [&](serve::CacheOutcome outcome,
-                                        std::uint64_t reused,
-                                        std::uint64_t computed) {
-        std::cout << serve::cache_line(spec.name, outcome, reused, computed,
-                                       key)
+        std::cout << serve::cache_line(spec.name, plan.outcome,
+                                       plan.trials_reused,
+                                       plan.trials_computed, plan.key)
                   << "\n";
-      };
-      if (entry && entry->spec.trials >= spec.trials) {
-        // Hit: the store already covers the request — serve it, no fleet.
-        print_cache_line(serve::CacheOutcome::kHit, entry->spec.trials, 0);
-        if (entry->spec.trials > spec.trials) {
-          std::cerr << "note: serving the cached " << entry->spec.trials
-                    << "-trial result, a superset of the requested "
-                    << spec.trials << " (aggregates cannot be narrowed)\n";
+        if (plan.outcome == serve::CacheOutcome::kHit) {
+          return report_cached(plan, options);
         }
-        if (entry->spec.base_seed != spec.base_seed) {
-          std::cerr << "note: served under the entry's canonical seed "
-                    << entry->spec.base_seed << ", not the requested "
-                    << spec.base_seed << " (the key excludes the seed; "
-                    << "the first writer's seed is canonical)\n";
-        }
-        return report_cached(*entry, options);
+        cache_spec = plan.run_spec;
       }
-      if (entry) {
-        // Top-up: the fleet computes only [cached, requested) of the
-        // entry's spec (its seed is canonical) and the merge folds the
-        // cached prefix in front — bit-identical to a cold fleet run.
-        scenario::ScenarioSpec run_spec = entry->spec;
-        run_spec.trials = spec.trials;
-        if (entry->spec.base_seed != spec.base_seed) {
-          std::cerr << "note: topping up under the entry's canonical seed "
-                    << entry->spec.base_seed << ", not the requested "
-                    << spec.base_seed << "\n";
-        }
-        unsigned shards = options.shards;
-        const std::uint64_t width = spec.trials - entry->spec.trials;
-        if (shards > width) {
-          shards = static_cast<unsigned>(width);
-          std::cerr << "note: only " << width << " trial(s) to top up — "
-                    << "using " << shards << " shard(s) instead of "
-                    << options.shards << "\n";
-        }
-        print_cache_line(serve::CacheOutcome::kTopUp, entry->spec.trials,
-                         width);
-        manifest = orchestrate::plan_topup_run(run_spec, run_dir, shards,
-                                               entry->result);
-        cache_spec = run_spec;
-        std::cerr << "planned " << shards << " top-up shard(s) of '"
-                  << spec.name << "' (trials [" << manifest.trial_begin
-                  << ", " << manifest.trial_end << ")) in " << run_dir
+      // The fleet computes [trials_reused, trials) of the run spec and
+      // merges it after the cached prefix, if any.
+      unsigned shards = options.shards;
+      const std::uint64_t width = spec.trials - plan.trials_reused;
+      if (shards > width) {
+        shards = static_cast<unsigned>(width);
+        std::cerr << "note: only " << width << " trial(s) to run — using "
+                  << shards << " shard(s) instead of " << options.shards
                   << "\n";
-      } else {
-        if (store) print_cache_line(serve::CacheOutcome::kMiss, 0, spec.trials);
-        manifest = orchestrate::plan_run(spec, run_dir, options.shards);
-        if (store) cache_spec = spec;
-        std::cerr << "planned " << options.shards << " shard(s) of '"
-                  << spec.name << "' in " << run_dir << "\n";
       }
+      manifest = orchestrate::plan_run(
+          plan.run_spec, run_dir, shards,
+          plan.baseline ? &*plan.baseline : nullptr);
+      std::cerr << "planned " << shards << " shard(s) of '" << spec.name
+                << "' (trials [" << manifest.trial_begin << ", "
+                << manifest.trial_end << ")) in " << run_dir << "\n";
     }
 
     orchestrate::LaunchOutcome outcome;
@@ -541,7 +483,13 @@ int main(int argc, char** argv) {
                                          options.sweep_threads);
     }
     if (outcome.ok && store && cache_spec) {
-      write_back(*store, *cache_spec, outcome.merged);
+      // Write-back failure is a warning, never a run failure: the result
+      // itself is already merged and reported.
+      const std::string error = store->store(
+          {serve::cache_key(*cache_spec), 0, {}, *cache_spec, outcome.merged});
+      if (!error.empty()) {
+        std::cerr << "warning: cache write-back failed: " << error << "\n";
+      }
     }
     int rc = report_outcome(manifest, outcome, options);
     if (options.trace_file &&
