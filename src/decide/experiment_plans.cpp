@@ -1,7 +1,6 @@
 #include "decide/experiment_plans.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -96,12 +95,14 @@ local::ExperimentPlan acceptance_plan(
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
-  plan.success_trial = [&inst, output, &decider, options,
-                        success_on_accept](const local::TrialEnv& env) {
+  plan.trial = [&inst, output, &decider, options, success_on_accept](
+                   const local::TrialEnv& env, local::ShardTally& tally) {
     const rand::PhiloxCoins fault_coins = env.fault_coins();
-    return evaluate(inst, output, decider, env.decision_coins(),
-                    trial_options(options, env, fault_coins))
-               .accepted == success_on_accept;
+    if (evaluate(inst, output, decider, env.decision_coins(),
+                 trial_options(options, env, fault_coins))
+            .accepted == success_on_accept) {
+      ++tally.successes;
+    }
   };
   return plan;
 }
@@ -123,22 +124,24 @@ local::ExperimentPlan construct_then_decide_plan(
     // ball runner computes each output once, where the memo below
     // recomputes one on every miss: most lookups on tori, hypercubes and
     // random graphs.
-    plan.success_trial = [&inst, &algo, &decider, options, success_on_accept,
-                          mode](const local::TrialEnv& env) {
+    plan.trial = [&inst, &algo, &decider, options, success_on_accept, mode](
+                     const local::TrialEnv& env, local::ShardTally& tally) {
       const local::Labeling& output = local::construct_trial(
           env, inst, algo, mode, options.grant_n, options.fault);
       const rand::PhiloxCoins fault_coins = env.fault_coins();
-      return evaluate(inst, output, decider, env.decision_coins(),
-                      trial_options(options, env, fault_coins))
-                 .accepted == success_on_accept;
+      if (evaluate(inst, output, decider, env.decision_coins(),
+                   trial_options(options, env, fault_coins))
+              .accepted == success_on_accept) {
+        ++tally.successes;
+      }
     };
     return plan;
   }
   // Implicit ball mode: one pass of the decision loop, no O(n) labeling.
   // Member outputs come from the construction memo, and one realized
   // adversary per trial censors both phases.
-  plan.success_trial = [&inst, &algo, &decider, options,
-                        success_on_accept](const local::TrialEnv& env) {
+  plan.trial = [&inst, &algo, &decider, options, success_on_accept](
+                   const local::TrialEnv& env, local::ShardTally& tally) {
     const rand::PhiloxCoins c_coins = env.construction_coins();
     const rand::PhiloxCoins d_coins = env.decision_coins();
     const rand::PhiloxCoins f_coins = env.fault_coins();
@@ -169,7 +172,7 @@ local::ExperimentPlan construct_then_decide_plan(
       metrics->add_counter("stream_construction_computes", outputs.computes);
       metrics->add_counter("stream_construction_reuses", outputs.reuses);
     }
-    return accepted == success_on_accept;
+    if (accepted == success_on_accept) ++tally.successes;
   };
   return plan;
 }
@@ -182,31 +185,15 @@ local::ExperimentPlan guarantee_side_plan(
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
-  // Cache-owner token: unique per plan object, NOT the sampler's address —
-  // a stack/loop-local sampler can be freed and a different sampler can
-  // land at the same address, which would otherwise replay a stale cached
-  // configuration on a warm runner.
-  static std::atomic<std::uintptr_t> next_owner_token{1};
-  const std::uintptr_t owner_token =
-      next_owner_token.fetch_add(1, std::memory_order_relaxed);
-  plan.success_trial = [&sampler, owner_token, &decider, want_accept,
-                        options](const local::TrialEnv& env) {
-    // The sample lives in the worker arena: its instance/output capacity
-    // persists across trials, and an exact (plan, seed) repeat — e.g.
-    // re-running a plan on a warm runner — skips resampling entirely.
-    local::WorkerArena& arena = *env.arena;
-    const auto* owner = reinterpret_cast<const void*>(owner_token);
-    const std::uint64_t seed = env.sample_seed();
-    local::SampledConfiguration& sample = arena.sample_slot();
-    if (!arena.sample_matches(owner, seed)) {
-      sample = sampler(seed);
-      arena.note_sample(owner, seed);
-    }
+  plan.trial = [&sampler, &decider, want_accept, options](
+                   const local::TrialEnv& env, local::ShardTally& tally) {
+    const SampledConfiguration sample = sampler(env.sample_seed());
     const rand::PhiloxCoins fault_coins = env.fault_coins();
-    return evaluate(sample.inst(), sample.output, decider,
-                    env.decision_coins(),
-                    trial_options(options, env, fault_coins))
-               .accepted == want_accept;
+    if (evaluate(sample.inst(), sample.output, decider, env.decision_coins(),
+                 trial_options(options, env, fault_coins))
+            .accepted == want_accept) {
+      ++tally.successes;
+    }
   };
   return plan;
 }

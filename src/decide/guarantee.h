@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 
 #include "decide/evaluate.h"
 #include "local/batch_runner.h"
@@ -12,12 +13,24 @@
 
 namespace lnc::decide {
 
+/// A sampled input-output configuration, drawn per trial by a
+/// ConfigurationSampler. Samplers whose topology is fixed across trials
+/// set `shared_instance` to an interned instance (scenario/registry.h)
+/// and only build `output`; consumers read the instance through inst().
+struct SampledConfiguration {
+  local::Instance instance;  ///< owned storage (used when shared_instance
+                             ///< is null)
+  local::Labeling output;
+  std::shared_ptr<const local::Instance> shared_instance;
+
+  const local::Instance& inst() const noexcept {
+    return shared_instance != nullptr ? *shared_instance : instance;
+  }
+};
+
 /// A configuration sampler: produces (instance, output) pairs; `seed`
 /// controls any randomness in the sample. The sampler owns the storage via
-/// the returned struct. Samplers with a fixed topology should set
-/// `shared_instance` to an interned instance (scenario/registry.h) so the
-/// per-trial sample only rebuilds the output labeling.
-using SampledConfiguration = local::SampledConfiguration;
+/// the returned struct.
 using ConfigurationSampler =
     std::function<SampledConfiguration(std::uint64_t seed)>;
 

@@ -267,14 +267,21 @@ BallTable BallTable::unfilled(const Graph& g, int radius) {
   return table;
 }
 
-void BallTable::measure(NodeId begin, NodeId end, BallView& ball,
-                        BallScratch& scratch) {
+std::uint64_t BallTable::measure(NodeId begin, NodeId end, BallView& ball,
+                                 BallScratch& scratch) {
   LNC_EXPECTS(begin <= end && end < member_begin_.size());
+  std::uint64_t members = 0;
+  std::uint64_t adjacency = 0;
   for (NodeId v = begin; v < end; ++v) {
     ball.collect(*graph_, v, radius_, scratch);
     member_begin_[v + 1] = ball.size_;
     adjacency_begin_[v + 1] = ball.adjacency_size_;
+    members += ball.size_;
+    adjacency += ball.adjacency_size_;
   }
+  // What bytes() counts per entry: two begins and one offset per node,
+  // and per member an id, a distance, a host degree and an offset.
+  return 12 * std::uint64_t{end - begin} + 16 * members + 4 * adjacency;
 }
 
 void BallTable::allocate() {
@@ -322,27 +329,6 @@ std::uint64_t BallTable::bytes() const noexcept {
          sizeof(NodeId) * (members_.capacity() + host_degrees_.capacity() +
                            adjacency_.capacity()) +
          sizeof(int) * distances_.capacity();
-}
-
-std::uint64_t BallTable::byte_bound(NodeId n, NodeId max_degree, int radius) {
-  // Members within distance r: 1 + d + d(d - 1) + ..., stopped at n.
-  // Layers are clamped to n, so nothing here overflows.
-  const std::uint64_t branching = max_degree > 0 ? max_degree - 1 : 0;
-  std::uint64_t members = 1;
-  std::uint64_t layer = max_degree;
-  for (int d = 0; d < radius && members < n; ++d) {
-    members += layer;
-    layer = std::min<std::uint64_t>(layer * branching, n);
-  }
-  members = std::min<std::uint64_t>(members, n);
-  // Per member: id, distance, host degree and offset, plus at most
-  // max_degree row entries; per node one more offset and two begins.
-  // In double, so that a bound past 2^64 saturates instead of wrapping.
-  const double bytes =
-      (static_cast<double>(members) * (16.0 + 4.0 * max_degree) + 12.0) *
-          static_cast<double>(n) +
-      8.0;
-  return bytes < 0x1p64 ? static_cast<std::uint64_t>(bytes) : UINT64_MAX;
 }
 
 std::uint64_t BallView::structure_signature() const {

@@ -218,7 +218,8 @@ class BallView {
 /// a loop can check that a table belongs to the instance it runs on.
 ///
 /// Building costs at most two collections per node: measure() sizes each
-/// entry, allocate() sizes the arrays, fill() collects again and copies.
+/// entry (and so the table's bytes, before anything is allocated),
+/// allocate() sizes the arrays, fill() collects again and copies.
 /// A caller may split measure() and fill() over node ranges and run the
 /// ranges concurrently, each with its own view and scratch (graph/ sits
 /// below the thread pool, so the caller brings the threads).
@@ -235,8 +236,10 @@ class BallTable {
   /// then fill() over ranges covering [0, n). Calls of one step may run
   /// concurrently on disjoint ranges; steps may not overlap.
   static BallTable unfilled(const Graph& g, int radius);
-  void measure(NodeId begin, NodeId end, BallView& ball,
-               BallScratch& scratch);
+  /// Returns the bytes the range's entries add to bytes(); bytes() of
+  /// the built table is 8 plus the sum over ranges covering [0, n).
+  std::uint64_t measure(NodeId begin, NodeId end, BallView& ball,
+                        BallScratch& scratch);
   void allocate();
   void fill(NodeId begin, NodeId end, BallView& ball, BallScratch& scratch);
 
@@ -245,12 +248,6 @@ class BallTable {
 
   /// Heap bytes the table holds.
   std::uint64_t bytes() const noexcept;
-
-  /// An upper bound on bytes() of a table over any graph with n nodes and
-  /// maximum degree max_degree, known before building: a ball holds at
-  /// most min(n, 1 + d + d(d - 1) + ... + d(d - 1)^(radius - 1)) members
-  /// (the Moore bound), each with at most d in-ball neighbours.
-  static std::uint64_t byte_bound(NodeId n, NodeId max_degree, int radius);
 
  private:
   friend class BallView;

@@ -16,7 +16,10 @@ ExperimentPlan custom_plan(std::string name, std::uint64_t trials,
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
-  plan.success_trial = std::move(trial);
+  plan.trial = [trial = std::move(trial)](const TrialEnv& env,
+                                          ShardTally& tally) {
+    if (trial(env)) ++tally.successes;
+  };
   return plan;
 }
 
@@ -27,7 +30,11 @@ ExperimentPlan custom_value_plan(
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
-  plan.value_trial = std::move(trial);
+  plan.workload = WorkloadKind::kValue;
+  plan.trial = [trial = std::move(trial)](const TrialEnv& env,
+                                          ShardTally& tally) {
+    tally.add_value(trial(env));
+  };
   return plan;
 }
 
@@ -39,8 +46,12 @@ ExperimentPlan custom_count_plan(
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
+  plan.workload = WorkloadKind::kCounter;
   plan.counters = counters;
-  plan.count_trial = std::move(trial);
+  plan.trial = [trial = std::move(trial)](const TrialEnv& env,
+                                          ShardTally& tally) {
+    trial(env, tally.counts);
+  };
   return plan;
 }
 
@@ -62,19 +73,6 @@ std::optional<WorkloadKind> workload_from_string(
   if (text == "value") return WorkloadKind::kValue;
   if (text == "counter") return WorkloadKind::kCounter;
   return std::nullopt;
-}
-
-WorkloadKind workload_kind(const ExperimentPlan& plan) {
-  if (plan.success_trial != nullptr) {
-    LNC_EXPECTS(plan.value_trial == nullptr && plan.count_trial == nullptr);
-    return WorkloadKind::kSuccess;
-  }
-  if (plan.value_trial != nullptr) {
-    LNC_EXPECTS(plan.count_trial == nullptr);
-    return WorkloadKind::kValue;
-  }
-  LNC_EXPECTS(plan.count_trial != nullptr);
-  return WorkloadKind::kCounter;
 }
 
 TrialRange shard_range(std::uint64_t trials, unsigned shard,
@@ -250,14 +248,8 @@ obs::MetricsRegistry BatchRunner::merged_worker_metrics() {
   return merged;
 }
 
-Telemetry BatchRunner::merged_worker_telemetry() {
-  Telemetry merged;
-  for (const WorkerArena& arena : arenas_) merged.merge(arena.telemetry());
-  return merged;
-}
-
 stats::Estimate BatchRunner::run(const ExperimentPlan& plan) {
-  LNC_EXPECTS(plan.success_trial != nullptr);
+  LNC_EXPECTS(plan.workload == WorkloadKind::kSuccess);
   const ShardTally tally = run_shard(plan, {0, plan.trials});
   return stats::finalize_estimate(tally.successes, tally.trials);
 }
@@ -265,7 +257,6 @@ stats::Estimate BatchRunner::run(const ExperimentPlan& plan) {
 ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
                                   TrialRange range) {
   LNC_EXPECTS(range.begin <= range.end && range.end <= plan.trials);
-  const WorkloadKind kind = workload_kind(plan);
 
   // Resolve the backend. kAuto at this level means the plan never went
   // through OptimizationConfig::automatic — keep the warm-arena scalar
@@ -279,112 +270,55 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
       !plan.vector.engaged()) {
     backend = OptimizationConfig::Backend::kBatched;
   }
-  const bool vectorized = backend == OptimizationConfig::Backend::kVectorized;
-  const bool fresh_arenas = backend == OptimizationConfig::Backend::kNaive;
 
   reset_worker_telemetry();
   reset_worker_metrics();
+  // One tally per worker, each on its own cache lines, so workers add to
+  // theirs without contending. Every block of a tally sums exactly, so
+  // merging them in worker order gives the same tally for every thread
+  // count.
+  struct alignas(64) WorkerTally {
+    ShardTally tally;
+  };
+  std::vector<WorkerTally> workers(worker_count());
+  for (WorkerTally& worker : workers) {
+    worker.tally.counts.assign(plan.counters, 0);
+  }
+  if (backend == OptimizationConfig::Backend::kVectorized) {
+    LNC_EXPECTS(plan.vector.finish != nullptr);
+    for_each_vector_trial(
+        plan, range,
+        [&](unsigned worker, const TrialEnv& env, const Labeling& out,
+            int rounds, const Telemetry& delta) {
+          plan.vector.finish(env, out, rounds, delta, workers[worker].tally);
+        });
+  } else {
+    for_each_trial(plan, range,
+                   backend == OptimizationConfig::Backend::kNaive,
+                   [&](unsigned worker, const TrialEnv& env) {
+                     plan.trial(env, workers[worker].tally);
+                   });
+  }
   ShardTally tally;
   tally.trials = range.count();
-  switch (kind) {
-    case WorkloadKind::kSuccess: {
-      std::vector<stats::WorkerCounter> tallies(worker_count());
-      if (vectorized) {
-        LNC_EXPECTS(plan.vector.success_finish != nullptr);
-        for_each_vector_trial(
-            plan, range,
-            [&](unsigned worker, const TrialEnv& env, const Labeling& out,
-                int rounds, const Telemetry& delta) {
-              if (plan.vector.success_finish(env, out, rounds, delta)) {
-                ++tallies[worker].value;
-              }
-            });
-      } else {
-        for_each_trial(plan, range, fresh_arenas,
-                       [&](unsigned worker, const TrialEnv& env) {
-                         if (plan.success_trial(env)) ++tallies[worker].value;
-                       });
-      }
-      tally.successes = stats::sum_counters(tallies);
-      break;
-    }
-    case WorkloadKind::kValue: {
-      // Per-worker exact accumulators: exact sums are order-free, so
-      // merging them in worker order reproduces the same represented
-      // value — and hence the same rounded double — for every thread
-      // count and shard partition.
-      struct alignas(64) WorkerSums {
-        stats::ExactSum sum;
-        stats::ExactSum sum_sq;
-      };
-      std::vector<WorkerSums> sums(worker_count());
-      if (vectorized) {
-        LNC_EXPECTS(plan.vector.value_finish != nullptr);
-        for_each_vector_trial(
-            plan, range,
-            [&](unsigned worker, const TrialEnv& env, const Labeling& out,
-                int rounds, const Telemetry& delta) {
-              const double value =
-                  plan.vector.value_finish(env, out, rounds, delta);
-              sums[worker].sum.add(value);
-              sums[worker].sum_sq.add(value * value);
-            });
-      } else {
-        for_each_trial(plan, range, fresh_arenas,
-                       [&](unsigned worker, const TrialEnv& env) {
-                         const double value = plan.value_trial(env);
-                         sums[worker].sum.add(value);
-                         sums[worker].sum_sq.add(value * value);
-                       });
-      }
-      for (const WorkerSums& worker_sums : sums) {
-        tally.value_sum.merge(worker_sums.sum);
-        tally.value_sum_sq.merge(worker_sums.sum_sq);
-      }
-      break;
-    }
-    case WorkloadKind::kCounter: {
-      std::vector<std::vector<std::uint64_t>> slots(
-          worker_count(), std::vector<std::uint64_t>(plan.counters, 0));
-      if (vectorized) {
-        LNC_EXPECTS(plan.vector.count_finish != nullptr);
-        for_each_vector_trial(
-            plan, range,
-            [&](unsigned worker, const TrialEnv& env, const Labeling& out,
-                int rounds, const Telemetry& delta) {
-              plan.vector.count_finish(env, out, rounds, delta,
-                                       slots[worker]);
-            });
-      } else {
-        for_each_trial(plan, range, fresh_arenas,
-                       [&](unsigned worker, const TrialEnv& env) {
-                         plan.count_trial(env, slots[worker]);
-                       });
-      }
-      tally.counts.assign(plan.counters, 0);
-      for (const auto& worker_slots : slots) {
-        for (std::size_t j = 0; j < plan.counters; ++j) {
-          tally.counts[j] += worker_slots[j];
-        }
-      }
-      break;
-    }
+  for (unsigned w = 0; w < worker_count(); ++w) {
+    tally.merge(workers[w].tally);
+    tally.telemetry.merge(arenas_[w].telemetry());
   }
-  tally.telemetry = merged_worker_telemetry();
   last_telemetry_ = tally.telemetry;
   last_metrics_ = merged_worker_metrics();
   return tally;
 }
 
 stats::MeanEstimate BatchRunner::run_mean(const ExperimentPlan& plan) {
-  LNC_EXPECTS(plan.value_trial != nullptr);
+  LNC_EXPECTS(plan.workload == WorkloadKind::kValue);
   const ShardTally tally = run_shard(plan, {0, plan.trials});
   return stats::finalize_mean_exact(tally.value_sum, tally.value_sum_sq,
                                     tally.trials);
 }
 
 std::vector<std::uint64_t> BatchRunner::run_counts(const ExperimentPlan& plan) {
-  LNC_EXPECTS(plan.count_trial != nullptr);
+  LNC_EXPECTS(plan.workload == WorkloadKind::kCounter);
   return run_shard(plan, {0, plan.trials}).counts;
 }
 

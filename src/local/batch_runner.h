@@ -7,14 +7,16 @@
 // re-allocated programs, message buffers, and RNGs per trial. This header
 // is the single replacement:
 //
-//   ExperimentPlan  — what one trial does (a {0,1} success test, a
-//                     real-valued statistic, or a counter update), how many
+//   ExperimentPlan  — one trial body, which adds the trial's outcome (a
+//                     success, a real-valued statistic, or counter slots)
+//                     to the executing worker's ShardTally, how many
 //                     trials, and the base seed;
 //   BatchRunner     — executes a plan with trial-granularity parallelism
-//                     over stats::ThreadPool, one reusable WorkerArena per
-//                     worker, and per-trial Philox streams derived as
-//                     stats::trial_seed(base_seed, index), so results are
-//                     bit-for-bit identical across thread counts.
+//                     over stats::ThreadPool, one reusable WorkerArena and
+//                     one ShardTally per worker, and per-trial Philox
+//                     streams derived as stats::trial_seed(base_seed,
+//                     index), so results are bit-for-bit identical across
+//                     thread counts.
 //
 // Plan factories for the common workload shapes live in local/experiment.h
 // (construction algorithms) and decide/experiment_plans.h (deciders).
@@ -24,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -45,21 +46,6 @@ class Progress;
 }  // namespace lnc::obs
 
 namespace lnc::local {
-
-/// A sampled input-output configuration — the storage unit of plans that
-/// draw a fresh (instance, output) per trial (decide/guarantee.h samplers).
-/// Samplers whose topology is fixed across trials set `shared_instance` to
-/// an interned instance (scenario/registry.h) and only refill `output`;
-/// consumers read the instance through inst().
-struct SampledConfiguration {
-  Instance instance;  ///< owned storage (used when shared_instance is null)
-  Labeling output;
-  std::shared_ptr<const Instance> shared_instance;
-
-  const Instance& inst() const noexcept {
-    return shared_instance != nullptr ? *shared_instance : instance;
-  }
-};
 
 /// Direct-mapped memo of one trial's construction outputs, for the
 /// streaming construct-then-decide loop on implicit instances
@@ -146,23 +132,6 @@ class WorkerArena {
   /// across batches, mirroring what engine() does for the scalar path).
   VectorScratch& vector_scratch() noexcept { return vector_; }
 
-  /// Per-worker sampled-configuration cache. Sampling plans keep their
-  /// sample in this slot so instance/output capacity persists across
-  /// trials, and an exact (owner, seed) repeat skips resampling entirely.
-  /// `owner` disambiguates plans sharing a runner — use a token minted
-  /// uniquely per plan (see guarantee_side_plan), NOT the address of a
-  /// sampler or other short-lived object: a freed address can be reused
-  /// by a different plan, which would replay a stale configuration.
-  SampledConfiguration& sample_slot() noexcept { return sample_; }
-  bool sample_matches(const void* owner, std::uint64_t seed) const noexcept {
-    return sample_valid_ && sample_owner_ == owner && sample_seed_ == seed;
-  }
-  void note_sample(const void* owner, std::uint64_t seed) noexcept {
-    sample_valid_ = true;
-    sample_owner_ = owner;
-    sample_seed_ = seed;
-  }
-
  private:
   EngineScratch engine_;
   Labeling labeling_;
@@ -172,10 +141,6 @@ class WorkerArena {
   rand::CoinTable coins_;
   VectorScratch vector_;
   obs::MetricsRegistry metrics_;
-  SampledConfiguration sample_;
-  const void* sample_owner_ = nullptr;
-  std::uint64_t sample_seed_ = 0;
-  bool sample_valid_ = false;
 };
 
 /// Standard per-trial seed-derivation tags. Keeping them in one place is
@@ -225,64 +190,71 @@ struct TrialEnv {
   }
 };
 
+/// Raw tally of one executed trial range: what every trial body adds to.
+/// Success plans count `successes`, value plans add their statistic to
+/// the exact sums (add_value), counter plans add to `counts`. All blocks
+/// merge order-free, so any partition of [0, plan.trials) into ranges,
+/// and of a range over workers, reproduces the unsharded run's numbers
+/// bit for bit.
+struct ShardTally {
+  std::uint64_t successes = 0;
+  std::uint64_t trials = 0;  ///< trials executed in this range
+
+  /// Value-workload accumulators: the trial statistics and their squares
+  /// summed EXACTLY (stats::ExactSum), which is what makes sharded means
+  /// merge to the unsharded mean bit for bit — the floating-point
+  /// analogue of the integer success tally.
+  stats::ExactSum value_sum;
+  stats::ExactSum value_sum_sq;
+
+  /// Counter-workload slot sums (plan.counters entries; empty for other
+  /// workloads).
+  std::vector<std::uint64_t> counts;
+
+  /// Communication volume accumulated executing this range. The
+  /// deterministic counters are per-trial sums, so shard telemetries
+  /// merged over a partition of [0, trials) equal the unsharded run's
+  /// counters bit for bit.
+  Telemetry telemetry;
+
+  /// Adds one trial's statistic to both exact sums.
+  void add_value(double value) {
+    value_sum.add(value);
+    value_sum_sq.add(value * value);
+  }
+
+  /// Adds the tally of a disjoint range of the same plan: every block
+  /// sums exactly. Empty `counts` count as all-zero; non-empty ones must
+  /// agree on width.
+  void merge(const ShardTally& other);
+};
+
+/// A plan's trial body: runs trial env.index and adds its outcome to the
+/// executing worker's tally.
+using Trial = std::function<void(const TrialEnv&, ShardTally&)>;
+
+/// The same, for a trial whose construction already ran in lockstep: it
+/// receives the construction's output labeling (valid only during the
+/// call), its round count and its deterministic telemetry delta —
+/// everything a scalar trial body derives from its own construction run.
+using TrialFinish = std::function<void(const TrialEnv&, const Labeling&, int,
+                                       const Telemetry&, ShardTally&)>;
+
 /// Opt-in trial-vectorized execution of a plan. When `factory` (whose
 /// create_vector() must be non-null) and `instance` are set, the runner
 /// may advance whole batches of trials in lockstep on the SoA backend
-/// (local/vector_engine.h) instead of calling the scalar per-trial
-/// callback; per trial, the workload-matching finish hook then turns the
-/// construction's output into the tallied quantity. The scalar callbacks
-/// stay populated regardless — they are the naive/batched path and the
+/// (local/vector_engine.h) instead of calling the plan's trial body; per
+/// trial, `finish` then adds the construction's outcome to the tally. The
+/// trial body stays set regardless — it is the naive/batched path and the
 /// bit-identity reference.
 struct VectorExec {
   const Instance* instance = nullptr;
   const NodeProgramFactory* factory = nullptr;
-
-  /// Finish hooks (exactly the one matching the plan's workload is set):
-  /// each receives the trial env, the vector run's output labeling (valid
-  /// only during the call), the executed round count, and the trial's
-  /// deterministic telemetry delta — everything the scalar trial body
-  /// would have derived from its own construction run.
-  std::function<bool(const TrialEnv&, const Labeling&, int, const Telemetry&)>
-      success_finish;
-  std::function<double(const TrialEnv&, const Labeling&, int,
-                       const Telemetry&)>
-      value_finish;
-  std::function<void(const TrialEnv&, const Labeling&, int, const Telemetry&,
-                     std::span<std::uint64_t>)>
-      count_finish;
+  TrialFinish finish;
 
   bool engaged() const noexcept {
     return instance != nullptr && factory != nullptr;
   }
-};
-
-/// A declarative batch of independent trials. Exactly one of the trial
-/// callbacks is set; the others stay null.
-struct ExperimentPlan {
-  std::string name;
-  std::uint64_t trials = 0;
-  std::uint64_t base_seed = 0;
-
-  /// {0,1}-valued trial: BatchRunner::run reports the success proportion.
-  std::function<bool(const TrialEnv&)> success_trial;
-
-  /// Real-valued trial: BatchRunner::run_mean reports mean and stddev.
-  std::function<double(const TrialEnv&)> value_trial;
-
-  /// Counter trial: adds into `counters` accumulator slots; slots are
-  /// summed across workers (order-free, hence reproducible).
-  std::function<void(const TrialEnv&, std::span<std::uint64_t>)> count_trial;
-  std::size_t counters = 0;
-
-  /// Optional vectorized execution of the same trials (see VectorExec).
-  VectorExec vector;
-
-  /// Backend selection and vector-backend tuning. kAuto resolves to
-  /// kBatched here (scenario compilation resolves kAuto through
-  /// OptimizationConfig::automatic before the plan reaches the runner);
-  /// kVectorized transparently falls back to kBatched when `vector` is
-  /// not engaged.
-  OptimizationConfig optimization;
 };
 
 /// The three trial shapes a plan (and a scenario) can declare. Success
@@ -298,12 +270,33 @@ const char* to_string(WorkloadKind kind) noexcept;
 std::optional<WorkloadKind> workload_from_string(
     std::string_view text) noexcept;
 
-/// The workload of a plan, read off which trial callback is set
-/// (asserts that exactly the corresponding callback is present).
-WorkloadKind workload_kind(const ExperimentPlan& plan);
+/// A declarative batch of independent trials.
+struct ExperimentPlan {
+  std::string name;
+  std::uint64_t trials = 0;
+  std::uint64_t base_seed = 0;
 
-/// Fully custom plans for trial shapes the factories don't cover. The
-/// callback must derive all randomness from the TrialEnv.
+  /// Which block of the tally `trial` adds to, and the width of a
+  /// counter plan's `counts`.
+  WorkloadKind workload = WorkloadKind::kSuccess;
+  std::size_t counters = 0;
+
+  Trial trial;
+
+  /// Optional vectorized execution of the same trials (see VectorExec).
+  VectorExec vector;
+
+  /// Backend selection and vector-backend tuning. kAuto resolves to
+  /// kBatched here (scenario compilation resolves kAuto through
+  /// OptimizationConfig::automatic before the plan reaches the runner);
+  /// kVectorized transparently falls back to kBatched when `vector` is
+  /// not engaged.
+  OptimizationConfig optimization;
+};
+
+/// Plans from one {0,1}, real-valued or counter-slot callback, for trial
+/// shapes the factories don't cover. The callback must derive all
+/// randomness from the TrialEnv.
 ExperimentPlan custom_plan(std::string name, std::uint64_t trials,
                            std::uint64_t base_seed,
                            std::function<bool(const TrialEnv&)> trial);
@@ -332,39 +325,6 @@ struct TrialRange {
 TrialRange shard_range(std::uint64_t trials, unsigned shard,
                        unsigned shard_count);
 
-/// Raw tally of one executed trial range. Which block is meaningful
-/// depends on the plan's workload: success plans fill `successes`, value
-/// plans fill the exact sum/sum-of-squares accumulators, counter plans
-/// fill `counts`. All blocks merge order-free, so any partition of
-/// [0, plan.trials) into ranges reproduces the unsharded run's numbers bit
-/// for bit.
-struct ShardTally {
-  std::uint64_t successes = 0;
-  std::uint64_t trials = 0;  ///< trials executed in this range
-
-  /// Value-workload accumulators: the trial statistics and their squares
-  /// summed EXACTLY (stats::ExactSum), which is what makes sharded means
-  /// merge to the unsharded mean bit for bit — the floating-point
-  /// analogue of the integer success tally.
-  stats::ExactSum value_sum;
-  stats::ExactSum value_sum_sq;
-
-  /// Counter-workload slot sums (plan.counters entries; empty for other
-  /// workloads).
-  std::vector<std::uint64_t> counts;
-
-  /// Communication volume accumulated executing this range. The
-  /// deterministic counters are per-trial sums, so shard telemetries
-  /// merged over a partition of [0, trials) equal the unsharded run's
-  /// counters bit for bit.
-  Telemetry telemetry;
-
-  /// Adds the tally of a disjoint range of the same plan: every block
-  /// sums exactly. Empty `counts` count as all-zero; non-empty ones must
-  /// agree on width.
-  void merge(const ShardTally& other);
-};
-
 /// Executes ExperimentPlans. Arenas persist across run() calls, so a
 /// runner reused for a sweep keeps its scratch warm. Not thread-safe;
 /// use one runner per caller thread.
@@ -375,19 +335,21 @@ class BatchRunner {
 
   unsigned worker_count() const noexcept;
 
-  /// Runs a success_trial plan; Wilson-interval estimate of Pr[success].
+  /// Runs a success plan; Wilson-interval estimate of Pr[success].
   stats::Estimate run(const ExperimentPlan& plan);
 
   /// Runs only the trials of a plan inside `range` — one shard of a
-  /// cross-process run, for any workload kind. Tallies of abutting
-  /// ranges combine with ShardTally::merge.
+  /// cross-process run, for any workload kind — each adding to its
+  /// worker's tally, and merges the workers' tallies and telemetry in
+  /// worker order. Tallies of abutting ranges combine with
+  /// ShardTally::merge.
   ShardTally run_shard(const ExperimentPlan& plan, TrialRange range);
 
-  /// Runs a value_trial plan (run_shard over the full range, finalized
-  /// with stats::finalize_mean_exact).
+  /// Runs a value plan (run_shard over the full range, finalized with
+  /// stats::finalize_mean_exact).
   stats::MeanEstimate run_mean(const ExperimentPlan& plan);
 
-  /// Runs a count_trial plan; returns the `plan.counters` summed slots.
+  /// Runs a counter plan; returns the `plan.counters` summed slots.
   std::vector<std::uint64_t> run_counts(const ExperimentPlan& plan);
 
   /// Telemetry of the most recent run/run_shard/run_mean/run_counts:
@@ -440,7 +402,6 @@ class BatchRunner {
 
   /// Clears per-worker accumulators before a batch / merges them after.
   void reset_worker_telemetry();
-  Telemetry merged_worker_telemetry();
   void reset_worker_metrics();
   obs::MetricsRegistry merged_worker_metrics();
 

@@ -312,10 +312,12 @@ ExperimentPlan construction_plan(std::string name, const Instance& inst,
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
-  plan.success_trial = [&inst, &algo, predicate = std::move(predicate), mode,
-                        grant_n, fault](const TrialEnv& env) {
-    return predicate(inst,
-                     construct_trial(env, inst, algo, mode, grant_n, fault));
+  plan.trial = [&inst, &algo, predicate = std::move(predicate), mode, grant_n,
+                fault](const TrialEnv& env, ShardTally& tally) {
+    if (predicate(inst,
+                  construct_trial(env, inst, algo, mode, grant_n, fault))) {
+      ++tally.successes;
+    }
   };
   return plan;
 }
@@ -329,10 +331,11 @@ ExperimentPlan construction_value_plan(
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
-  plan.value_trial = [&inst, &algo, statistic = std::move(statistic), mode,
-                      grant_n, fault](const TrialEnv& env) {
-    return statistic(inst,
-                     construct_trial(env, inst, algo, mode, grant_n, fault));
+  plan.workload = WorkloadKind::kValue;
+  plan.trial = [&inst, &algo, statistic = std::move(statistic), mode, grant_n,
+                fault](const TrialEnv& env, ShardTally& tally) {
+    tally.add_value(statistic(
+        inst, construct_trial(env, inst, algo, mode, grant_n, fault)));
   };
   return plan;
 }

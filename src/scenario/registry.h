@@ -215,8 +215,8 @@ struct StatisticEntry {
   bool integer_valued = false;
   /// Requires lcl_core(language) != null (bad-ball statistics).
   bool needs_lcl = false;
-  /// Reads the trial's telemetry delta; scenario compilation then routes
-  /// the plan through the custom path that snapshots telemetry per trial.
+  /// Reads the trial's telemetry delta (StatisticContext::delta, which
+  /// the trial's finish fills only for such statistics).
   bool needs_telemetry = false;
   std::function<double(const StatisticContext&)> eval;
 };

@@ -29,65 +29,57 @@ local::Telemetry telemetry_delta(const local::Telemetry& before,
   return delta;
 }
 
-/// The workload's finish: what a trial tallies from its construction's
-/// output, rounds and telemetry delta — the statistic for value and
-/// counter workloads, else the global membership check ("exact") or the
-/// decider's verdict, against the accept side. The scalar trial and the
-/// vectorized lockstep path call the same one.
-local::VectorExec workload_finish(local::WorkloadKind workload,
-                                  const local::Instance* inst,
-                                  const lang::Language* language,
-                                  const StatisticEntry* statistic,
-                                  const decide::RandomizedDecider* decider,
-                                  const decide::EvaluateOptions& eval_options,
-                                  bool accept) {
-  local::VectorExec finish;
+/// The workload's finish: what a trial adds to its tally from its
+/// construction's output, rounds and telemetry delta — the statistic for
+/// value and counter workloads (a counter plan's one slot), else a
+/// success when the global membership check ("exact") or the decider's
+/// verdict lands on the accept side. The scalar trial and the vectorized
+/// lockstep path call the same one.
+local::TrialFinish workload_finish(local::WorkloadKind workload,
+                                   const local::Instance* inst,
+                                   const lang::Language* language,
+                                   const StatisticEntry* statistic,
+                                   const decide::RandomizedDecider* decider,
+                                   const decide::EvaluateOptions& eval_options,
+                                   bool accept) {
   if (statistic != nullptr) {
-    const auto evaluate_statistic =
-        [inst, language, statistic](
-            const local::TrialEnv& /*env*/, const local::Labeling& output,
-            int rounds, const local::Telemetry& delta) {
-          StatisticContext ctx;
-          ctx.instance = inst;
-          ctx.output = &output;
-          ctx.outcome = Construction::Outcome{rounds};
-          ctx.language = language;
-          if (statistic->needs_telemetry) ctx.delta = delta;
-          return statistic->eval(ctx);
-        };
-    if (workload == local::WorkloadKind::kValue) {
-      finish.value_finish = evaluate_statistic;
-    } else {
-      finish.count_finish =
-          [evaluate_statistic](const local::TrialEnv& env,
-                               const local::Labeling& output, int rounds,
-                               const local::Telemetry& delta,
-                               std::span<std::uint64_t> slots) {
-            slots[0] += static_cast<std::uint64_t>(std::llround(
-                evaluate_statistic(env, output, rounds, delta)));
-          };
-    }
-  } else if (decider == nullptr) {
-    finish.success_finish =
-        [inst, language, accept](const local::TrialEnv& /*env*/,
-                                 const local::Labeling& output,
-                                 int /*rounds*/,
-                                 const local::Telemetry& /*delta*/) {
-          return language->contains(*inst, output) == accept;
-        };
-  } else {
-    finish.success_finish =
-        [inst, decider, eval_options, accept](
-            const local::TrialEnv& env, const local::Labeling& output,
-            int /*rounds*/, const local::Telemetry& /*delta*/) {
-          const rand::PhiloxCoins f_coins = env.fault_coins();
-          return decide::evaluate(
-                     *inst, output, *decider, env.decision_coins(),
-                     decide::trial_options(eval_options, env, f_coins))
-                     .accepted == accept;
-        };
+    return [workload, inst, language, statistic](
+               const local::TrialEnv& /*env*/, const local::Labeling& output,
+               int rounds, const local::Telemetry& delta,
+               local::ShardTally& tally) {
+      StatisticContext ctx;
+      ctx.instance = inst;
+      ctx.output = &output;
+      ctx.outcome = Construction::Outcome{rounds};
+      ctx.language = language;
+      if (statistic->needs_telemetry) ctx.delta = delta;
+      const double value = statistic->eval(ctx);
+      if (workload == local::WorkloadKind::kCounter) {
+        tally.counts[0] += static_cast<std::uint64_t>(std::llround(value));
+      } else {
+        tally.add_value(value);
+      }
+    };
   }
-  return finish;
+  if (decider == nullptr) {
+    return [inst, language, accept](
+               const local::TrialEnv& /*env*/, const local::Labeling& output,
+               int /*rounds*/, const local::Telemetry& /*delta*/,
+               local::ShardTally& tally) {
+      if (language->contains(*inst, output) == accept) ++tally.successes;
+    };
+  }
+  return [inst, decider, eval_options, accept](
+             const local::TrialEnv& env, const local::Labeling& output,
+             int /*rounds*/, const local::Telemetry& /*delta*/,
+             local::ShardTally& tally) {
+    const rand::PhiloxCoins f_coins = env.fault_coins();
+    if (decide::evaluate(*inst, output, *decider, env.decision_coins(),
+                         decide::trial_options(eval_options, env, f_coins))
+            .accepted == accept) {
+      ++tally.successes;
+    }
+  };
 }
 
 /// The one unknown-component diagnostic every registry lookup emits:
@@ -460,39 +452,29 @@ CompiledScenario compile(const ScenarioSpec& spec) {
           eval_options, accept, spec.mode);
     } else {
       const local::Instance* inst_ptr = point.instance.get();
-      local::VectorExec finish = workload_finish(
+      const local::TrialFinish finish = workload_finish(
           spec.workload, inst_ptr, language, statistic, decider, eval_options,
           accept);
-      // The scalar trial: the construction step, then the finish (plus a
-      // counter trial's slots) on the worker's labeling.
-      const auto scalar_trial = [inst_ptr, &construct](auto finish_trial) {
-        return [inst_ptr, construct, finish_trial](const local::TrialEnv& env,
-                                                   auto... slots) {
-          const local::Telemetry before = env.arena->telemetry();
-          const int rounds = construct(*inst_ptr, env);
-          return finish_trial(env, env.arena->labeling(), rounds,
-                              telemetry_delta(before, env.arena->telemetry()),
-                              slots...);
-        };
+      point.plan.name = plan_name;
+      point.plan.trials = spec.trials;
+      point.plan.base_seed = plan_seed;
+      point.plan.workload = spec.workload;
+      point.plan.counters =
+          spec.workload == local::WorkloadKind::kCounter ? 1 : 0;
+      // The scalar trial: the construction step, then the finish on the
+      // worker's labeling.
+      point.plan.trial = [inst_ptr, construct, finish](
+                             const local::TrialEnv& env,
+                             local::ShardTally& tally) {
+        const local::Telemetry before = env.arena->telemetry();
+        const int rounds = construct(*inst_ptr, env);
+        finish(env, env.arena->labeling(), rounds,
+               telemetry_delta(before, env.arena->telemetry()), tally);
       };
-      if (finish.success_finish) {
-        point.plan = local::custom_plan(plan_name, spec.trials, plan_seed,
-                                        scalar_trial(finish.success_finish));
-      } else if (finish.value_finish) {
-        point.plan = local::custom_value_plan(
-            plan_name, spec.trials, plan_seed,
-            scalar_trial(finish.value_finish));
-      } else {
-        point.plan = local::custom_count_plan(
-            plan_name, spec.trials, plan_seed, 1,
-            scalar_trial(finish.count_finish));
-      }
-      // Vectorizable engine constructions get the SoA execution hooks,
-      // which call the same finish on each lockstep trial's output.
+      // Vectorizable engine constructions get the SoA execution hook,
+      // which calls the same finish on each lockstep trial's output.
       if (vectorizable) {
-        point.plan.vector = std::move(finish);
-        point.plan.vector.instance = inst_ptr;
-        point.plan.vector.factory = engine_factory;
+        point.plan.vector = {inst_ptr, engine_factory, finish};
       }
     }
 

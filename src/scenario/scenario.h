@@ -3,9 +3,10 @@
 // A ScenarioSpec names one component of each kind from the registries
 // (scenario/registry.h), a shared parameter map, an n-grid, a trial count,
 // and a base seed — a complete experiment description as DATA. compile()
-// validates the spec and lowers it into the existing ExperimentPlan
-// factories (local/experiment.h, decide/experiment_plans.h, custom plans),
-// so local::BatchRunner remains the only trial executor; scenario/sweep.h
+// validates the spec and lowers it into one ExperimentPlan per grid point
+// (decide/experiment_plans.h for a ball construction with a decider, else
+// the construction step plus the workload's finish), so
+// local::BatchRunner remains the only trial executor; scenario/sweep.h
 // runs the compiled plans (whole or sharded across processes) and formats
 // results.
 #pragma once

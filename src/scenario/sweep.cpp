@@ -1,6 +1,7 @@
 #include "scenario/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <initializer_list>
 #include <limits>
@@ -26,19 +27,22 @@ namespace {
 /// node, so a table pays back from the third trial on.
 constexpr std::uint64_t kMinTableTrials = 3;
 
-/// The most bytes one row's ball tables may take, judged before building
-/// from BallTable::byte_bound (a Moore bound); a row over it collects
-/// live. It keeps a table small next to the instance it speeds up: a
-/// radius-4 table of a 2^20-node ring alone is over 200 MiB.
+/// The most bytes one row's ball tables may take, measured before
+/// allocating; a row over it collects live. It keeps a table small next
+/// to the instance it speeds up: a radius-4 table of a 2^20-node ring
+/// alone is over 200 MiB.
 constexpr std::uint64_t kBallTableBudget = std::uint64_t{64} << 20;
 
 /// Nodes per range of a table build spread over the runner's workers.
 constexpr graph::NodeId kTableBuildRange = 1024;
 
 /// A row's ball tables: one per radius of point.ball_radii, smallest
-/// first, while their bounds fit kBallTableBudget together; none for a
-/// row of fewer than kMinTableTrials trials. Each is built over node
-/// ranges on the runner's workers, inside one `ball-table` trace span.
+/// first, while their measured bytes fit kBallTableBudget together; none
+/// for a row of fewer than kMinTableTrials trials. Each is measured, then
+/// built, over node ranges on the runner's workers; measuring stops once
+/// the row is over the budget, so an over-budget table costs at most
+/// about a budget's worth of collections. Each table built gets one
+/// `ball-table` trace span.
 std::vector<graph::BallTable> build_ball_tables(
     const CompiledScenario::GridPoint& point, std::uint64_t trials,
     local::BatchRunner& runner) {
@@ -46,34 +50,36 @@ std::vector<graph::BallTable> build_ball_tables(
   if (trials < kMinTableTrials || point.ball_radii.empty()) return tables;
   const graph::Graph& g = point.instance->g;
   const graph::NodeId n = g.node_count();
-  const graph::NodeId max_degree = g.max_degree();
   const std::uint64_t ranges = (n + kTableBuildRange - 1) / kTableBuildRange;
   std::vector<int> radii = point.ball_radii;
   std::sort(radii.begin(), radii.end());
-  tables.reserve(radii.size());
-  std::uint64_t bound = 0;
+  std::uint64_t row_bytes = 0;  // of the tables built so far
   for (const int radius : radii) {
-    bound += graph::BallTable::byte_bound(n, max_degree, radius);
-    if (bound > kBallTableBudget) break;
-    obs::Span span("ball-table");
-    graph::BallTable& table =
-        tables.emplace_back(graph::BallTable::unfilled(g, radius));
+    graph::BallTable table = graph::BallTable::unfilled(g, radius);
     auto over_ranges = [&](auto step) {
       runner.run_on_workers(
           ranges, [&](local::WorkerArena& arena, std::uint64_t i) {
             local::BallWorkspace& workspace = arena.ball_workspace();
             const graph::NodeId begin =
                 static_cast<graph::NodeId>(i) * kTableBuildRange;
-            (table.*step)(begin, std::min(n, begin + kTableBuildRange),
-                          workspace.ball, workspace.scratch);
+            step(begin, std::min(n, begin + kTableBuildRange),
+                 workspace.ball, workspace.scratch);
           });
     };
-    over_ranges(&graph::BallTable::measure);
-    table.allocate();
-    over_ranges(&graph::BallTable::fill);
-    span.set_args(
+    // A table's bytes() is 8 plus what its ranges measure.
+    std::atomic<std::uint64_t> measured = row_bytes + 8;
+    over_ranges([&](auto&... range) {
+      if (measured <= kBallTableBudget) measured += table.measure(range...);
+    });
+    if (measured > kBallTableBudget) break;
+    const obs::Span span(
+        "ball-table",
         obs::span_args("radius", static_cast<std::uint64_t>(radius)) + ", " +
-        obs::span_args("bytes", table.bytes()));
+            obs::span_args("bytes", measured - row_bytes));
+    row_bytes = measured;
+    table.allocate();
+    over_ranges([&](auto&... range) { table.fill(range...); });
+    tables.push_back(std::move(table));
   }
   return tables;
 }

@@ -53,20 +53,6 @@ MeanEstimate finalize_mean_exact(const ExactSum& sum,
                                  const ExactSum& sum_sq,
                                  std::uint64_t trials) noexcept;
 
-/// Cache-line-padded per-worker tally: workers bump their own slot
-/// without contending, and the final sum is order-free, so estimates
-/// stay bit-for-bit identical across thread counts.
-struct alignas(64) WorkerCounter {
-  std::uint64_t value = 0;
-};
-
-inline std::uint64_t sum_counters(
-    std::span<const WorkerCounter> counters) noexcept {
-  std::uint64_t total = 0;
-  for (const WorkerCounter& c : counters) total += c.value;
-  return total;
-}
-
 /// Derives the seed used for trial `index` under `base_seed` — exposed so
 /// tests can re-run an individual failing trial.
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t index);

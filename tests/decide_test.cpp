@@ -111,6 +111,30 @@ TEST(AmosDecider, MeetsGuaranteeOnBothSides) {
               0.03);
 }
 
+// A guarantee plan samples every trial's configuration from the trial's
+// sample seed, so rerunning one plan object on a warm runner, serial or
+// on a pool, tallies the same successes every time.
+TEST(GuaranteeSidePlan, RerunsOnWarmRunnersTallyTheSame) {
+  const AmosDecider decider;
+  const ConfigurationSampler yes_sampler = [](std::uint64_t seed) {
+    SampledConfiguration sample{ring_instance(10), local::Labeling(10, 0), {}};
+    sample.output[seed % 10] = lang::Amos::kSelected;
+    return sample;
+  };
+  const local::ExperimentPlan plan =
+      guarantee_side_plan("amos-yes", yes_sampler, decider,
+                          /*want_accept=*/true, 400, 7);
+  local::BatchRunner serial;
+  const std::uint64_t successes = serial.run(plan).successes;
+  ASSERT_GT(successes, 0u);
+  ASSERT_LT(successes, plan.trials);
+  EXPECT_EQ(serial.run(plan).successes, successes);
+  const stats::ThreadPool pool(4);
+  local::BatchRunner pooled(&pool);
+  EXPECT_EQ(pooled.run(plan).successes, successes);
+  EXPECT_EQ(pooled.run(plan).successes, successes);
+}
+
 TEST(ResilientDecider, AdmissibleIntervalMatchesPaper) {
   // (2^{-1/f}, 2^{-1/(f+1)}) — the paper writes it as
   // (e^{-ln2/f}, e^{-ln2/(f+1)}).
@@ -418,8 +442,10 @@ TracedSweep traced_sweep(const scenario::CompiledScenario& compiled) {
 // Fault-free materialized rows of >= 3 trials read their balls from
 // per-row tables (one per distinct radius), and must tally exactly what
 // live collection does: the two-pass reference for decider specs, the
-// same plan on a runner without tables for statistic specs. A 2-trial
-// row and a row whose tables would exceed the byte budget build none.
+// same plan on a runner without tables for statistic specs. The budget
+// is judged on measured bytes: a 2^14-node hypercube's radius-2 table
+// (about 54 MB) is built, while a 2-trial row and a 2^18-node
+// hypercube's radius-1 table (about 120 MB) build none.
 TEST(BallTables, TableServedSweepsMatchTheLiveReference) {
   auto ring_luby = [](std::uint64_t n, int phases, std::uint64_t trials) {
     scenario::ScenarioSpec spec;
@@ -449,7 +475,11 @@ TEST(BallTables, TableServedSweepsMatchTheLiveReference) {
   scenario::ScenarioSpec words = sizes;
   words.workload = local::WorkloadKind::kCounter;
   words.statistic = "words";
-  scenario::ScenarioSpec over_budget = ring_luby(1 << 16, 1, 3);
+  scenario::ScenarioSpec cube_sizes = sizes;
+  cube_sizes.topology = "hypercube";
+  cube_sizes.n_grid = {1 << 14};
+  cube_sizes.trials = 3;
+  scenario::ScenarioSpec over_budget = ring_luby(1 << 18, 1, 3);
   over_budget.topology = "hypercube";
   struct Case {
     const char* label;
@@ -465,6 +495,7 @@ TEST(BallTables, TableServedSweepsMatchTheLiveReference) {
                 preset("hard-ring-resilient-coloring", 12, 400), true},
            Case{"value output-size", sizes, true},
            Case{"counter words", words, true},
+           Case{"hypercube value output-size", cube_sizes, true},
            Case{"2-trial row", ring_luby(1000, 4, 2), false},
            Case{"over the byte budget", over_budget, false},
        }) {

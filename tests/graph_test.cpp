@@ -438,7 +438,8 @@ void expect_same_ball(const BallView& got, const BallView& want,
 
 // Entry v of BallTable(g, r) is BallView(g, v, r), whether the table was
 // built in one call or split into uneven ranges measured and filled out
-// of order (as workers would); its byte bound covers what it holds.
+// of order (as workers would); the ranges' measured bytes, plus the two
+// closing begins, are what it holds.
 TEST(BallTable, EveryEntryEqualsTheCollectedBall) {
   const std::vector<Graph> graphs = table_graphs();
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
@@ -450,9 +451,10 @@ TEST(BallTable, EveryEntryEqualsTheCollectedBall) {
       BallView build_view;
       BallScratch build_scratch;
       constexpr NodeId kRange = 7;
+      std::uint64_t measured = 8;
       for (NodeId begin = 0; begin < n; begin += kRange) {
-        split.measure(begin, std::min(n, begin + kRange), build_view,
-                      build_scratch);
+        measured += split.measure(begin, std::min(n, begin + kRange),
+                                  build_view, build_scratch);
       }
       split.allocate();
       for (NodeId begin = (n - 1) / kRange * kRange;; begin -= kRange) {
@@ -463,8 +465,7 @@ TEST(BallTable, EveryEntryEqualsTheCollectedBall) {
       for (const BallTable* table : {&whole, static_cast<const BallTable*>(&split)}) {
         EXPECT_EQ(table->graph(), &g);
         EXPECT_EQ(table->radius(), radius);
-        EXPECT_LE(table->bytes(),
-                  BallTable::byte_bound(n, g.max_degree(), radius));
+        EXPECT_EQ(table->bytes(), measured);
         BallView view;
         for (NodeId v = 0; v < n; ++v) {
           view.view(*table, v);

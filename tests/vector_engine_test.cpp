@@ -83,8 +83,9 @@ void expect_results_identical(const scenario::SweepResult& a,
 }
 
 // Vectorizable presets covering all three vector programs and all three
-// workloads (the counter case is the luby value preset re-declared as a
-// counter, since no stock counter preset uses a vectorizable engine).
+// workloads (the counter cases are the luby value preset re-declared as
+// counters, since no stock counter preset uses a vectorizable engine; the
+// `messages` one reads the trial's telemetry delta).
 std::vector<scenario::ScenarioSpec> vectorizable_specs() {
   std::vector<scenario::ScenarioSpec> specs;
   specs.push_back(shrunk_preset("gnp-weak-coloring", 40));     // success
@@ -95,6 +96,10 @@ std::vector<scenario::ScenarioSpec> vectorizable_specs() {
   counter.name = "luby-mis-rounds-counter";
   counter.workload = local::WorkloadKind::kCounter;
   specs.push_back(counter);
+  scenario::ScenarioSpec messages = counter;
+  messages.name = "luby-mis-rounds-messages";
+  messages.statistic = "messages";
+  specs.push_back(messages);
   return specs;
 }
 
