@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "local/vector_engine.h"
+#include "rand/philox.h"
 #include "util/assert.h"
 
 namespace lnc::algo {
@@ -209,12 +210,38 @@ class MatchingVectorProgram final : public local::VectorProgram {
       batch.add_traffic(t, n, odd ? 5 * std::uint64_t{n} : 5 * mc + 2 * (n - mc));
       if (odd) {
         // Send pass: unmatched nodes flip the role coin, proposers pick a
-        // target, everyone refreshes the competition draw.
+        // target, everyone refreshes the competition draw. That is at most
+        // three coins per node, so every unmatched node's next three are
+        // gathered and filled through the bulk philox kernel
+        // (rand/philox.h), then read in the scalar order: lane 0 is the
+        // role coin; a proposer with candidates picks with lane 1 and
+        // draws lane 2, everyone else draws lane 1. Each counter advances
+        // by the lanes read, as the scalar draws would advance it.
+        pending_.clear();
+        pending_hi_.clear();
+        pending_lo_.clear();
         batch.for_each_active_node(t, [&](std::uint32_t v) {
           if (matched[v] != 0) return;
-          auto& rng = batch.rng(t, v);
-          role[v] = rng.bernoulli(0.5) ? static_cast<std::uint8_t>(kRoleProposer)
-                                       : static_cast<std::uint8_t>(kRoleListener);
+          const local::VecRng& rng = batch.rng(t, v);
+          pending_.push_back(v);
+          for (std::uint64_t lane = 0; lane < 3; ++lane) {
+            pending_hi_.push_back(rng.identity);
+            pending_lo_.push_back(rng.counter + lane);
+          }
+        });
+        pending_out_.resize(pending_lo_.size());
+        if (!pending_.empty()) {
+          rand::philox_u64_batch(batch.rng(t, pending_[0]).key,
+                                 pending_hi_.data(), pending_lo_.data(),
+                                 pending_out_.data(), pending_out_.size());
+        }
+        for (std::size_t p = 0; p < pending_.size(); ++p) {
+          const std::uint32_t v = pending_[p];
+          const std::uint64_t* lane = pending_out_.data() + 3 * p;
+          local::VecRng& rng = batch.rng(t, v);
+          role[v] = local::VecRng::unit(lane[0]) < 0.5
+                        ? static_cast<std::uint8_t>(kRoleProposer)
+                        : static_cast<std::uint8_t>(kRoleListener);
           target[v] = 0;
           if (role[v] == kRoleProposer && known[v] != 0) {
             candidates_.clear();
@@ -222,11 +249,24 @@ class MatchingVectorProgram final : public local::VectorProgram {
               if (avail[pp] != 0) candidates_.push_back(nid[pp]);
             }
             if (!candidates_.empty()) {
-              target[v] = candidates_[rng.next_below(candidates_.size())];
+              const std::uint64_t k = candidates_.size();
+              if (lane[1] >= (0 - k) % k) {
+                target[v] = candidates_[lane[1] % k];
+                draw[v] = lane[2];
+                rng.counter += 3;
+              } else {
+                // next_below refused lane 1 (about k times in 2^64):
+                // continue its rejection loop on the scalar stream.
+                rng.counter += 2;
+                target[v] = candidates_[rng.next_below(k)];
+                draw[v] = rng.next_u64();
+              }
+              continue;
             }
           }
-          draw[v] = rng.next_u64();
-        });
+          draw[v] = lane[1];
+          rng.counter += 2;
+        }
         batch.for_each_active_node(t, [&](std::uint32_t v) {
           if (matched[v] != 0) {
             batch.set_halted(t, v);  // the match was broadcast last round
@@ -325,6 +365,10 @@ class MatchingVectorProgram final : public local::VectorProgram {
   std::vector<std::uint32_t> matched_count_;  // per trial
   std::vector<std::uint8_t> prev_matched_;    // round-start snapshot
   std::vector<std::uint64_t> candidates_;     // pick_target scratch
+  std::vector<std::uint32_t> pending_;     // send-pass gather: nodes...
+  std::vector<std::uint64_t> pending_hi_;  // ...their stream identities...
+  std::vector<std::uint64_t> pending_lo_;  // ...and next three draw indices
+  std::vector<std::uint64_t> pending_out_;
 };
 
 }  // namespace

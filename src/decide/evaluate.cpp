@@ -26,7 +26,7 @@ DecisionOutcome evaluate_labeling(const local::Instance& inst,
   DecisionOutcome outcome;
   outcome.accepted = decide_each_node(
       inst, radius, options, censor.has_value() ? &*censor : nullptr,
-      outputs, decide, &outcome.rejecting);
+      outputs, decide, {0, inst.node_count()}, &outcome.rejecting);
   return outcome;
 }
 

@@ -8,9 +8,11 @@
 // than t+t' from v.")
 //
 // Every verdict goes through one per-node loop, decide_each_node below:
-// evaluate() runs it over a labeling, construct_then_decide_plan's
-// implicit trials over the worker's construction memo (by section 2.1.1,
-// v's verdict depends only on its radius-(t + t') ball).
+// evaluate() runs it over a labeling's nodes, construct_then_decide_plan's
+// implicit trials over one node-range part at a time, reading outputs
+// from the worker's construction memo. By section 2.1.1, v's verdict
+// depends only on its radius-(t + t') ball, so the parts of a trial run
+// on any workers and their verdicts conjoin to the trial's acceptance.
 #pragma once
 
 #include <algorithm>
@@ -112,26 +114,27 @@ EvaluateOptions trial_options(EvaluateOptions options,
                               const local::TrialEnv& env,
                               const rand::PhiloxCoins& fault_coins);
 
-/// The one per-node decision loop, in node order. A node the censor
-/// blocks is crashed: no verdict, no charge. Every other node reads its
-/// own output through `outputs.own(v)`, where the construction memo
-/// charges v's construction ball; a counted node then loads its decision
-/// ball (a table view, or collected under the censor: see
-/// local::pick_ball_table), fills the workspace's ball-local buffer
-/// (`outputs.member(u)` for u != v) and takes `decide(view)`.
-/// There is no early exit; rejecting nodes go to `rejecting` when it is
-/// non-null. options.telemetry, when set, is charged the decision phase:
-/// each counted ball's members and encoded words, one expansion per
-/// counted node, max(radius, 1) rounds.
+/// The one per-node decision loop over `nodes`, in node order; returns
+/// whether every counted verdict there accepts. A node the censor blocks
+/// is crashed: no verdict, no charge. Every other node reads its own
+/// output through `outputs.own(v)`, where the construction memo charges
+/// v's construction ball; a counted node then loads its decision ball (a
+/// table view, or collected under the censor: see local::pick_ball_table),
+/// fills the workspace's ball-local buffer (`outputs.member(u)` for
+/// u != v) and takes `decide(view)`. There is no early exit; rejecting
+/// nodes go to `rejecting` when it is non-null. options.telemetry, when
+/// set, is charged the decision phase of `nodes`: each counted ball's
+/// members and encoded words, one expansion per counted node, and, from
+/// the range holding node 0, the trial's max(radius, 1) rounds.
 template <typename Outputs, typename Decide>
 bool decide_each_node(const local::Instance& inst, int radius,
                       const EvaluateOptions& options,
                       const graph::BallFilter* censor, Outputs& outputs,
-                      Decide&& decide,
+                      Decide&& decide, local::NodeRange nodes,
                       std::vector<graph::NodeId>* rejecting = nullptr) {
   inst.validate();
+  LNC_EXPECTS(nodes.begin <= nodes.end && nodes.end <= inst.node_count());
   const graph::Topology& topology = inst.topology();
-  const graph::NodeId n = inst.node_count();
   std::vector<int> far_distance;
   if (options.far_from.has_value()) {
     LNC_EXPECTS(!inst.is_implicit() &&
@@ -150,61 +153,56 @@ bool decide_each_node(const local::Instance& inst, int radius,
   local::Telemetry charges;
   bool accepted = true;
 
-  // Observability, timing-only: an implicit (giga-scale) trial sweeps its
-  // nodes in chunks, each a node-range trace span and one live progress
-  // tick, and times every 1024th ball collection — timing 10^8 collects
-  // individually would dominate the loop. A materialized trial is one
-  // chunk and records none of it, so traces keep one batch span per
-  // trial batch there.
+  // Observability, timing-only: on an implicit (giga-scale) instance the
+  // range is one node-range trace span and one live progress tick, and
+  // every 1024th ball collection is timed — timing 10^8 collects
+  // individually would dominate the loop. A materialized instance records
+  // none of it, so traces keep one batch span per trial batch there.
   const bool observed = inst.is_implicit();
   obs::MetricsRegistry* obs_metrics =
       observed ? obs::worker_metrics() : nullptr;
-  constexpr graph::NodeId kNodeChunk = 1u << 16;
   constexpr graph::NodeId kCollectSampleMask = 1023;
-  for (graph::NodeId chunk_begin = 0; chunk_begin < n;) {
-    const graph::NodeId chunk_end =
-        observed && n - chunk_begin > kNodeChunk ? chunk_begin + kNodeChunk
-                                                 : n;
-    std::optional<obs::Span> chunk_span;
-    if (observed) {
-      chunk_span.emplace("node-range", obs::span_args("begin", chunk_begin));
-    }
-    for (graph::NodeId v = chunk_begin; v < chunk_end; ++v) {
-      if (censor != nullptr && censor->node_blocked(v)) continue;
-      const local::Label own = outputs.own(v);
-      if (excluded(v)) continue;
-      if (obs_metrics != nullptr && (v & kCollectSampleMask) == 0) {
-        const util::Timer collect_timer;
-        workspace.load(topology, table, v, radius, censor);
-        obs_metrics->observe("ball_collect_seconds",
-                             collect_timer.elapsed_seconds());
-      } else {
-        workspace.load(topology, table, v, radius, censor);
-      }
-      const graph::BallView& ball = workspace.ball;
-      charges.messages_sent += ball.size();
-      charges.words_sent += ball.encoded_words();
-      ++charges.ball_expansions;
-      local::Labeling& ball_output = workspace.outputs;
-      ball_output.resize(ball.size());
-      ball_output[0] = own;
-      for (graph::NodeId m = 1; m < ball.size(); ++m) {
-        ball_output[m] = outputs.member(ball.to_original(m));
-      }
-      local::View view;
-      view.ball = &ball;
-      view.instance = &inst;
-      if (options.grant_n) view.n_nodes = n;
-      if (!decide(DeciderView{view, ball_output})) {
-        accepted = false;
-        if (rejecting != nullptr) rejecting->push_back(v);
-      }
-    }
-    if (observed) obs::node_progress_tick(chunk_end - chunk_begin);
-    chunk_begin = chunk_end;
+  std::optional<obs::Span> span;
+  if (observed) {
+    span.emplace("node-range", obs::span_args("begin", nodes.begin));
   }
+  for (graph::NodeId v = nodes.begin; v < nodes.end; ++v) {
+    if (censor != nullptr && censor->node_blocked(v)) continue;
+    const local::Label own = outputs.own(v);
+    if (excluded(v)) continue;
+    if (obs_metrics != nullptr && (v & kCollectSampleMask) == 0) {
+      const util::Timer collect_timer;
+      workspace.load(topology, table, v, radius, censor);
+      obs_metrics->observe("ball_collect_seconds",
+                           collect_timer.elapsed_seconds());
+    } else {
+      workspace.load(topology, table, v, radius, censor);
+    }
+    const graph::BallView& ball = workspace.ball;
+    charges.messages_sent += ball.size();
+    charges.words_sent += ball.encoded_words();
+    ++charges.ball_expansions;
+    local::Labeling& ball_output = workspace.outputs;
+    ball_output.resize(ball.size());
+    ball_output[0] = own;
+    for (graph::NodeId m = 1; m < ball.size(); ++m) {
+      ball_output[m] = outputs.member(ball.to_original(m));
+    }
+    local::View view;
+    view.ball = &ball;
+    view.instance = &inst;
+    if (options.grant_n) view.n_nodes = inst.node_count();
+    if (!decide(DeciderView{view, ball_output})) {
+      accepted = false;
+      if (rejecting != nullptr) rejecting->push_back(v);
+    }
+  }
+  if (observed) obs::node_progress_tick(nodes.end - nodes.begin);
   if (options.telemetry != nullptr) {
-    charges.rounds_executed = static_cast<std::uint64_t>(std::max(radius, 1));
+    if (nodes.begin == 0) {
+      charges.rounds_executed =
+          static_cast<std::uint64_t>(std::max(radius, 1));
+    }
     options.telemetry->merge(charges);
   }
   return accepted;

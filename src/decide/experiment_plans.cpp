@@ -12,7 +12,7 @@
 namespace lnc::decide {
 namespace {
 
-/// Member outputs for the implicit ball-mode trial body, from the
+/// Member outputs for the implicit ball-mode part body, from the
 /// worker's construction memo: a miss computes the member's output from
 /// its own construction ball, collected under the trial's censor. Outputs are
 /// pure functions of (ball, identities, construction coins), so a reuse
@@ -54,6 +54,8 @@ struct MemoOutputs {
   // Philox, so every draw is the one the trial's construction coins
   // make; a prefix of 0 leaves the table empty.
   static constexpr graph::NodeId kCoinBlock = 256;
+  static_assert(local::kPartNodes % kCoinBlock == 0,
+                "a part starts on a coin block");
 
   void refill_coins(graph::NodeId v) {
     const std::uint64_t begin = v - v % kCoinBlock;
@@ -137,11 +139,16 @@ local::ExperimentPlan construct_then_decide_plan(
     };
     return plan;
   }
-  // Implicit ball mode: one pass of the decision loop, no O(n) labeling.
-  // Member outputs come from the construction memo, and one realized
-  // adversary per trial censors both phases.
-  plan.trial = [&inst, &algo, &decider, options, success_on_accept](
-                   const local::TrialEnv& env, local::ShardTally& tally) {
+  // Implicit ball mode: one pass of the decision loop, no O(n) labeling,
+  // run as node-range parts (local::PartedTrial) so one trial spreads over
+  // every worker. Each part starts with a cold memo and coin table, which
+  // only recomputes a few outputs at its edges; member outputs come from
+  // the construction memo, and one realized adversary per trial censors
+  // both phases.
+  plan.parts.nodes = inst.node_count();
+  plan.parts.success_on_accept = success_on_accept;
+  plan.parts.part = [&inst, &algo, &decider, options](
+                        const local::TrialEnv& env, local::NodeRange nodes) {
     const rand::PhiloxCoins c_coins = env.construction_coins();
     const rand::PhiloxCoins d_coins = env.decision_coins();
     const rand::PhiloxCoins f_coins = env.fault_coins();
@@ -159,20 +166,23 @@ local::ExperimentPlan construct_then_decide_plan(
         arena.coin_table(), arena.ball_workspace().scratch};
     const bool accepted = decide_each_node(
         inst, decider.radius(), decide_options, filter, outputs,
-        [&](const DeciderView& view) { return decider.accept(view, d_coins); });
-    outputs.charges.rounds_executed =
-        static_cast<std::uint64_t>(std::max(algo.radius(), 1));
+        [&](const DeciderView& view) { return decider.accept(view, d_coins); },
+        nodes);
+    if (nodes.begin == 0) {
+      outputs.charges.rounds_executed =
+          static_cast<std::uint64_t>(std::max(algo.radius(), 1));
+    }
     arena.telemetry().merge(outputs.charges);
     if (censor.has_value()) {
-      local::charge_fault_telemetry(inst, *options.fault, f_coins,
+      local::charge_fault_telemetry(inst, *options.fault, f_coins, nodes,
                                     arena.telemetry());
     }
     if (obs::MetricsRegistry* metrics = obs::worker_metrics()) {
-      // Once per trial: add_counter builds a string key.
+      // Once per part: add_counter builds a string key.
       metrics->add_counter("stream_construction_computes", outputs.computes);
       metrics->add_counter("stream_construction_reuses", outputs.reuses);
     }
-    if (accepted == success_on_accept) ++tally.successes;
+    return accepted;
   };
   return plan;
 }

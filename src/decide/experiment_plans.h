@@ -25,9 +25,10 @@ local::ExperimentPlan acceptance_plan(
 /// then D with fresh (independent) decision coins on C's output, under
 /// the fault model of `options`. A materialized trial constructs the
 /// worker's labeling in `mode` and evaluate()s it (the simulation modes
-/// take no fault model). An implicit trial, ball mode only, is one pass
-/// of decide_each_node (decide/evaluate.h) over the worker's construction
-/// memo: it holds no O(n) state, and its tally and telemetry match the
+/// take no fault model). An implicit trial, ball mode only, is a parted
+/// trial (local::PartedTrial): each node-range part is one pass of
+/// decide_each_node (decide/evaluate.h) over the worker's construction
+/// memo. It holds no O(n) state, and its tally and telemetry match the
 /// materialized trial's bit for bit. far_from is materialized-only.
 local::ExperimentPlan construct_then_decide_plan(
     std::string name, const local::Instance& inst,

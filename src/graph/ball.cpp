@@ -28,14 +28,24 @@ struct StampMap {
 
 /// The generic path's visited map: ball-sized open addressing (load
 /// factor <= 1/2), deliberately NOT the O(n) stamp arrays — at n = 10^8
-/// those alone would dwarf every ball this path ever builds.
+/// those alone would dwarf every ball this path ever builds. Its key
+/// slots are empty between collections: the map remembers each slot it
+/// fills, and its destructor empties exactly those, so a small ball after
+/// a large one touches only its own slots.
 class HashMap {
  public:
-  HashMap(std::vector<NodeId>& keys, std::vector<NodeId>& vals)
-      : keys_(keys), vals_(vals) {
-    keys_.assign(std::max<std::size_t>(keys_.size(), 64), kInvalidNode);
+  HashMap(std::vector<NodeId>& keys, std::vector<NodeId>& vals,
+          std::vector<std::size_t>& filled)
+      : keys_(keys), vals_(vals), filled_(filled) {
+    if (keys_.empty()) keys_.assign(64, kInvalidNode);
     vals_.resize(keys_.size());
     mask_ = keys_.size() - 1;
+    filled_.clear();
+  }
+  HashMap(const HashMap&) = delete;
+  HashMap& operator=(const HashMap&) = delete;
+  ~HashMap() {
+    for (const std::size_t s : filled_) keys_[s] = kInvalidNode;
   }
 
   /// v's local index, or kInvalidNode; remembers where v would go.
@@ -49,30 +59,32 @@ class HashMap {
 
   /// Records v, which the preceding find() reported absent.
   void insert(NodeId v, NodeId local) {
-    if (2 * ++size_ > keys_.size()) {  // rehash into twice the slots
+    if (2 * (filled_.size() + 1) > keys_.size()) {
+      // Rehash into twice the slots; the old table is dropped whole.
       std::vector<NodeId> keys(2 * keys_.size(), kInvalidNode);
       std::vector<NodeId> vals(keys.size());
       keys.swap(keys_);
       vals.swap(vals_);
       mask_ = keys_.size() - 1;
-      for (std::size_t s = 0; s < keys.size(); ++s) {
-        if (keys[s] == kInvalidNode) continue;
+      for (std::size_t& s : filled_) {
         find(keys[s]);
         keys_[slot_] = keys[s];
         vals_[slot_] = vals[s];
+        s = slot_;
       }
       find(v);
     }
     keys_[slot_] = v;
     vals_[slot_] = local;
+    filled_.push_back(slot_);
   }
 
  private:
   std::vector<NodeId>& keys_;
   std::vector<NodeId>& vals_;
+  std::vector<std::size_t>& filled_;
   std::size_t mask_ = 0;
   std::size_t slot_ = 0;
-  std::size_t size_ = 0;
 };
 
 /// Insertion sort: rows are short, and mostly sorted already (the
@@ -219,14 +231,14 @@ void BallView::view(const BallTable& table, NodeId center) {
 void BallView::collect(const Topology& topology, NodeId center, int radius,
                        BallScratch& scratch, const BallFilter* filter) {
   // A materialized graph keeps the stamp-versioned O(n)-scratch fast
-  // path; one dynamic_cast per ball is noise next to the BFS.
-  if (const auto* g = dynamic_cast<const Graph*>(&topology)) {
+  // path.
+  if (const Graph* g = topology.as_graph()) {
     collect(*g, center, radius, scratch, filter);
     return;
   }
   LNC_EXPECTS(center < topology.node_count());
   LNC_EXPECTS(radius >= 0);
-  HashMap visited(scratch.map_keys_, scratch.map_vals_);
+  HashMap visited(scratch.map_keys_, scratch.map_vals_, scratch.map_filled_);
   collect_one_pass(
       center, radius,
       [&](NodeId v) { return topology.neighbors_of(v, scratch.fetch_); },

@@ -56,7 +56,8 @@ class BallFilter {
 ///
 /// The generic Topology path (implicit topologies) must NOT touch the
 /// O(n) stamp arrays — ball-bounded memory at n = 10^8+ is the point —
-/// so its visited map is a ball-sized open-addressing table instead.
+/// so its visited map is a ball-sized open-addressing table instead, whose
+/// key slots are empty between collections.
 class BallScratch {
  private:
   friend class BallView;
@@ -67,6 +68,7 @@ class BallScratch {
   // Generic-path state (sized by the ball, never by n).
   std::vector<NodeId> map_keys_;     // open addressing: original index
   std::vector<NodeId> map_vals_;     //   -> local index
+  std::vector<std::size_t> map_filled_;  // slots filled this collection
   std::vector<NodeId> fetch_;        // neighbors_of synthesis buffer
 };
 

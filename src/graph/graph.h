@@ -51,6 +51,8 @@ class Graph : public Topology {
     return neighbors(v);
   }
 
+  const Graph* as_graph() const noexcept override { return this; }
+
   NodeId degree(NodeId v) const noexcept {
     return static_cast<NodeId>(offsets_[v + 1] - offsets_[v]);
   }

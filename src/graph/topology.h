@@ -16,6 +16,8 @@
 
 namespace lnc::graph {
 
+class Graph;
+
 /// Dense node index in [0, node_count). Distinct from ident::Identity:
 /// indices are an implementation artifact, identities are the model's
 /// (adversarial) names.
@@ -44,6 +46,10 @@ class Topology {
   /// that reuses the same scratch vector.
   virtual std::span<const NodeId> neighbors_of(
       NodeId v, std::vector<NodeId>& scratch) const = 0;
+
+  /// This topology as a CSR Graph, or null: ball collection's check for
+  /// its O(n)-scratch fast path, one virtual call per ball.
+  virtual const Graph* as_graph() const noexcept { return nullptr; }
 };
 
 }  // namespace lnc::graph

@@ -112,9 +112,13 @@ unsigned BatchRunner::worker_count() const noexcept {
 
 template <typename Body>
 void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
-                                 bool fresh_arenas, Body&& body) {
-  auto invoke = [&](unsigned worker, std::uint64_t offset) {
-    const std::uint64_t i = range.begin + offset;
+                                 std::uint64_t parts, bool fresh_arenas,
+                                 Body&& body) {
+  // Trial-major: a trial's parts are neighbours in the dispatch, so the
+  // workers share each trial and finish trials about in order.
+  auto invoke = [&](unsigned worker, std::uint64_t task) {
+    const std::uint64_t i = range.begin + task / parts;
+    const std::uint64_t part = task % parts;
     TrialEnv env;
     env.index = i;
     env.seed = stats::trial_seed(plan.base_seed, i);
@@ -129,30 +133,33 @@ void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
     const obs::WorkerMetricsScope metrics_scope(metrics);
     const util::Timer trial_timer;
     if (fresh_arenas) {
-      // Naive backend: a cold arena per trial (nothing survives — the
-      // reuse-ablation baseline). The trial's telemetry still lands in
+      // Naive backend: a cold arena per call (nothing survives — the
+      // reuse-ablation baseline). The call's telemetry still lands in
       // the persistent worker accumulator so tallies merge identically.
       WorkerArena fresh;
       env.arena = &fresh;
-      body(worker, env);
+      body(worker, env, part);
       arenas_[worker].telemetry().merge(fresh.telemetry());
     } else {
       env.arena = &arenas_[worker];
-      body(worker, env);
+      body(worker, env, part);
     }
-    // Per-trial wall time lands in the worker's lock-free accumulator
-    // (timing-only telemetry; never part of the deterministic contract).
+    // Per-call wall time (a trial's, or a part's) lands in the worker's
+    // lock-free accumulator (timing-only telemetry; never part of the
+    // deterministic contract).
     const double trial_seconds = trial_timer.elapsed_seconds();
     arenas_[worker].telemetry().wall_seconds += trial_seconds;
     if (metrics != nullptr) {
       metrics->observe("trial_wall_seconds", trial_seconds);
     }
-    if (progress_ != nullptr) progress_->tick(1);
+    // One heartbeat tick per trial, from the call running its last part.
+    if (progress_ != nullptr && part + 1 == parts) progress_->tick(1);
   };
+  const std::uint64_t tasks = range.count() * parts;
   if (pool_ != nullptr) {
-    pool_->parallel_for_workers(range.count(), invoke);
+    pool_->parallel_for_workers(tasks, invoke);
   } else {
-    for (std::uint64_t i = 0; i < range.count(); ++i) invoke(0, i);
+    for (std::uint64_t task = 0; task < tasks; ++task) invoke(0, task);
   }
 }
 
@@ -284,7 +291,33 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
   for (WorkerTally& worker : workers) {
     worker.tally.counts.assign(plan.counters, 0);
   }
-  if (backend == OptimizationConfig::Backend::kVectorized) {
+  const bool naive = backend == OptimizationConfig::Backend::kNaive;
+  if (plan.parts.part != nullptr) {
+    // Every (trial, part) pair of the range in one dispatch, each part's
+    // verdict in its own byte; then one conjunction per trial. An empty
+    // trial is one empty part.
+    LNC_EXPECTS(plan.workload == WorkloadKind::kSuccess);
+    const graph::NodeId nodes = plan.parts.nodes;
+    const std::uint64_t parts = std::max<std::uint64_t>(
+        1, (std::uint64_t{nodes} + kPartNodes - 1) / kPartNodes);
+    std::vector<std::uint8_t> accepts(range.count() * parts);
+    for_each_trial(
+        plan, range, parts, naive,
+        [&](unsigned, const TrialEnv& env, std::uint64_t part) {
+          const auto begin = static_cast<graph::NodeId>(part * kPartNodes);
+          const NodeRange part_nodes{
+              begin, begin + std::min(kPartNodes, nodes - begin)};
+          accepts[(env.index - range.begin) * parts + part] =
+              plan.parts.part(env, part_nodes);
+        });
+    for (std::uint64_t t = 0; t < range.count(); ++t) {
+      const std::uint8_t* first = accepts.data() + t * parts;
+      const bool accepted = std::find(first, first + parts, 0) == first + parts;
+      if (accepted == plan.parts.success_on_accept) {
+        ++workers[0].tally.successes;
+      }
+    }
+  } else if (backend == OptimizationConfig::Backend::kVectorized) {
     LNC_EXPECTS(plan.vector.finish != nullptr);
     for_each_vector_trial(
         plan, range,
@@ -293,9 +326,8 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
           plan.vector.finish(env, out, rounds, delta, workers[worker].tally);
         });
   } else {
-    for_each_trial(plan, range,
-                   backend == OptimizationConfig::Backend::kNaive,
-                   [&](unsigned worker, const TrialEnv& env) {
+    for_each_trial(plan, range, 1, naive,
+                   [&](unsigned worker, const TrialEnv& env, std::uint64_t) {
                      plan.trial(env, workers[worker].tally);
                    });
   }

@@ -9,14 +9,17 @@
 //
 //   ExperimentPlan  — one trial body, which adds the trial's outcome (a
 //                     success, a real-valued statistic, or counter slots)
-//                     to the executing worker's ShardTally, how many
-//                     trials, and the base seed;
-//   BatchRunner     — executes a plan with trial-granularity parallelism
-//                     over stats::ThreadPool, one reusable WorkerArena and
-//                     one ShardTally per worker, and per-trial Philox
-//                     streams derived as stats::trial_seed(base_seed,
-//                     index), so results are bit-for-bit identical across
-//                     thread counts.
+//                     to the executing worker's ShardTally, or the part
+//                     body of a trial cut by node range; how many trials,
+//                     and the base seed;
+//   BatchRunner     — executes a plan over stats::ThreadPool, one
+//                     reusable WorkerArena and one ShardTally per worker,
+//                     and per-trial Philox streams derived as
+//                     stats::trial_seed(base_seed, index), so results are
+//                     bit-for-bit identical across thread counts. Workers
+//                     take whole trials, or the node-range parts of a
+//                     parted plan's trials (PartedTrial), so one large
+//                     trial runs on every worker.
 //
 // Plan factories for the common workload shapes live in local/experiment.h
 // (construction algorithms) and decide/experiment_plans.h (deciders).
@@ -47,7 +50,7 @@ class Progress;
 
 namespace lnc::local {
 
-/// Direct-mapped memo of one trial's construction outputs, for the
+/// Direct-mapped memo of one trial part's construction outputs, for the
 /// streaming construct-then-decide loop on implicit instances
 /// (decide/experiment_plans.cpp). Slot u & (kSlots - 1) holds the last
 /// node u stored there: its construction label plus the size and encoded
@@ -56,7 +59,7 @@ namespace lnc::local {
 /// lookups hit (grid and torus only while a row has under about 340
 /// nodes); a collision simply evicts. Entries are pure functions of the
 /// trial's construction coins and fault stream: clear() before every
-/// trial. A miss collects the member's construction ball into `ball`
+/// part. A miss collects the member's construction ball into `ball`
 /// while the decision ball stays live (both through the worker's one
 /// BallScratch: a scratch is dead between collections), and reads its
 /// coins from the worker's coin table (WorkerArena::coin_table), refilled
@@ -104,7 +107,7 @@ class WorkerArena {
   /// allocating five vectors per node per trial.
   BallWorkspace& ball_workspace() noexcept { return ball_; }
 
-  /// The construct-then-decide loop's per-trial construction memo.
+  /// The construct-then-decide loop's per-part construction memo.
   ConstructionMemo& construction_memo() noexcept { return memo_; }
 
   /// This worker's construction coin table: filled per trial over the
@@ -240,6 +243,25 @@ using Trial = std::function<void(const TrialEnv&, ShardTally&)>;
 using TrialFinish = std::function<void(const TrialEnv&, const Labeling&, int,
                                        const Telemetry&, ShardTally&)>;
 
+/// The nodes of one part of a parted trial, the last part taking the
+/// rest. One constant, a multiple of the streaming loop's 256-node coin
+/// block (decide/experiment_plans.cpp).
+inline constexpr graph::NodeId kPartNodes = graph::NodeId{1} << 14;
+
+/// A trial whose outcome is a conjunction of per-node verdicts, as a
+/// decider's acceptance is (paper, Eq. 1), run as node-range parts of
+/// kPartNodes nodes. `part` runs nodes `nodes` of trial env.index and
+/// returns whether every verdict it counted accepts. Like a trial body it
+/// charges env.arena's telemetry, each part its own nodes' share, and
+/// the part holding node 0 the per-trial rounds; so parts merge exactly.
+/// The runner counts a success when a trial's parts' conjunction equals
+/// `success_on_accept`.
+struct PartedTrial {
+  graph::NodeId nodes = 0;  ///< the trial's node count
+  std::function<bool(const TrialEnv&, NodeRange)> part;
+  bool success_on_accept = true;
+};
+
 /// Opt-in trial-vectorized execution of a plan. When `factory` (whose
 /// create_vector() must be non-null) and `instance` are set, the runner
 /// may advance whole batches of trials in lockstep on the SoA backend
@@ -282,6 +304,11 @@ struct ExperimentPlan {
   std::size_t counters = 0;
 
   Trial trial;
+
+  /// A trial run as node-range parts (PartedTrial). When `parts.part` is
+  /// set it is the plan's only body, on every backend: `trial` stays
+  /// empty and `vector` unengaged.
+  PartedTrial parts;
 
   /// Optional vectorized execution of the same trials (see VectorExec).
   VectorExec vector;
@@ -341,8 +368,10 @@ class BatchRunner {
   /// Runs only the trials of a plan inside `range` — one shard of a
   /// cross-process run, for any workload kind — each adding to its
   /// worker's tally, and merges the workers' tallies and telemetry in
-  /// worker order. Tallies of abutting ranges combine with
-  /// ShardTally::merge.
+  /// worker order. A parted plan's (trial, part) pairs of the range run
+  /// in one dispatch, after which each trial's parts' verdicts are
+  /// conjoined and its success counted. Tallies of abutting ranges
+  /// combine with ShardTally::merge.
   ShardTally run_shard(const ExperimentPlan& plan, TrialRange range);
 
   /// Runs a value plan (run_shard over the full range, finalized with
@@ -387,9 +416,12 @@ class BatchRunner {
       const std::function<void(WorkerArena&, std::uint64_t)>& body);
 
  private:
+  /// Calls body(worker, env, part) for every part in [0, parts) of every
+  /// trial of `range`, all in one dispatch; a naive run gives each call a
+  /// fresh arena.
   template <typename Body>
   void for_each_trial(const ExperimentPlan& plan, TrialRange range,
-                      bool fresh_arenas, Body&& body);
+                      std::uint64_t parts, bool fresh_arenas, Body&& body);
 
   /// Vectorized dispatch: cuts `range` into consecutive near-equal
   /// lockstep batches, a multiple of worker_count() of them and each at

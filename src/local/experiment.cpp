@@ -164,13 +164,13 @@ std::optional<fault::BallCensor> trial_censor(
 void charge_fault_telemetry(const Instance& inst,
                             const fault::FaultModel& model,
                             const rand::CoinProvider& fault_coins,
-                            Telemetry& telemetry) {
+                            NodeRange nodes, Telemetry& telemetry) {
   const graph::Topology& topology = inst.topology();
   auto failed = [&](graph::NodeId v) {
     return model.ball_node_failed(fault_coins, inst.identity_of(v));
   };
   std::vector<graph::NodeId> row;
-  for (graph::NodeId v = 0; v < inst.node_count(); ++v) {
+  for (graph::NodeId v = nodes.begin; v < nodes.end; ++v) {
     if (failed(v)) {
       ++telemetry.nodes_crashed;
       continue;
@@ -254,7 +254,7 @@ void run_construction_into(const Instance& inst,
   run_ball_algorithm_into(inst, algo, coins, output, run_options);
   if (censor.has_value() && options.arena != nullptr) {
     charge_fault_telemetry(inst, *options.fault, *options.fault_coins,
-                           options.arena->telemetry());
+                           {0, inst.node_count()}, options.arena->telemetry());
   }
 }
 

@@ -69,18 +69,20 @@ std::optional<fault::BallCensor> trial_censor(
     const Instance& inst, const fault::FaultModel* model,
     const rand::CoinProvider* fault_coins);
 
-/// Tallies the realized fault subgraph of one trial into `telemetry`:
-/// every failed node (nodes_crashed) and, between surviving nodes, every
-/// dropped or churned edge (messages_dropped / edges_churned). A pure
-/// function of (model, fault coins, instance identities) — the ball
-/// path's deterministic fault accounting, charged exactly once per trial
-/// by run_construction_into or by the streaming construct-then-decide
-/// loop (decide/experiment_plans.cpp). Reads inst.topology(), so it
-/// holds no O(n) state on implicit instances.
+/// Tallies the realized fault subgraph of one trial at `nodes` into
+/// `telemetry`: every failed node (nodes_crashed) and, between surviving
+/// nodes, every dropped or churned edge whose lower endpoint is in
+/// `nodes` (messages_dropped / edges_churned). A pure function of (model,
+/// fault coins, instance identities), so over any partition of a trial's
+/// nodes it sums to the trial's tally — the ball path's deterministic
+/// fault accounting, charged once per node by run_construction_into (all
+/// nodes) or by each part of a streaming construct-then-decide trial
+/// (decide/experiment_plans.cpp). Reads inst.topology(), so it holds no
+/// O(n) state on implicit instances.
 void charge_fault_telemetry(const Instance& inst,
                             const fault::FaultModel& model,
                             const rand::CoinProvider& fault_coins,
-                            Telemetry& telemetry);
+                            NodeRange nodes, Telemetry& telemetry);
 
 /// Runs a deterministic construction algorithm in the given mode.
 void run_construction_into(const Instance& inst, const BallAlgorithm& algo,

@@ -71,6 +71,13 @@ struct Instance {
   void validate() const;
 };
 
+/// Nodes [begin, end) of an instance: all of them, or one part of a trial
+/// cut by node range (local/batch_runner.h).
+struct NodeRange {
+  graph::NodeId begin = 0;
+  graph::NodeId end = 0;
+};
+
 /// Builds an instance with all-zero inputs and the given identities.
 Instance make_instance(graph::Graph g, ident::IdAssignment ids);
 

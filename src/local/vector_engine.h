@@ -93,8 +93,11 @@ struct VecRng {
   }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double next_double() noexcept {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  double next_double() noexcept { return unit(next_u64()); }
+
+  /// The double next_double() makes of the draw r.
+  static double unit(std::uint64_t r) noexcept {
+    return static_cast<double>(r >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli(p): true with probability p.

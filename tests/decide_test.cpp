@@ -291,9 +291,30 @@ local::ExperimentPlan two_pass_reference(
       });
 }
 
+void expect_tallies_equal(const local::ShardTally& got,
+                          const local::ShardTally& want) {
+  EXPECT_EQ(got.trials, want.trials);
+  EXPECT_EQ(got.successes, want.successes);
+  EXPECT_TRUE(got.value_sum == want.value_sum);
+  EXPECT_TRUE(got.value_sum_sq == want.value_sum_sq);
+  EXPECT_EQ(got.counts, want.counts);
+  const local::Telemetry& g = got.telemetry;
+  const local::Telemetry& w = want.telemetry;
+  EXPECT_EQ(g.messages_sent, w.messages_sent);
+  EXPECT_EQ(g.words_sent, w.words_sent);
+  EXPECT_EQ(g.rounds_executed, w.rounds_executed);
+  EXPECT_EQ(g.ball_expansions, w.ball_expansions);
+  EXPECT_EQ(g.messages_dropped, w.messages_dropped);
+  EXPECT_EQ(g.nodes_crashed, w.nodes_crashed);
+  EXPECT_EQ(g.edges_churned, w.edges_churned);
+}
+
 // The plan on `topology`'s implicit instance (the streaming loop) against
-// the reference on its materialized instance. far_from is
-// materialized-only, so a far_from case runs the plan materialized too.
+// the reference on its materialized instance, on a serial runner, on 3
+// and 4 workers (which share a trial's node-range parts), on the naive
+// backend and as the trial ranges [0, 1) + [1, trials) merged. far_from
+// is materialized-only, so a far_from case runs the plan materialized
+// too.
 void expect_plan_matches_two_pass(
     const std::string& topology, std::uint64_t n,
     const scenario::ParamMap& params,
@@ -314,28 +335,37 @@ void expect_plan_matches_two_pass(
       two_pass_reference(*materialized, algo, decider, trials, 17, options,
                          success_on_accept),
       all);
-  const local::ShardTally got = runner.run_shard(
-      construct_then_decide_plan("plan", *planned, algo, decider, trials, 17,
-                                 options, success_on_accept),
-      all);
   // A degenerate tally would let an always-accept/reject bug through, and
   // a fault model that realized nothing would compare fault-free runs.
   ASSERT_GT(want.successes, 0u);
   ASSERT_LT(want.successes, want.trials);
-  const local::Telemetry& w = want.telemetry;
-  const local::Telemetry& g = got.telemetry;
   if (options.fault != nullptr) {
+    const local::Telemetry& w = want.telemetry;
     ASSERT_GT(w.messages_dropped + w.nodes_crashed + w.edges_churned, 0u);
   }
-  EXPECT_EQ(got.trials, want.trials);
-  EXPECT_EQ(got.successes, want.successes);
-  EXPECT_EQ(g.messages_sent, w.messages_sent);
-  EXPECT_EQ(g.words_sent, w.words_sent);
-  EXPECT_EQ(g.rounds_executed, w.rounds_executed);
-  EXPECT_EQ(g.ball_expansions, w.ball_expansions);
-  EXPECT_EQ(g.messages_dropped, w.messages_dropped);
-  EXPECT_EQ(g.nodes_crashed, w.nodes_crashed);
-  EXPECT_EQ(g.edges_churned, w.edges_churned);
+  const local::ExperimentPlan plan = construct_then_decide_plan(
+      "plan", *planned, algo, decider, trials, 17, options, success_on_accept);
+  {
+    SCOPED_TRACE("serial runner");
+    expect_tallies_equal(runner.run_shard(plan, all), want);
+  }
+  for (const unsigned workers : {3u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    const stats::ThreadPool pool(workers);
+    local::BatchRunner pooled(&pool);
+    expect_tallies_equal(pooled.run_shard(plan, all), want);
+    if (workers == 3) {
+      SCOPED_TRACE("naive backend: a fresh arena per call");
+      local::ExperimentPlan naive = plan;
+      naive.optimization.backend = local::OptimizationConfig::Backend::kNaive;
+      expect_tallies_equal(pooled.run_shard(naive, all), want);
+    } else {
+      SCOPED_TRACE("trial ranges [0, 1) + [1, trials)");
+      local::ShardTally merged = pooled.run_shard(plan, {0, 1});
+      merged.merge(pooled.run_shard(plan, {1, trials}));
+      expect_tallies_equal(merged, want);
+    }
+  }
 }
 
 TEST(ConstructThenDecide, PlanMatchesTheTwoPassReference) {
@@ -394,22 +424,45 @@ TEST(ConstructThenDecide, PlanMatchesTheTwoPassReference) {
   }
 }
 
-void expect_tallies_equal(const local::ShardTally& got,
-                          const local::ShardTally& want) {
-  EXPECT_EQ(got.trials, want.trials);
-  EXPECT_EQ(got.successes, want.successes);
-  EXPECT_TRUE(got.value_sum == want.value_sum);
-  EXPECT_TRUE(got.value_sum_sq == want.value_sum_sq);
-  EXPECT_EQ(got.counts, want.counts);
-  const local::Telemetry& g = got.telemetry;
-  const local::Telemetry& w = want.telemetry;
-  EXPECT_EQ(g.messages_sent, w.messages_sent);
-  EXPECT_EQ(g.words_sent, w.words_sent);
-  EXPECT_EQ(g.rounds_executed, w.rounds_executed);
-  EXPECT_EQ(g.ball_expansions, w.ball_expansions);
-  EXPECT_EQ(g.messages_dropped, w.messages_dropped);
-  EXPECT_EQ(g.nodes_crashed, w.nodes_crashed);
-  EXPECT_EQ(g.edges_churned, w.edges_churned);
+// Trials of three full node-range parts and a partial one: parts meet
+// inside construction and decision balls and at the ring's wrap, and each
+// part charges its own nodes' faults. At this size every trial fails the
+// plain MIS decider, so the slack decider's fault budget keeps the tally
+// off 0 and 1.
+TEST(ConstructThenDecide, PartedTrialsMatchTheTwoPassReference) {
+  const std::uint64_t parted = 3 * std::uint64_t{local::kPartNodes} + 5;
+  const std::uint64_t side = 222;  // the torus of side^2 >= parted
+  ASSERT_GE(side * side, parted);
+  ASSERT_LT(side * side, parted + local::kPartNodes);
+  const lang::MaximalIndependentSet mis;
+  const SlackDecider ring_slack(mis, 2e-4);
+  const SlackDecider torus_slack(mis, 0.15);
+  const std::unique_ptr<scenario::Construction> luby4 =
+      scenario::make_construction("luby-ball", {{"phases", 4}});
+  const std::unique_ptr<scenario::Construction> luby2 =
+      scenario::make_construction("luby-ball", {{"phases", 2}});
+  const auto drop = fault::make_drop(0.1);
+  const auto crash = fault::make_crash(0.05, 1);
+  const auto churn = fault::make_churn(0.1);
+  for (const fault::FaultModel* fault :
+       {static_cast<const fault::FaultModel*>(nullptr), drop.get(),
+        crash.get(), churn.get()}) {
+    SCOPED_TRACE(fault == nullptr ? "no fault" : std::string(fault->name()));
+    EvaluateOptions options;
+    options.fault = fault;
+    options.grant_n = true;
+    {
+      SCOPED_TRACE("luby-ball / slack on a ring");
+      expect_plan_matches_two_pass("ring", parted, {}, *luby4->ball_algorithm(),
+                                   ring_slack, options, 6);
+    }
+    {
+      SCOPED_TRACE("luby-ball / slack on a torus");
+      expect_plan_matches_two_pass("torus", side * side, {{"random-ids", 0}},
+                                   *luby2->ball_algorithm(), torus_slack,
+                                   options, 6);
+    }
+  }
 }
 
 // run_sweep of a one-point spec on an 8-worker pool, whose trials share

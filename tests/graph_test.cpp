@@ -10,6 +10,7 @@
 #include "graph/ball.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/implicit.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
 #include "graph/ops.h"
@@ -204,6 +205,21 @@ TEST(Ball, SignatureDistinguishesStructures) {
   EXPECT_NE(b1.structure_signature(), b3.structure_signature());
 }
 
+void expect_same_ball(const BallView& fresh, const BallView& reused) {
+  ASSERT_EQ(fresh.size(), reused.size());
+  ASSERT_TRUE(std::equal(fresh.members().begin(), fresh.members().end(),
+                         reused.members().begin()));
+  for (NodeId i = 0; i < fresh.size(); ++i) {
+    ASSERT_EQ(fresh.distance(i), reused.distance(i));
+    ASSERT_EQ(fresh.host_degree(i), reused.host_degree(i));
+    const auto want = fresh.neighbors(i);
+    const auto got = reused.neighbors(i);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()));
+  }
+  ASSERT_EQ(fresh.structure_signature(), reused.structure_signature());
+  ASSERT_EQ(fresh.encoded_words(), reused.encoded_words());
+}
+
 TEST(Ball, ScratchReuseIsBitIdenticalToFreshConstruction) {
   // One workspace re-collected across graphs of different sizes, centers,
   // and radii must reproduce the freshly constructed ball exactly — the
@@ -217,24 +233,33 @@ TEST(Ball, ScratchReuseIsBitIdenticalToFreshConstruction) {
       for (NodeId center = 0; center < g.node_count(); center += 3) {
         const BallView fresh(g, center, radius);
         reused.collect(g, center, radius, scratch);
-        ASSERT_EQ(fresh.size(), reused.size());
-        ASSERT_TRUE(std::equal(fresh.members().begin(),
-                               fresh.members().end(),
-                               reused.members().begin()));
-        for (NodeId i = 0; i < fresh.size(); ++i) {
-          ASSERT_EQ(fresh.distance(i), reused.distance(i));
-          ASSERT_EQ(fresh.host_degree(i), reused.host_degree(i));
-          const auto want = fresh.neighbors(i);
-          const auto got = reused.neighbors(i);
-          ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
-                                 got.end()));
-        }
-        ASSERT_EQ(fresh.structure_signature(),
-                  reused.structure_signature());
-        ASSERT_EQ(fresh.encoded_words(), reused.encoded_words());
+        expect_same_ball(fresh, reused);
       }
     }
   }
+}
+
+TEST(Ball, ImplicitScratchIsEmptyAfterARehash) {
+  // The implicit path's visited map keeps its key slots empty between
+  // collections by clearing only the slots it filled. A radius-8 torus
+  // ball (145 members) grows the map from 64 to 512 slots; the small balls
+  // collected after it through the same scratch must equal fresh ones.
+  const auto torus = implicit_torus(40, 40);
+  BallView reused;
+  BallScratch scratch;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const int radius : {8, 0, 1, 2, 1}) {
+      for (const NodeId center : {0u, 41u, 799u, 1599u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "r" << radius << " center " << center);
+        const BallView fresh(*torus, center, radius);
+        reused.collect(*torus, center, radius, scratch);
+        expect_same_ball(fresh, reused);
+      }
+    }
+  }
+  reused.collect(*torus, 0, 8, scratch);
+  EXPECT_EQ(reused.size(), 145u);
 }
 
 // The paper's ball (section 2.1.1) in the realized subgraph of a filter,

@@ -23,10 +23,12 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/ball.h"
 #include "graph/implicit.h"
+#include "local/batch_runner.h"
 #include "obs/metrics.h"
 #include "rand/splitmix.h"
 #include "scenario/presets.h"
@@ -299,28 +301,39 @@ TEST(ImplicitTopology, FaultySpecsStreamBitIdentically) {
 }
 
 TEST(ImplicitTopology, RingComputesEachConstructionOutputOnce) {
-  scenario::ScenarioSpec spec = streaming_spec();
-  spec.execution = scenario::Execution::kImplicit;
-  spec.trials = 8;
-  const std::uint64_t n = spec.n_grid[0];
+  // One node-range part, then three full parts and a partial one: each
+  // part starts with a cold memo.
+  const std::uint64_t parted = 3 * std::uint64_t{local::kPartNodes} + 5;
   const stats::ThreadPool pool(4);
   scenario::SweepOptions options;
   options.pool = &pool;
-  obs::set_metrics_enabled(true);
-  const scenario::SweepResult result =
-      scenario::run_sweep(scenario::compile(spec), options);
-  obs::set_metrics_enabled(false);
+  for (const auto& [n, trials] :
+       {std::pair<std::uint64_t, std::uint64_t>{4096, 8}, {parted, 2}}) {
+    SCOPED_TRACE(testing::Message() << "n = " << n);
+    scenario::ScenarioSpec spec = streaming_spec();
+    spec.execution = scenario::Execution::kImplicit;
+    spec.n_grid = {n};
+    spec.trials = trials;
+    obs::set_metrics_enabled(true);
+    const scenario::SweepResult result =
+        scenario::run_sweep(scenario::compile(spec), options);
+    obs::set_metrics_enabled(false);
 
-  const auto& counters = result.metrics.counters();
-  ASSERT_EQ(counters.count("stream_construction_computes"), 1u);
-  ASSERT_EQ(counters.count("stream_construction_reuses"), 1u);
-  const std::uint64_t computes = counters.at("stream_construction_computes");
-  const std::uint64_t reuses = counters.at("stream_construction_reuses");
-  // Per trial: one output per node, plus the two wrap-around members
-  // (node n-1 and node 0) whose slots were evicted by the time they
-  // recur; every other lookup of the sum over v of |B(v, 1)| = 3n hits.
-  EXPECT_LE(computes, spec.trials * (n + 2));
-  EXPECT_EQ(computes + reuses, spec.trials * 3 * n);
+    const auto& counters = result.metrics.counters();
+    ASSERT_EQ(counters.count("stream_construction_computes"), 1u);
+    ASSERT_EQ(counters.count("stream_construction_reuses"), 1u);
+    const std::uint64_t computes = counters.at("stream_construction_computes");
+    const std::uint64_t reuses = counters.at("stream_construction_reuses");
+    const std::uint64_t parts =
+        (n + local::kPartNodes - 1) / local::kPartNodes;
+    // Per trial: one output per node, plus the two wrap-around members
+    // (node n-1 and node 0) whose slots were evicted by the time they
+    // recur, plus the two nodes at each part boundary, which the parts on
+    // both sides compute; every other lookup of the sum over v of
+    // |B(v, 1)| = 3n hits.
+    EXPECT_LE(computes, trials * (n + 2 + 2 * (parts - 1)));
+    EXPECT_EQ(computes + reuses, trials * 3 * n);
+  }
 }
 
 TEST(ImplicitTopology, ExecutionSharesOneCacheKey) {
