@@ -73,10 +73,6 @@ std::unique_ptr<local::NodeProgram> ColorReductionFactory::create() const {
                                                  target_palette_);
 }
 
-int ColorReductionFactory::scheduled_rounds() const noexcept {
-  return std::max(0, initial_palette_ - target_palette_);
-}
-
 local::EngineResult run_color_reduction(const local::Instance& inst,
                                         int initial_palette,
                                         int target_palette) {

@@ -19,9 +19,6 @@ class ColorReductionFactory final : public local::NodeProgramFactory {
   std::string name() const override;
   std::unique_ptr<local::NodeProgram> create() const override;
 
-  /// Rounds the schedule will take: max(0, initial - target).
-  int scheduled_rounds() const noexcept;
-
  private:
   int initial_palette_;
   int target_palette_;

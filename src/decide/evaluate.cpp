@@ -7,12 +7,14 @@
 namespace lnc::decide {
 namespace {
 
-/// Member outputs read from a full labeling, indexed by original node.
+/// Member outputs read from a full labeling, indexed by original node:
+/// one lane.
 struct LabelingOutputs {
   std::span<const local::Label> output;
 
-  local::Label own(graph::NodeId v) const { return output[v]; }
-  local::Label member(graph::NodeId u) const { return output[u]; }
+  static constexpr std::size_t lanes() noexcept { return 1; }
+  const local::Label* own(graph::NodeId v) const { return &output[v]; }
+  const local::Label* member(graph::NodeId u) const { return &output[u]; }
 };
 
 template <typename Decide>
@@ -24,9 +26,13 @@ DecisionOutcome evaluate_labeling(const local::Instance& inst,
       local::trial_censor(inst, options.fault, options.fault_coins);
   LabelingOutputs outputs{output};
   DecisionOutcome outcome;
-  outcome.accepted = decide_each_node(
+  std::uint8_t accepted = 1;
+  decide_each_node(
       inst, radius, options, censor.has_value() ? &*censor : nullptr,
-      outputs, decide, {0, inst.node_count()}, &outcome.rejecting);
+      outputs,
+      [&](const DeciderView& view, std::size_t) { return decide(view); },
+      {0, inst.node_count()}, {&accepted, 1}, &outcome.rejecting);
+  outcome.accepted = accepted != 0;
   return outcome;
 }
 

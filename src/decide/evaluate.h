@@ -9,10 +9,12 @@
 //
 // Every verdict goes through one per-node loop, decide_each_node below:
 // evaluate() runs it over a labeling's nodes, construct_then_decide_plan's
-// implicit trials over one node-range part at a time, reading outputs
-// from the worker's construction memo. By section 2.1.1, v's verdict
-// depends only on its radius-(t + t') ball, so the parts of a trial run
-// on any workers and their verdicts conjoin to the trial's acceptance.
+// implicit trials over one node-range part of a batch of trials at a
+// time, reading outputs from the worker's construction memo. By section
+// 2.1.1, v's verdict depends only on its radius-(t + t') ball, so the
+// parts of a trial run on any workers and their verdicts conjoin to the
+// trial's acceptance; and the ball does not depend on the coins, so the
+// trials of a batch load it once.
 #pragma once
 
 #include <algorithm>
@@ -114,26 +116,34 @@ EvaluateOptions trial_options(EvaluateOptions options,
                               const local::TrialEnv& env,
                               const rand::PhiloxCoins& fault_coins);
 
-/// The one per-node decision loop over `nodes`, in node order; returns
-/// whether every counted verdict there accepts. A node the censor blocks
-/// is crashed: no verdict, no charge. Every other node reads its own
-/// output through `outputs.own(v)`, where the construction memo charges
-/// v's construction ball; a counted node then loads its decision ball (a
-/// table view, or collected under the censor: see local::pick_ball_table),
-/// fills the workspace's ball-local buffer (`outputs.member(u)` for
-/// u != v) and takes `decide(view)`. There is no early exit; rejecting
-/// nodes go to `rejecting` when it is non-null. options.telemetry, when
-/// set, is charged the decision phase of `nodes`: each counted ball's
-/// members and encoded words, one expansion per counted node, and, from
-/// the range holding node 0, the trial's max(radius, 1) rounds.
+/// The one per-node decision loop over `nodes`, in node order, for the
+/// outputs.lanes() trial lanes of `outputs` at once (a labeling is one
+/// lane); sets accepted[lane] to whether every verdict it counted in that
+/// lane accepts. A node the censor blocks is crashed: no verdict, no
+/// charge. Every other node reads its own outputs through
+/// `outputs.own(v)`, where the construction memo charges v's construction
+/// ball, one label per lane; a counted node then loads its decision ball
+/// once (a table view, or collected under the censor: see
+/// local::pick_ball_table) and, per lane, fills the workspace's
+/// ball-local buffer (`outputs.member(u)[lane]` for u != v) and takes
+/// `decide(view, lane)`. There is no early exit; a one-lane loop adds
+/// rejecting nodes to `rejecting` when it is non-null. options.telemetry,
+/// when set, is charged the decision phase of `nodes` once per lane: each
+/// counted ball's members and encoded words, one expansion per counted
+/// node, and, from the range holding node 0, the trial's max(radius, 1)
+/// rounds.
 template <typename Outputs, typename Decide>
-bool decide_each_node(const local::Instance& inst, int radius,
+void decide_each_node(const local::Instance& inst, int radius,
                       const EvaluateOptions& options,
                       const graph::BallFilter* censor, Outputs& outputs,
                       Decide&& decide, local::NodeRange nodes,
+                      std::span<std::uint8_t> accepted,
                       std::vector<graph::NodeId>* rejecting = nullptr) {
   inst.validate();
   LNC_EXPECTS(nodes.begin <= nodes.end && nodes.end <= inst.node_count());
+  const std::size_t lanes = outputs.lanes();
+  LNC_EXPECTS(accepted.size() == lanes &&
+              (rejecting == nullptr || lanes == 1));
   const graph::Topology& topology = inst.topology();
   std::vector<int> far_distance;
   if (options.far_from.has_value()) {
@@ -150,14 +160,17 @@ bool decide_each_node(const local::Instance& inst, int radius,
       options.ball != nullptr ? *options.ball : local_workspace;
   const graph::BallTable* table =
       local::pick_ball_table(options.ball_tables, inst, radius, censor);
-  local::Telemetry charges;
-  bool accepted = true;
+  local::Telemetry charges;  // one lane's: every lane counts the same balls
+  std::fill(accepted.begin(), accepted.end(), std::uint8_t{1});
 
   // Observability, timing-only: on an implicit (giga-scale) instance the
-  // range is one node-range trace span and one live progress tick, and
-  // every 1024th ball collection is timed — timing 10^8 collects
-  // individually would dominate the loop. A materialized instance records
-  // none of it, so traces keep one batch span per trial batch there.
+  // range is one node-range trace span and one live progress tick of its
+  // node-trials, and every 1024th ball collection is timed — timing 10^8
+  // collects individually would dominate the loop. The timed node ends a
+  // 1024-node window, never starts one: the streaming loop refills its
+  // coin tables at every 256th node, which leaves the cache cold for the
+  // next collection. A materialized instance records none of it, so
+  // traces keep one batch span per trial batch there.
   const bool observed = inst.is_implicit();
   obs::MetricsRegistry* obs_metrics =
       observed ? obs::worker_metrics() : nullptr;
@@ -168,9 +181,10 @@ bool decide_each_node(const local::Instance& inst, int radius,
   }
   for (graph::NodeId v = nodes.begin; v < nodes.end; ++v) {
     if (censor != nullptr && censor->node_blocked(v)) continue;
-    const local::Label own = outputs.own(v);
+    const local::Label* own = outputs.own(v);
     if (excluded(v)) continue;
-    if (obs_metrics != nullptr && (v & kCollectSampleMask) == 0) {
+    if (obs_metrics != nullptr &&
+        (v & kCollectSampleMask) == kCollectSampleMask) {
       const util::Timer collect_timer;
       workspace.load(topology, table, v, radius, censor);
       obs_metrics->observe("ball_collect_seconds",
@@ -179,33 +193,45 @@ bool decide_each_node(const local::Instance& inst, int radius,
       workspace.load(topology, table, v, radius, censor);
     }
     const graph::BallView& ball = workspace.ball;
-    charges.messages_sent += ball.size();
+    const graph::NodeId size = ball.size();
+    charges.messages_sent += size;
     charges.words_sent += ball.encoded_words();
     ++charges.ball_expansions;
+    // Lane k's ball outputs are ball_output[k * size, (k + 1) * size).
     local::Labeling& ball_output = workspace.outputs;
-    ball_output.resize(ball.size());
-    ball_output[0] = own;
-    for (graph::NodeId m = 1; m < ball.size(); ++m) {
-      ball_output[m] = outputs.member(ball.to_original(m));
+    ball_output.resize(lanes * size);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      ball_output[lane * size] = own[lane];
+    }
+    for (graph::NodeId m = 1; m < size; ++m) {
+      const local::Label* member = outputs.member(ball.to_original(m));
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        ball_output[lane * size + m] = member[lane];
+      }
     }
     local::View view;
     view.ball = &ball;
     view.instance = &inst;
     if (options.grant_n) view.n_nodes = inst.node_count();
-    if (!decide(DeciderView{view, ball_output})) {
-      accepted = false;
-      if (rejecting != nullptr) rejecting->push_back(v);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const std::span<const local::Label> lane_output(
+          ball_output.data() + lane * size, size);
+      if (!decide(DeciderView{view, lane_output}, lane)) {
+        accepted[lane] = 0;
+        if (rejecting != nullptr) rejecting->push_back(v);
+      }
     }
   }
-  if (observed) obs::node_progress_tick(nodes.end - nodes.begin);
+  if (observed) obs::node_progress_tick((nodes.end - nodes.begin) * lanes);
   if (options.telemetry != nullptr) {
     if (nodes.begin == 0) {
       charges.rounds_executed =
           static_cast<std::uint64_t>(std::max(radius, 1));
     }
-    options.telemetry->merge(charges);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      options.telemetry->merge(charges);
+    }
   }
-  return accepted;
 }
 
 }  // namespace lnc::decide

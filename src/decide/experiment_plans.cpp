@@ -12,47 +12,53 @@
 namespace lnc::decide {
 namespace {
 
-/// Member outputs for the implicit ball-mode part body, from the
-/// worker's construction memo: a miss computes the member's output from
-/// its own construction ball, collected under the trial's censor. Outputs are
-/// pure functions of (ball, identities, construction coins), so a reuse
-/// and a recomputation agree bit for bit. Recomputation is not
-/// communication: each surviving node charges its construction ball
-/// exactly once, from own(), hit or miss.
+/// Member outputs for the implicit ball-mode part body, one lane per
+/// trial of the part's batch, from the worker's construction memo: a miss
+/// collects the member's construction ball once, under the trial's
+/// censor, and computes each lane's output from it with that lane's
+/// construction coins. Outputs are pure functions of (ball, identities,
+/// construction coins), so a reuse and a recomputation agree bit for bit.
+/// Recomputation is not communication: each surviving node charges its
+/// construction ball exactly once per lane, from own().
 struct MemoOutputs {
   const local::Instance& inst;
   const local::RandomizedBallAlgorithm& algo;
-  const rand::PhiloxCoins& coins;
+  std::span<const local::TrialEnv> envs;  ///< the lanes
   const graph::BallFilter* censor;
   bool grant_n;
   std::uint64_t halo;  ///< t_cons + t_dec, the coin window's margin
   local::ConstructionMemo& memo;
-  rand::CoinTable& table;  ///< the worker's, refilled per block
+  std::span<rand::CoinTable> tables;  ///< the worker's, one per lane
   graph::BallScratch& scratch;  ///< shared with the decision balls
-  local::Telemetry charges = {};  ///< the construction phase, from own()
+  local::Telemetry charges = {};  ///< one lane's construction phase
   std::uint64_t block_end = 0;
   std::uint64_t computes = 0;
   std::uint64_t reuses = 0;
 
-  local::Label own(graph::NodeId v) {
+  std::size_t lanes() const noexcept { return envs.size(); }
+
+  const local::Label* own(graph::NodeId v) {
     if (v >= block_end) refill_coins(v);
     const local::ConstructionMemo::Entry& entry = lookup(v);
     charges.messages_sent += entry.ball_size;
     charges.words_sent += entry.encoded_words;
     ++charges.ball_expansions;
-    return entry.label;
+    return memo.labels(v);
   }
 
-  local::Label member(graph::NodeId u) { return lookup(u).label; }
+  const local::Label* member(graph::NodeId u) {
+    lookup(u);
+    return memo.labels(u);
+  }
 
-  // Construction coins come from the worker's coin table, refilled every
-  // kCoinBlock nodes in batched Philox calls: draws [0, coin_prefix()) of
-  // every identity within t_cons + t_dec of the block (identity = v + 1
-  // here), so each is drawn once per block, not once per ball that
-  // contains it. Identities outside the window (ring wrap, other grid
-  // rows, random neighbours) and draws past the prefix fall back to
-  // Philox, so every draw is the one the trial's construction coins
-  // make; a prefix of 0 leaves the table empty.
+  // Construction coins come from the worker's coin tables, each refilled
+  // every kCoinBlock nodes in batched Philox calls: draws
+  // [0, coin_prefix()) of every identity within t_cons + t_dec of the
+  // block (identity = v + 1 here), so each is drawn once per block and
+  // lane, not once per ball that contains it. Identities outside the
+  // window (ring wrap, other grid rows, random neighbours) and draws past
+  // the prefix fall back to Philox, so every draw is the one the lane's
+  // construction coins make; a prefix of 0 leaves the tables empty.
   static constexpr graph::NodeId kCoinBlock = 256;
   static_assert(local::kPartNodes % kCoinBlock == 0,
                 "a part starts on a coin block");
@@ -64,7 +70,10 @@ struct MemoOutputs {
     const std::uint64_t first = begin >= halo ? begin + 1 - halo : 1;
     const std::uint64_t last = std::min<std::uint64_t>(
         begin + kCoinBlock + halo, inst.node_count());
-    table.fill(coins, first, last - first + 1, algo.coin_prefix());
+    for (std::size_t lane = 0; lane < lanes(); ++lane) {
+      tables[lane].fill(envs[lane].construction_coins(), first,
+                        last - first + 1, algo.coin_prefix());
+    }
   }
 
   const local::ConstructionMemo::Entry& lookup(graph::NodeId u) {
@@ -80,8 +89,11 @@ struct MemoOutputs {
     view.ball = &ball;
     view.instance = &inst;
     if (grant_n) view.n_nodes = inst.node_count();
-    entry = {u, ball.size(), algo.compute(view, table),
-             ball.encoded_words()};
+    local::Label* labels = memo.labels(u);
+    for (std::size_t lane = 0; lane < lanes(); ++lane) {
+      labels[lane] = algo.compute(view, tables[lane]);
+    }
+    entry = {u, ball.size(), ball.encoded_words()};
     return entry;
   }
 };
@@ -141,38 +153,53 @@ local::ExperimentPlan construct_then_decide_plan(
   }
   // Implicit ball mode: one pass of the decision loop, no O(n) labeling,
   // run as node-range parts (local::PartedTrial) so one trial spreads over
-  // every worker. Each part starts with a cold memo and coin table, which
-  // only recomputes a few outputs at its edges; member outputs come from
-  // the construction memo, and one realized adversary per trial censors
-  // both phases.
+  // every worker. A part call runs a batch of trials as lanes: without a
+  // fault every trial sees the same balls, so each ball is collected once
+  // for the batch; with one, each trial's realized adversary censors both
+  // phases, and a batch is one trial. Each part starts with a cold memo
+  // and coin tables, which only recomputes a few outputs at its edges;
+  // member outputs come from the construction memo.
   plan.parts.nodes = inst.node_count();
   plan.parts.success_on_accept = success_on_accept;
+  plan.parts.shares_balls =
+      options.fault == nullptr || options.fault->trivial();
   plan.parts.part = [&inst, &algo, &decider, options](
-                        const local::TrialEnv& env, local::NodeRange nodes) {
-    const rand::PhiloxCoins c_coins = env.construction_coins();
-    const rand::PhiloxCoins d_coins = env.decision_coins();
-    const rand::PhiloxCoins f_coins = env.fault_coins();
-    local::WorkerArena& arena = *env.arena;
+                        std::span<const local::TrialEnv> envs,
+                        local::NodeRange nodes,
+                        std::span<std::uint8_t> accepts) {
+    const local::TrialEnv& first = envs.front();
+    const rand::PhiloxCoins f_coins = first.fault_coins();
+    local::WorkerArena& arena = *first.arena;
     const EvaluateOptions decide_options =
-        trial_options(options, env, f_coins);
+        trial_options(options, first, f_coins);
     const std::optional<fault::BallCensor> censor =
         local::trial_censor(inst, options.fault, &f_coins);
+    LNC_EXPECTS(!censor.has_value() || envs.size() == 1);
     const graph::BallFilter* filter = censor.has_value() ? &*censor : nullptr;
+    std::vector<rand::PhiloxCoins> d_coins;
+    d_coins.reserve(envs.size());
+    for (const local::TrialEnv& env : envs) {
+      d_coins.push_back(env.decision_coins());
+    }
     local::ConstructionMemo& memo = arena.construction_memo();
-    memo.clear(inst.node_count());
+    memo.clear(inst.node_count(), envs.size());
     MemoOutputs outputs{
-        inst, algo, c_coins, filter, options.grant_n,
+        inst, algo, envs, filter, options.grant_n,
         static_cast<std::uint64_t>(algo.radius() + decider.radius()), memo,
-        arena.coin_table(), arena.ball_workspace().scratch};
-    const bool accepted = decide_each_node(
+        arena.coin_tables(envs.size()), arena.ball_workspace().scratch};
+    decide_each_node(
         inst, decider.radius(), decide_options, filter, outputs,
-        [&](const DeciderView& view) { return decider.accept(view, d_coins); },
-        nodes);
+        [&](const DeciderView& view, std::size_t lane) {
+          return decider.accept(view, d_coins[lane]);
+        },
+        nodes, accepts);
     if (nodes.begin == 0) {
       outputs.charges.rounds_executed =
           static_cast<std::uint64_t>(std::max(algo.radius(), 1));
     }
-    arena.telemetry().merge(outputs.charges);
+    for (std::size_t lane = 0; lane < envs.size(); ++lane) {
+      arena.telemetry().merge(outputs.charges);
+    }
     if (censor.has_value()) {
       local::charge_fault_telemetry(inst, *options.fault, f_coins, nodes,
                                     arena.telemetry());
@@ -182,7 +209,6 @@ local::ExperimentPlan construct_then_decide_plan(
       metrics->add_counter("stream_construction_computes", outputs.computes);
       metrics->add_counter("stream_construction_reuses", outputs.reuses);
     }
-    return accepted;
   };
   return plan;
 }

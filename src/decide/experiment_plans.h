@@ -26,10 +26,13 @@ local::ExperimentPlan acceptance_plan(
 /// the fault model of `options`. A materialized trial constructs the
 /// worker's labeling in `mode` and evaluate()s it (the simulation modes
 /// take no fault model). An implicit trial, ball mode only, is a parted
-/// trial (local::PartedTrial): each node-range part is one pass of
-/// decide_each_node (decide/evaluate.h) over the worker's construction
-/// memo. It holds no O(n) state, and its tally and telemetry match the
-/// materialized trial's bit for bit. far_from is materialized-only.
+/// trial (local::PartedTrial): each node-range part of a batch of trials
+/// is one pass of decide_each_node (decide/evaluate.h) over the worker's
+/// construction memo, with one lane per trial. Without a fault model the
+/// plan shares balls, so a batch's trials load each ball once; with one,
+/// a batch is one trial. It holds no O(n) state, and its tally and
+/// telemetry match the materialized trial's bit for bit. far_from is
+/// materialized-only.
 local::ExperimentPlan construct_then_decide_plan(
     std::string name, const local::Instance& inst,
     const local::RandomizedBallAlgorithm& algo,

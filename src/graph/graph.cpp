@@ -36,11 +36,6 @@ std::vector<Edge> Graph::edges() const {
   return result;
 }
 
-Graph::Builder& Graph::Builder::reserve_nodes(NodeId count) {
-  node_count_ = std::max(node_count_, count);
-  return *this;
-}
-
 Graph::Builder& Graph::Builder::add_edge(NodeId u, NodeId v) {
   LNC_EXPECTS(u != v);
   if (u > v) std::swap(u, v);
@@ -48,8 +43,6 @@ Graph::Builder& Graph::Builder::add_edge(NodeId u, NodeId v) {
   node_count_ = std::max(node_count_, static_cast<NodeId>(v + 1));
   return *this;
 }
-
-NodeId Graph::Builder::add_node() { return node_count_++; }
 
 Graph Graph::Builder::build() {
   std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {

@@ -84,15 +84,9 @@ class Graph::Builder {
   Builder() = default;
   explicit Builder(NodeId node_count) : node_count_(node_count) {}
 
-  /// Ensures at least `count` nodes exist.
-  Builder& reserve_nodes(NodeId count);
-
   /// Adds the undirected edge {u, v}; u == v is a contract violation.
   /// Duplicate insertions are deduplicated at build() time.
   Builder& add_edge(NodeId u, NodeId v);
-
-  /// Adds a fresh node and returns its index.
-  NodeId add_node();
 
   NodeId node_count() const noexcept { return node_count_; }
 

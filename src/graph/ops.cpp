@@ -70,11 +70,4 @@ Graph relabel(const Graph& g, const std::vector<NodeId>& permutation) {
   return b.build();
 }
 
-Graph with_extra_edges(const Graph& g, const std::vector<Edge>& extra) {
-  Graph::Builder b(g.node_count());
-  for (const Edge& e : g.edges()) b.add_edge(e.u, e.v);
-  for (const Edge& e : extra) b.add_edge(e.u, e.v);
-  return b.build();
-}
-
 }  // namespace lnc::graph

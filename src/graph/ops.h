@@ -46,7 +46,4 @@ Graph subdivide_edge(const Graph& g, NodeId a, NodeId b);
 /// (new_index = permutation[old_index]); permutation must be a bijection.
 Graph relabel(const Graph& g, const std::vector<NodeId>& permutation);
 
-/// Adds extra edges to a copy of g.
-Graph with_extra_edges(const Graph& g, const std::vector<Edge>& extra);
-
 }  // namespace lnc::graph

@@ -1,6 +1,7 @@
 #include "local/batch_runner.h"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -86,6 +87,23 @@ TrialRange shard_range(std::uint64_t trials, unsigned shard,
   return {begin, begin + length};
 }
 
+TrialRange TrialBatches::operator[](std::uint64_t batch) const noexcept {
+  const std::uint64_t base = range.count() / count;
+  const std::uint64_t extra = range.count() % count;
+  const std::uint64_t begin =
+      range.begin + batch * base + std::min(batch, extra);
+  return {begin, begin + base + (batch < extra ? 1 : 0)};
+}
+
+TrialBatches cut_trials(TrialRange range, std::uint64_t cap,
+                        std::uint64_t workers, std::uint64_t parts) {
+  LNC_EXPECTS(cap > 0 && workers > 0 && parts > 0);
+  const std::uint64_t step = (workers + parts - 1) / parts;
+  const std::uint64_t fewest = (range.count() + cap - 1) / cap;
+  return {range,
+          std::min(range.count(), (fewest + step - 1) / step * step)};
+}
+
 void ShardTally::merge(const ShardTally& other) {
   successes += other.successes;
   trials += other.trials;
@@ -111,18 +129,17 @@ unsigned BatchRunner::worker_count() const noexcept {
 }
 
 template <typename Body>
-void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
+void BatchRunner::for_each_batch(const ExperimentPlan& plan,
+                                 const TrialBatches& batches,
                                  std::uint64_t parts, bool fresh_arenas,
                                  Body&& body) {
-  // Trial-major: a trial's parts are neighbours in the dispatch, so the
-  // workers share each trial and finish trials about in order.
+  // Batch-major: a batch's parts are neighbours in the dispatch, so the
+  // workers share each batch and finish batches about in order.
   auto invoke = [&](unsigned worker, std::uint64_t task) {
-    const std::uint64_t i = range.begin + task / parts;
+    const TrialRange batch = batches[task / parts];
     const std::uint64_t part = task % parts;
-    TrialEnv env;
-    env.index = i;
-    env.seed = stats::trial_seed(plan.base_seed, i);
-    env.ball_tables = ball_tables_;
+    LNC_EXPECTS(batch.count() <= kBatchTrials);
+    std::array<TrialEnv, kBatchTrials> envs;
     // Observability channel for this worker: deep engine code (ball
     // collection, vector kernels) reaches the registry through the
     // thread-local pointer. Installed only when metrics are on, so the
@@ -132,30 +149,35 @@ void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
         obs::metrics_enabled() ? &arenas_[worker].metrics() : nullptr;
     const obs::WorkerMetricsScope metrics_scope(metrics);
     const util::Timer trial_timer;
-    if (fresh_arenas) {
-      // Naive backend: a cold arena per call (nothing survives — the
-      // reuse-ablation baseline). The call's telemetry still lands in
-      // the persistent worker accumulator so tallies merge identically.
-      WorkerArena fresh;
-      env.arena = &fresh;
-      body(worker, env, part);
-      arenas_[worker].telemetry().merge(fresh.telemetry());
-    } else {
-      env.arena = &arenas_[worker];
-      body(worker, env, part);
+    // Naive backend: a cold arena per call (nothing survives — the
+    // reuse-ablation baseline). The call's telemetry still lands in the
+    // persistent worker accumulator so tallies merge identically.
+    std::optional<WorkerArena> fresh;
+    if (fresh_arenas) fresh.emplace();
+    for (std::uint64_t k = 0; k < batch.count(); ++k) {
+      TrialEnv& env = envs[k];
+      env.index = batch.begin + k;
+      env.seed = stats::trial_seed(plan.base_seed, env.index);
+      env.arena = fresh ? &*fresh : &arenas_[worker];
+      env.ball_tables = ball_tables_;
     }
-    // Per-call wall time (a trial's, or a part's) lands in the worker's
-    // lock-free accumulator (timing-only telemetry; never part of the
-    // deterministic contract).
+    body(worker, std::span<const TrialEnv>(envs.data(), batch.count()), part);
+    if (fresh) arenas_[worker].telemetry().merge(fresh->telemetry());
+    // Per-call wall time (a trial's, or a part's of a batch) lands in the
+    // worker's lock-free accumulator (timing-only telemetry; never part
+    // of the deterministic contract).
     const double trial_seconds = trial_timer.elapsed_seconds();
     arenas_[worker].telemetry().wall_seconds += trial_seconds;
     if (metrics != nullptr) {
       metrics->observe("trial_wall_seconds", trial_seconds);
     }
-    // One heartbeat tick per trial, from the call running its last part.
-    if (progress_ != nullptr && part + 1 == parts) progress_->tick(1);
+    // Heartbeat ticks per trial, from the call running a batch's last
+    // part.
+    if (progress_ != nullptr && part + 1 == parts) {
+      progress_->tick(batch.count());
+    }
   };
-  const std::uint64_t tasks = range.count() * parts;
+  const std::uint64_t tasks = batches.count * parts;
   if (pool_ != nullptr) {
     pool_->parallel_for_workers(tasks, invoke);
   } else {
@@ -166,23 +188,15 @@ void BatchRunner::for_each_trial(const ExperimentPlan& plan, TrialRange range,
 template <typename Body>
 void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
                                         TrialRange range, Body&& body) {
-  if (range.count() == 0) return;
-  // Near-equal batches, a multiple of the worker count of them (while the
-  // range has that many trials), each at most batch_trials: every worker
-  // gets the same share of lockstep work and none idles through a short
-  // last batch. Earlier batches take the remainder.
-  const std::uint64_t cap =
-      std::max<std::uint64_t>(plan.optimization.batch_trials, 1);
-  const std::uint64_t workers = worker_count();
-  const std::uint64_t batches = std::min(
-      range.count(), ((range.count() + cap - 1) / cap + workers - 1) /
-                         workers * workers);
-  const std::uint64_t base = range.count() / batches;
-  const std::uint64_t extra = range.count() % batches;
+  // A multiple of the worker count of batches (while the range has that
+  // many trials): every worker gets the same share of lockstep work and
+  // none idles through a short last batch.
+  const TrialBatches batches = cut_trials(
+      range, std::max<std::uint64_t>(plan.optimization.batch_trials, 1),
+      worker_count(), 1);
   auto run_batch = [&](unsigned worker, std::uint64_t b) {
     WorkerArena& arena = arenas_[worker];
-    const std::uint64_t begin = range.begin + b * base + std::min(b, extra);
-    const std::uint64_t end = begin + base + (b < extra ? 1 : 0);
+    const auto [begin, end] = batches[b];
     obs::MetricsRegistry* metrics =
         obs::metrics_enabled() ? &arena.metrics() : nullptr;
     const obs::WorkerMetricsScope metrics_scope(metrics);
@@ -222,9 +236,9 @@ void BatchRunner::for_each_vector_trial(const ExperimentPlan& plan,
     if (progress_ != nullptr) progress_->tick(end - begin);
   };
   if (pool_ != nullptr) {
-    pool_->parallel_for_workers(batches, run_batch);
+    pool_->parallel_for_workers(batches.count, run_batch);
   } else {
-    for (std::uint64_t b = 0; b < batches; ++b) run_batch(0, b);
+    for (std::uint64_t b = 0; b < batches.count; ++b) run_batch(0, b);
   }
 }
 
@@ -293,26 +307,33 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
   }
   const bool naive = backend == OptimizationConfig::Backend::kNaive;
   if (plan.parts.part != nullptr) {
-    // Every (trial, part) pair of the range in one dispatch, each part's
-    // verdict in its own byte; then one conjunction per trial. An empty
-    // trial is one empty part.
+    // Every (batch, part) pair of the range in one dispatch, each call
+    // writing its batch's verdict bytes of its part; then one conjunction
+    // per trial. An empty trial is one empty part.
     LNC_EXPECTS(plan.workload == WorkloadKind::kSuccess);
     const graph::NodeId nodes = plan.parts.nodes;
     const std::uint64_t parts = std::max<std::uint64_t>(
         1, (std::uint64_t{nodes} + kPartNodes - 1) / kPartNodes);
-    std::vector<std::uint8_t> accepts(range.count() * parts);
-    for_each_trial(
-        plan, range, parts, naive,
-        [&](unsigned, const TrialEnv& env, std::uint64_t part) {
+    const std::uint64_t width =
+        plan.parts.shares_balls && !naive ? kBatchTrials : 1;
+    std::vector<std::uint8_t> accepts(parts * range.count());  // [part][t]
+    for_each_batch(
+        plan, cut_trials(range, width, worker_count(), parts), parts, naive,
+        [&](unsigned, std::span<const TrialEnv> envs, std::uint64_t part) {
           const auto begin = static_cast<graph::NodeId>(part * kPartNodes);
           const NodeRange part_nodes{
               begin, begin + std::min(kPartNodes, nodes - begin)};
-          accepts[(env.index - range.begin) * parts + part] =
-              plan.parts.part(env, part_nodes);
+          plan.parts.part(
+              envs, part_nodes,
+              std::span(accepts).subspan(
+                  part * range.count() + (envs.front().index - range.begin),
+                  envs.size()));
         });
     for (std::uint64_t t = 0; t < range.count(); ++t) {
-      const std::uint8_t* first = accepts.data() + t * parts;
-      const bool accepted = std::find(first, first + parts, 0) == first + parts;
+      bool accepted = true;
+      for (std::uint64_t part = 0; part < parts; ++part) {
+        accepted = accepted && accepts[part * range.count() + t] != 0;
+      }
       if (accepted == plan.parts.success_on_accept) {
         ++workers[0].tally.successes;
       }
@@ -326,9 +347,10 @@ ShardTally BatchRunner::run_shard(const ExperimentPlan& plan,
           plan.vector.finish(env, out, rounds, delta, workers[worker].tally);
         });
   } else {
-    for_each_trial(plan, range, 1, naive,
-                   [&](unsigned worker, const TrialEnv& env, std::uint64_t) {
-                     plan.trial(env, workers[worker].tally);
+    for_each_batch(plan, cut_trials(range, 1, worker_count(), 1), 1, naive,
+                   [&](unsigned worker, std::span<const TrialEnv> envs,
+                       std::uint64_t) {
+                     plan.trial(envs.front(), workers[worker].tally);
                    });
   }
   ShardTally tally;

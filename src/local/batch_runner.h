@@ -18,8 +18,9 @@
 //                     stats::trial_seed(base_seed, index), so results are
 //                     bit-for-bit identical across thread counts. Workers
 //                     take whole trials, or the node-range parts of a
-//                     parted plan's trials (PartedTrial), so one large
-//                     trial runs on every worker.
+//                     parted plan's trial batches (PartedTrial), so one
+//                     large trial runs on every worker and the trials of
+//                     a batch share each ball.
 //
 // Plan factories for the common workload shapes live in local/experiment.h
 // (construction algorithms) and decide/experiment_plans.h (deciders).
@@ -50,21 +51,23 @@ class Progress;
 
 namespace lnc::local {
 
-/// Direct-mapped memo of one trial part's construction outputs, for the
+/// Direct-mapped memo of one part call's construction outputs, for the
 /// streaming construct-then-decide loop on implicit instances
-/// (decide/experiment_plans.cpp). Slot u & (kSlots - 1) holds the last
-/// node u stored there: its construction label plus the size and encoded
-/// words of its construction ball (the node's construction-phase charge).
-/// Neighbouring decision balls share members, so on ring and path most
-/// lookups hit (grid and torus only while a row has under about 340
-/// nodes); a collision simply evicts. Entries are pure functions of the
-/// trial's construction coins and fault stream: clear() before every
-/// part. A miss collects the member's construction ball into `ball`
-/// while the decision ball stays live (both through the worker's one
-/// BallScratch: a scratch is dead between collections), and reads its
-/// coins from the worker's coin table (WorkerArena::coin_table), refilled
-/// per block of nodes (sized by the block and the algorithm's
-/// coin_prefix(), never by n).
+/// (decide/experiment_plans.cpp), over the call's trial lanes: the trials
+/// of one batch, which see the same balls. Slot u & (kSlots - 1) holds
+/// the last node u stored there: the size and encoded words of its
+/// construction ball (the node's construction-phase charge, the same in
+/// every lane) and one construction label per lane. Neighbouring decision
+/// balls share members, so on ring and path most lookups hit (grid and
+/// torus only while a row has under about 340 nodes); a collision simply
+/// evicts. Entries are pure functions of the lanes' construction coins
+/// and the trial's fault stream: clear() before every part. A miss
+/// collects the member's construction ball into `ball` once, while the
+/// decision ball stays live (both through the worker's one BallScratch: a
+/// scratch is dead between collections), and computes each lane's label
+/// from that lane's coin table (WorkerArena::coin_tables), refilled per
+/// block of nodes (sized by the block and the algorithm's coin_prefix(),
+/// never by n).
 class ConstructionMemo {
  public:
   static constexpr std::size_t kSlots = std::size_t{1} << 10;
@@ -72,24 +75,33 @@ class ConstructionMemo {
   struct Entry {
     graph::NodeId node = graph::kInvalidNode;  ///< empty slot
     graph::NodeId ball_size = 0;
-    Label label = 0;
     std::uint64_t encoded_words = 0;
   };
-  static_assert(sizeof(Entry) == 24, "the table is kSlots * 24 bytes");
+  static_assert(sizeof(Entry) == 16, "the table is kSlots * 16 bytes");
 
-  /// Empties the min(n, kSlots) slots a trial of n nodes can map to; the
-  /// first call allocates the fixed table (kSlots * 24 bytes), so arenas
-  /// that never run the loop pay nothing.
-  void clear(graph::NodeId n) {
+  /// Empties the min(n, kSlots) slots a trial of n nodes can map to, for
+  /// `lanes` labels per slot; the first call allocates the fixed table
+  /// (kSlots * 16 bytes) and the labels grow with the widest batch
+  /// (kSlots * 8 bytes per lane), so arenas that never run the loop pay
+  /// nothing.
+  void clear(graph::NodeId n, std::size_t lanes) {
     slots_.resize(kSlots);
+    if (labels_.size() < kSlots * lanes) labels_.resize(kSlots * lanes);
+    lanes_ = lanes;
     std::fill_n(slots_.begin(), std::min<std::size_t>(n, kSlots), Entry{});
   }
   Entry& slot(graph::NodeId u) noexcept { return slots_[u & (kSlots - 1)]; }
+  /// The labels of u's slot, one per lane.
+  Label* labels(graph::NodeId u) noexcept {
+    return labels_.data() + (u & (kSlots - 1)) * lanes_;
+  }
 
   graph::BallView ball;
 
  private:
   std::vector<Entry> slots_;
+  std::vector<Label> labels_;  // [slot * lanes_ + lane]
+  std::size_t lanes_ = 1;
 };
 
 /// Per-worker reusable scratch: engine arenas, a labeling buffer, and
@@ -107,14 +119,20 @@ class WorkerArena {
   /// allocating five vectors per node per trial.
   BallWorkspace& ball_workspace() noexcept { return ball_; }
 
-  /// The construct-then-decide loop's per-part construction memo.
+  /// The construct-then-decide loop's construction memo, cleared per
+  /// part call and sized by its batch's lanes.
   ConstructionMemo& construction_memo() noexcept { return memo_; }
 
-  /// This worker's construction coin table: filled per trial over the
-  /// instance's identities by construct_trial (local/experiment.h), or per
-  /// block of nodes by the streaming construct-then-decide loop. Its
-  /// arrays keep their capacity across fills.
-  rand::CoinTable& coin_table() noexcept { return coins_; }
+  /// This worker's construction coin tables, one per trial lane: the
+  /// first is filled per trial over the instance's identities by
+  /// construct_trial (local/experiment.h); the streaming
+  /// construct-then-decide loop refills one per lane of its batch per
+  /// block of nodes. There are as many as the widest batch had lanes, and
+  /// their arrays keep their capacity across fills.
+  std::span<rand::CoinTable> coin_tables(std::size_t lanes) {
+    if (coins_.size() < lanes) coins_.resize(lanes);
+    return {coins_.data(), lanes};
+  }
 
   /// This worker's telemetry accumulator (lives in the engine scratch so
   /// engine runs on this arena count into it automatically; ball-mode and
@@ -141,7 +159,7 @@ class WorkerArena {
   std::vector<Knowledge> knowledge_;
   BallWorkspace ball_;
   ConstructionMemo memo_;
-  rand::CoinTable coins_;
+  std::vector<rand::CoinTable> coins_;
   VectorScratch vector_;
   obs::MetricsRegistry metrics_;
 };
@@ -248,18 +266,29 @@ using TrialFinish = std::function<void(const TrialEnv&, const Labeling&, int,
 /// block (decide/experiment_plans.cpp).
 inline constexpr graph::NodeId kPartNodes = graph::NodeId{1} << 14;
 
+/// The most trials one call of a parted plan's part body runs together.
+/// One constant, as kPartNodes is.
+inline constexpr std::uint64_t kBatchTrials = 16;
+
 /// A trial whose outcome is a conjunction of per-node verdicts, as a
 /// decider's acceptance is (paper, Eq. 1), run as node-range parts of
-/// kPartNodes nodes. `part` runs nodes `nodes` of trial env.index and
-/// returns whether every verdict it counted accepts. Like a trial body it
-/// charges env.arena's telemetry, each part its own nodes' share, and
-/// the part holding node 0 the per-trial rounds; so parts merge exactly.
-/// The runner counts a success when a trial's parts' conjunction equals
-/// `success_on_accept`.
+/// kPartNodes nodes. `part` runs nodes `nodes` of the trials `envs`, a
+/// batch of consecutive trials (the trial lanes), and sets accepts[k] to
+/// whether every verdict it counted for trial envs[k] accepts. Like a
+/// trial body it charges the lanes' shared arena's telemetry, each part
+/// its own nodes' share for every lane, and the part holding node 0 each
+/// lane's per-trial rounds; so parts and batches merge exactly. A batch
+/// holds at most kBatchTrials trials, and one trial only unless
+/// `shares_balls`: the trials then see the same balls, which the part
+/// collects once for all lanes. The runner counts a success when a
+/// trial's parts' conjunction equals `success_on_accept`.
 struct PartedTrial {
   graph::NodeId nodes = 0;  ///< the trial's node count
-  std::function<bool(const TrialEnv&, NodeRange)> part;
+  std::function<void(std::span<const TrialEnv> envs, NodeRange nodes,
+                     std::span<std::uint8_t> accepts)>
+      part;
   bool success_on_accept = true;
+  bool shares_balls = false;
 };
 
 /// Opt-in trial-vectorized execution of a plan. When `factory` (whose
@@ -352,6 +381,23 @@ struct TrialRange {
 TrialRange shard_range(std::uint64_t trials, unsigned shard,
                        unsigned shard_count);
 
+/// A trial range cut into `count` consecutive near-equal batches, earlier
+/// batches taking the remainder.
+struct TrialBatches {
+  TrialRange range;
+  std::uint64_t count = 0;
+
+  TrialRange operator[](std::uint64_t batch) const noexcept;
+};
+
+/// The runner's one batch cut, for lockstep batches of the vectorized
+/// backend and the batches a parted plan's part calls run: the fewest
+/// batches of at most `cap` trials whose count is a multiple of
+/// ceil(workers / parts), so that batches x parts tasks cover every
+/// worker, and never more batches than trials.
+TrialBatches cut_trials(TrialRange range, std::uint64_t cap,
+                        std::uint64_t workers, std::uint64_t parts);
+
 /// Executes ExperimentPlans. Arenas persist across run() calls, so a
 /// runner reused for a sweep keeps its scratch warm. Not thread-safe;
 /// use one runner per caller thread.
@@ -368,8 +414,10 @@ class BatchRunner {
   /// Runs only the trials of a plan inside `range` — one shard of a
   /// cross-process run, for any workload kind — each adding to its
   /// worker's tally, and merges the workers' tallies and telemetry in
-  /// worker order. A parted plan's (trial, part) pairs of the range run
-  /// in one dispatch, after which each trial's parts' verdicts are
+  /// worker order. A parted plan's (batch, part) pairs of the range run
+  /// in one dispatch, the batches cut by cut_trials (at most kBatchTrials
+  /// trials each when the plan shares balls and the backend is not
+  /// naive, else one), after which each trial's parts' verdicts are
   /// conjoined and its success counted. Tallies of abutting ranges
   /// combine with ShardTally::merge.
   ShardTally run_shard(const ExperimentPlan& plan, TrialRange range);
@@ -416,18 +464,17 @@ class BatchRunner {
       const std::function<void(WorkerArena&, std::uint64_t)>& body);
 
  private:
-  /// Calls body(worker, env, part) for every part in [0, parts) of every
-  /// trial of `range`, all in one dispatch; a naive run gives each call a
-  /// fresh arena.
+  /// Calls body(worker, envs, part) for every part in [0, parts) of every
+  /// batch of `batches`, envs holding the batch's trials, all in one
+  /// dispatch; a naive run gives each call a fresh arena.
   template <typename Body>
-  void for_each_trial(const ExperimentPlan& plan, TrialRange range,
+  void for_each_batch(const ExperimentPlan& plan, const TrialBatches& batches,
                       std::uint64_t parts, bool fresh_arenas, Body&& body);
 
-  /// Vectorized dispatch: cuts `range` into consecutive near-equal
-  /// lockstep batches, a multiple of worker_count() of them and each at
-  /// most plan.optimization.batch_trials, and runs each through
-  /// run_vector_batch on the executing worker's scratch. `body` sees one
-  /// call per trial; results never depend on the batching.
+  /// Vectorized dispatch: runs each batch of cut_trials(range,
+  /// plan.optimization.batch_trials, worker_count(), 1) in lockstep
+  /// through run_vector_batch on the executing worker's scratch. `body`
+  /// sees one call per trial; results never depend on the batching.
   template <typename Body>
   void for_each_vector_trial(const ExperimentPlan& plan, TrialRange range,
                              Body&& body);

@@ -293,7 +293,7 @@ const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
     const auto [first, last] = identity_range(inst);
     const std::uint64_t span = last - first + 1;
     if (span <= kCoinTableBudget / sizeof(std::uint64_t) / prefix) {
-      rand::CoinTable& table = env.arena->coin_table();
+      rand::CoinTable& table = env.arena->coin_tables(1).front();
       table.fill(coins, first, span, prefix);
       provider = &table;
     }

@@ -146,10 +146,6 @@ void MetricsRegistry::set_gauge(const std::string& name, double value) {
   gauges_[name] = value;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  return histograms_[name];
-}
-
 void MetricsRegistry::observe(const std::string& name, double value) {
   histograms_[name].observe(value);
 }

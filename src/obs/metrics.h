@@ -87,9 +87,7 @@ class MetricsRegistry {
  public:
   void add_counter(const std::string& name, std::uint64_t delta);
   void set_gauge(const std::string& name, double value);
-  /// The named histogram, created empty on first use.
-  Histogram& histogram(const std::string& name);
-  /// Shorthand for histogram(name).observe(value).
+  /// Adds `value` to the named histogram, created empty on first use.
   void observe(const std::string& name, double value);
 
   bool empty() const noexcept;

@@ -241,11 +241,6 @@ const Json& Json::at(const std::string& key) const {
   return it->second;
 }
 
-bool Json::as_bool() const {
-  if (kind != Kind::kBool) type_error("expected a boolean");
-  return boolean;
-}
-
 double Json::as_number() const {
   if (kind != Kind::kNumber) type_error("expected a number");
   return number;

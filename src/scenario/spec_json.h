@@ -44,7 +44,6 @@ struct Json {
   /// Member access (requires kObject and key present).
   const Json& at(const std::string& key) const;
 
-  bool as_bool() const;
   double as_number() const;
   /// Exact 64-bit read (requires a plain non-negative integer token).
   std::uint64_t as_uint64() const;

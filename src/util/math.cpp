@@ -37,8 +37,4 @@ std::uint64_t saturating_pow(std::uint64_t base, std::uint64_t exp) noexcept {
   return result;
 }
 
-bool approx_equal(double a, double b, double tol) noexcept {
-  return std::fabs(a - b) <= tol;
-}
-
 }  // namespace lnc::util

@@ -33,7 +33,4 @@ constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
   return b == 0 ? 0 : (a + b - 1) / b;
 }
 
-/// True when |a - b| <= tol.
-bool approx_equal(double a, double b, double tol = 1e-9) noexcept;
-
 }  // namespace lnc::util

@@ -42,17 +42,7 @@ Table& Table::add_cell(std::uint64_t value) {
   return add_cell(std::to_string(value));
 }
 
-Table& Table::add_cell(std::int64_t value) {
-  return add_cell(std::to_string(value));
-}
-
 Table& Table::add_cell(int value) { return add_cell(std::to_string(value)); }
-
-Table& Table::add_row(std::vector<std::string> cells) {
-  LNC_EXPECTS(cells.size() == headers_.size());
-  rows_.push_back(std::move(cells));
-  return *this;
-}
 
 const std::string& Table::at(std::size_t row, std::size_t col) const {
   if (row >= rows_.size() || col >= rows_[row].size()) {
@@ -132,12 +122,6 @@ void Table::print_json(std::ostream& os,
   os << "]";
   if (!extra_members.empty()) os << ", " << extra_members;
   os << "}\n";
-}
-
-std::string Table::to_string() const {
-  std::ostringstream os;
-  print(os);
-  return os.str();
 }
 
 }  // namespace lnc::util

@@ -21,11 +21,7 @@ class Table {
   Table& add_cell(std::string value);
   Table& add_cell(double value, int precision = 4);
   Table& add_cell(std::uint64_t value);
-  Table& add_cell(std::int64_t value);
   Table& add_cell(int value);
-
-  /// Convenience: append a full row at once.
-  Table& add_row(std::vector<std::string> cells);
 
   std::size_t row_count() const noexcept { return rows_.size(); }
   std::size_t column_count() const noexcept { return headers_.size(); }
@@ -46,9 +42,6 @@ class Table {
   /// appended as additional top-level members.
   void print_json(std::ostream& os,
                   const std::string& extra_members = {}) const;
-
-  /// Renders to a string via print().
-  std::string to_string() const;
 
  private:
   std::vector<std::string> headers_;

@@ -315,6 +315,53 @@ TEST(BatchTelemetry, ShardTelemetriesSumToTheUnshardedRun) {
   expect_telemetry_identical(full.telemetry, merged.telemetry);
 }
 
+// The runner's one batch cut, for vector batches (one part) and the trial
+// batches of a parted plan: near-equal consecutive batches tiling the
+// range, the fewest of at most `cap` trials whose count is a multiple of
+// ceil(workers / parts), and never more batches than trials.
+TEST(BatchCut, TilesTheRangeInTheFewestBatchesThatCoverEveryWorker) {
+  struct Case {
+    local::TrialRange range;
+    std::uint64_t cap, workers, parts, batches;
+  };
+  for (const Case& c : {
+           Case{{0, 4}, 16, 4, 16, 1},   // 16 parts keep 4 workers busy
+           Case{{0, 8}, 16, 4, 1, 4},    // one part: one batch per worker
+           Case{{0, 10}, 16, 4, 2, 2},   // two parts: two batches
+           Case{{0, 2}, 16, 4, 4, 1},
+           Case{{5, 6}, 16, 4, 16, 1},   // a lone trial
+           Case{{0, 24}, 1, 4, 1, 24},   // width 1: a batch per trial
+           Case{{0, 100}, 32, 4, 1, 4},  // vector batches of 25
+           Case{{0, 301}, 32, 3, 1, 12},
+           Case{{0, 3}, 32, 8, 1, 3},
+           Case{{7, 7}, 16, 4, 1, 0},
+       }) {
+    SCOPED_TRACE(testing::Message()
+                 << "[" << c.range.begin << ", " << c.range.end << "), cap "
+                 << c.cap << ", " << c.workers << " workers, " << c.parts
+                 << " parts");
+    const local::TrialBatches batches =
+        local::cut_trials(c.range, c.cap, c.workers, c.parts);
+    EXPECT_EQ(batches.count, c.batches);
+    std::uint64_t next = c.range.begin;
+    std::uint64_t shortest = c.cap;
+    std::uint64_t longest = 0;
+    for (std::uint64_t b = 0; b < batches.count; ++b) {
+      const local::TrialRange batch = batches[b];
+      EXPECT_EQ(batch.begin, next);
+      next = batch.end;
+      shortest = std::min(shortest, batch.count());
+      longest = std::max(longest, batch.count());
+    }
+    EXPECT_EQ(next, c.range.end);
+    if (batches.count > 0) {
+      EXPECT_GE(shortest, 1u);
+      EXPECT_LE(longest, c.cap);
+      EXPECT_LE(longest - shortest, 1u);
+    }
+  }
+}
+
 TEST(BatchReproducibility, MeanAndCountPlansAcrossThreadCounts) {
   const local::Instance inst = core::consecutive_ring(36);
   const algo::UniformRandomColoring coloring(3);

@@ -312,9 +312,10 @@ void expect_tallies_equal(const local::ShardTally& got,
 // The plan on `topology`'s implicit instance (the streaming loop) against
 // the reference on its materialized instance, on a serial runner, on 3
 // and 4 workers (which share a trial's node-range parts), on the naive
-// backend and as the trial ranges [0, 1) + [1, trials) merged. far_from
-// is materialized-only, so a far_from case runs the plan materialized
-// too.
+// backend (one trial per part call) and as the trial ranges
+// [0, 1) + [1, trials) and [0, ceil(trials / 2)) + [ceil(trials / 2),
+// trials) merged. far_from is materialized-only, so a far_from case runs
+// the plan materialized too.
 void expect_plan_matches_two_pass(
     const std::string& topology, std::uint64_t n,
     const scenario::ParamMap& params,
@@ -360,10 +361,16 @@ void expect_plan_matches_two_pass(
       naive.optimization.backend = local::OptimizationConfig::Backend::kNaive;
       expect_tallies_equal(pooled.run_shard(naive, all), want);
     } else {
-      SCOPED_TRACE("trial ranges [0, 1) + [1, trials)");
-      local::ShardTally merged = pooled.run_shard(plan, {0, 1});
-      merged.merge(pooled.run_shard(plan, {1, trials}));
-      expect_tallies_equal(merged, want);
+      // A fault-free implicit plan runs a batch of trials per part call;
+      // the halves split a batch of the whole range.
+      const std::uint64_t half = (trials + 1) / 2;
+      for (const std::uint64_t cut : {std::uint64_t{1}, half}) {
+        SCOPED_TRACE(testing::Message() << "trial ranges [0, " << cut
+                                        << ") + [" << cut << ", trials)");
+        local::ShardTally merged = pooled.run_shard(plan, {0, cut});
+        merged.merge(pooled.run_shard(plan, {cut, trials}));
+        expect_tallies_equal(merged, want);
+      }
     }
   }
 }
