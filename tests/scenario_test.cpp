@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -15,9 +16,11 @@
 #include <vector>
 
 #include "algo/weak_color_mc.h"
+#include "graph/ball.h"
 #include "graph/generators.h"
 #include "ident/identity.h"
 #include "local/engine.h"
+#include "rand/coins.h"
 #include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -75,16 +78,20 @@ TEST(Registry, InternedInstancesAreShared) {
   EXPECT_EQ(a->node_count(), 24u);
 }
 
-// luby-ball's K-phase simulation without the early exit: every phase
-// runs even after the center is decided. The registered algorithm stops
-// at a decided center and must compute the same function.
+// luby-ball's K-phase simulation over the whole ball without the early
+// exit: every phase runs even after the center is decided. The registered
+// algorithm simulates only the center's cone and stops at a decided
+// center; it must compute the same function. A non-null `decided_phase`
+// receives the phase that decided the center, or -1.
 local::Label full_luby_ball(const local::View& view,
-                            const rand::CoinProvider& coins, int phases) {
+                            const rand::CoinProvider& coins, int phases,
+                            int* decided_phase = nullptr) {
   const graph::BallView& ball = *view.ball;
   const graph::NodeId size = ball.size();
   std::vector<std::uint8_t> state(size, 0);
   std::vector<std::uint8_t> wins(size, 0);
   std::vector<std::uint64_t> priority(size, 0);
+  if (decided_phase != nullptr) *decided_phase = -1;
   for (int phase = 0; phase < phases; ++phase) {
     for (graph::NodeId v = 0; v < size; ++v) {
       if (state[v] == 0) {
@@ -113,59 +120,161 @@ local::Label full_luby_ball(const local::View& view,
         if (state[w] == 0) state[w] = 2;
       }
     }
+    if (decided_phase != nullptr && *decided_phase < 0 && state[0] != 0) {
+      *decided_phase = phase;
+    }
   }
   return state[0] == 1 ? 1 : 0;
 }
 
-TEST(LubyBall, EarlyExitComputesTheFullSimulation) {
-  const scenario::ConstructionEntry* entry =
-      scenario::constructions().find("luby-ball");
-  ASSERT_NE(entry, nullptr);
-  struct Case {
-    const char* label;
-    local::Instance inst;
-  };
-  const Case cases[] = {
-      {"ring, random ids",
-       local::make_instance(graph::cycle(60),
-                            ident::random_permutation(60, 11))},
-      {"torus", local::make_instance(graph::torus(8, 8),
-                                     ident::consecutive(64))},
+struct LubyCase {
+  const char* label;
+  local::Instance inst;
+};
+
+std::vector<LubyCase> luby_cases() {
+  std::vector<LubyCase> cases;
+  cases.push_back({"ring, random ids",
+                   local::make_instance(graph::cycle(60),
+                                        ident::random_permutation(60, 11))});
+  cases.push_back({"torus", local::make_instance(graph::torus(8, 8),
+                                                 ident::consecutive(64))});
+  cases.push_back(
       {"random-regular",
        local::make_instance(graph::random_regular_cycles(60, 3, 5),
-                            ident::random_permutation(60, 12))},
-      {"binary tree", local::make_instance(graph::binary_tree(63),
-                                           ident::consecutive(63))},
-  };
+                            ident::random_permutation(60, 12))});
+  cases.push_back({"binary tree", local::make_instance(
+                                      graph::binary_tree(63),
+                                      ident::consecutive(63))});
+  return cases;
+}
+
+std::unique_ptr<scenario::Construction> build_luby_ball(int phases) {
+  const scenario::ConstructionEntry* entry =
+      scenario::constructions().find("luby-ball");
+  if (entry == nullptr) return nullptr;
+  return entry->build(
+      scenario::merged_params(entry->schema, {{"phases", phases}}));
+}
+
+// Philox draws cut to two bits: priorities tie often, so races inside the
+// cone go to the identity tie-break.
+class CoarseCoins final : public rand::CoinProvider {
+ public:
+  explicit CoarseCoins(const rand::CoinProvider& inner) : inner_(inner) {}
+  std::uint64_t draw(std::uint64_t identity,
+                     std::uint64_t draw_index) const override {
+    return inner_.draw(identity, draw_index) & 3;
+  }
+
+ private:
+  const rand::CoinProvider& inner_;
+};
+
+// Blocks a seed-dependent seventh of the nodes and fifth of the edges
+// (pure, and symmetric in the edge's endpoints).
+class SeededCensor final : public graph::BallFilter {
+ public:
+  explicit SeededCensor(std::uint64_t seed) : seed_(seed) {}
+  bool node_blocked(graph::NodeId v) const override {
+    return (v + seed_) % 7 == 0;
+  }
+  bool edge_blocked(graph::NodeId a, graph::NodeId b) const override {
+    return (std::uint64_t{a} + b + seed_) % 5 == 0;
+  }
+
+ private:
+  std::uint64_t seed_;
+};
+
+TEST(LubyBall, EarlyExitComputesTheFullSimulation) {
+  const std::vector<LubyCase> cases = luby_cases();
   graph::BallScratch scratch;
   graph::BallView ball;
   for (int phases = 1; phases <= 6; ++phases) {
-    const std::unique_ptr<scenario::Construction> built = entry->build(
-        scenario::merged_params(entry->schema, {{"phases", phases}}));
+    const std::unique_ptr<scenario::Construction> built =
+        build_luby_ball(phases);
+    ASSERT_NE(built, nullptr);
     const local::RandomizedBallAlgorithm* algo = built->ball_algorithm();
     ASSERT_NE(algo, nullptr);
     ASSERT_EQ(algo->radius(), phases);
-    for (const Case& c : cases) {
-      std::uint64_t joined = 0;
-      std::uint64_t centers = 0;
+    // Radius K is what the runner collects; 2K - 1 and K + 3 give the
+    // cone room to stop short of the ball's rim.
+    for (const int radius : {phases, 2 * phases - 1, phases + 3}) {
+      for (const LubyCase& c : cases) {
+        std::uint64_t joined = 0;
+        std::uint64_t centers = 0;
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+          const rand::PhiloxCoins philox(seed, rand::Stream::kConstruction);
+          const CoarseCoins coarse(philox);
+          const SeededCensor censor(seed);
+          const graph::BallFilter* filter = seed % 2 == 0 ? &censor : nullptr;
+          for (graph::NodeId v = 0; v < c.inst.node_count(); ++v) {
+            ball.collect(c.inst.topology(), v, radius, scratch, filter);
+            local::View view;
+            view.ball = &ball;
+            view.instance = &c.inst;
+            const std::array<const rand::CoinProvider*, 2> providers = {
+                &philox, &coarse};
+            for (const rand::CoinProvider* coins : providers) {
+              const local::Label want = full_luby_ball(view, *coins, phases);
+              ASSERT_EQ(algo->compute(view, *coins), want)
+                  << c.label << ", phases " << phases << ", radius "
+                  << radius << ", seed " << seed << ", center " << v
+                  << (coins == &coarse ? ", coarse coins" : "")
+                  << (filter != nullptr ? ", censored" : "");
+              joined += want;
+              ++centers;
+            }
+          }
+        }
+        // Both outputs occur, so a constant-output bug cannot pass.
+        EXPECT_GT(joined, 0u) << c.label << ", phases " << phases
+                              << ", radius " << radius;
+        EXPECT_LT(joined, centers) << c.label << ", phases " << phases
+                                   << ", radius " << radius;
+      }
+    }
+  }
+}
+
+// The cone in effect: a center that phase 0 decides is settled by its
+// radius-2 members alone, so compute() draws one coin for each of them
+// (5 on a ring) and none for the rest of its ball.
+TEST(LubyBall, ACenterDecidedInPhaseZeroDrawsOnlyItsRadiusTwoCoins) {
+  graph::BallScratch scratch;
+  graph::BallView ball;
+  for (const LubyCase& c : luby_cases()) {
+    for (int phases = 3; phases <= 5; ++phases) {
+      const std::unique_ptr<scenario::Construction> built =
+          build_luby_ball(phases);
+      ASSERT_NE(built, nullptr);
+      const local::RandomizedBallAlgorithm* algo = built->ball_algorithm();
+      ASSERT_NE(algo, nullptr);
+      std::uint64_t checked = 0;
       for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         const rand::PhiloxCoins coins(seed, rand::Stream::kConstruction);
         for (graph::NodeId v = 0; v < c.inst.node_count(); ++v) {
-          ball.collect(c.inst.topology(), v, phases, scratch);
+          ball.collect(c.inst.topology(), v, algo->radius(), scratch);
           local::View view;
           view.ball = &ball;
           view.instance = &c.inst;
-          const local::Label want = full_luby_ball(view, coins, phases);
-          ASSERT_EQ(algo->compute(view, coins), want)
+          int decided_phase = -1;
+          full_luby_ball(view, coins, phases, &decided_phase);
+          if (decided_phase != 0) continue;
+          std::uint64_t near = 0;
+          for (graph::NodeId i = 0; i < ball.size(); ++i) {
+            if (ball.distance(i) <= 2) ++near;
+          }
+          const rand::CountingCoins counting(coins);
+          algo->compute(view, counting);
+          ASSERT_EQ(counting.total_draws(), near)
               << c.label << ", phases " << phases << ", seed " << seed
-              << ", center " << v;
-          joined += want;
-          ++centers;
+              << ", center " << v << ", ball of " << ball.size();
+          ++checked;
         }
       }
-      // Both outputs occur, so a constant-output bug cannot pass.
-      EXPECT_GT(joined, 0u) << c.label << ", phases " << phases;
-      EXPECT_LT(joined, centers) << c.label << ", phases " << phases;
+      EXPECT_GT(checked, 0u) << c.label << ", phases " << phases;
     }
   }
 }
