@@ -43,7 +43,7 @@ void print_tables() {
       *construction->ball_algorithm();
   const auto decider_ptr =
       scenario::make_decider("resilient", base.get(), {{"faults", 1}});
-  const decide::RandomizedDecider& decider = *decider_ptr;
+  const decide::Decider& decider = *decider_ptr;
   const stats::ThreadPool pool;
   const double p = decide::ResilientDecider::default_p(1);
 

@@ -37,7 +37,7 @@ struct Setup {
       scenario::make_construction("rand-coloring", {{"colors", 3}});
   const local::RandomizedBallAlgorithm& coloring =
       *construction->ball_algorithm();
-  std::unique_ptr<decide::RandomizedDecider> decider =
+  std::unique_ptr<decide::Decider> decider =
       scenario::make_decider("resilient", base.get(), {{"faults", 1}});
   stats::ThreadPool pool;
   local::BatchRunner runner{&pool};

@@ -41,7 +41,7 @@ int main() {
       *construction->ball_algorithm();
   const auto decider_ptr =
       scenario::make_decider("resilient", base.get(), {{"faults", 1}});
-  const decide::RandomizedDecider& decider = *decider_ptr;
+  const decide::Decider& decider = *decider_ptr;
   const double p = decide::ResilientDecider::default_p(1);
 
   core::BoostParameters params;

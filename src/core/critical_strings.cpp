@@ -24,7 +24,7 @@ bool Claim4Report::exists_below_p() const {
 
 Claim4Report verify_claim4(const local::Instance& inst,
                            std::span<const local::Label> fixed_output,
-                           const decide::RandomizedDecider& decider,
+                           const decide::Decider& decider,
                            std::span<const graph::NodeId> scattered,
                            int exclusion_radius, double p,
                            std::uint64_t trials, std::uint64_t base_seed,
@@ -45,7 +45,7 @@ Claim4Report verify_claim4(const local::Instance& inst,
 
 CriticalStringsReport verify_critical_strings(
     const local::Instance& inst, std::span<const local::Label> fixed_output,
-    const decide::RandomizedDecider& decider,
+    const decide::Decider& decider,
     std::span<const graph::NodeId> scattered, int exclusion_radius,
     std::uint64_t trials, std::uint64_t base_seed) {
   CriticalStringsReport report;
@@ -117,7 +117,7 @@ graph::NodeId Claim5Report::best_anchor() const {
 
 Claim5Report verify_claim5(const local::Instance& inst,
                            const local::RandomizedBallAlgorithm& algo,
-                           const decide::RandomizedDecider& decider,
+                           const decide::Decider& decider,
                            std::span<const graph::NodeId> scattered,
                            int exclusion_radius, double beta, double p,
                            std::uint64_t mu, std::uint64_t trials,

@@ -18,17 +18,8 @@ std::string AmosDecider::name() const {
 
 double AmosDecider::guarantee() const { return util::amos_guarantee(p_); }
 
-bool AmosDecider::accept(const DeciderView& view,
-                         const rand::CoinProvider& coins) const {
-  if (view.output_of(0) != lang::Amos::kSelected) return true;
-  // Selected nodes flip one private coin. The coin is keyed by the node's
-  // true identity and a decision-draw index distinct from any coin the
-  // construction algorithm used (the provider's stream tag separates C
-  // from D; see rand/coins.h).
-  const ident::Identity self =
-      view.view.instance->identity_of(view.view.ball->to_original(0));
-  rand::NodeRng rng(coins, self);
-  return rng.bernoulli(p_);
+bool AmosDecider::bad(const DeciderView& view) const {
+  return view.output_of(0) == lang::Amos::kSelected;
 }
 
 }  // namespace lnc::decide

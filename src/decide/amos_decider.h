@@ -14,7 +14,8 @@
 
 namespace lnc::decide {
 
-class AmosDecider final : public RandomizedDecider {
+/// bad(): the center is selected; q = p.
+class AmosDecider final : public Decider {
  public:
   /// p defaults to the golden-ratio optimum.
   explicit AmosDecider(double p = -1.0);
@@ -22,8 +23,8 @@ class AmosDecider final : public RandomizedDecider {
   std::string name() const override;
   int radius() const override { return 0; }
   double guarantee() const override;
-  bool accept(const DeciderView& view,
-              const rand::CoinProvider& coins) const override;
+  bool bad(const DeciderView& view) const override;
+  double q(std::uint64_t /*n*/) const override { return p_; }
 
   double p() const noexcept { return p_; }
 

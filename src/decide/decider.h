@@ -8,10 +8,20 @@
 //   (G,(x,y)) in L  => Pr[all nodes accept]      >= p
 //   (G,(x,y)) not in L => Pr[some node rejects]  >= p        (Eq. 1)
 //
+// Every decider in the paper has one shape. A node tests a deterministic
+// predicate on its ball, bad(), and accepts when it does not fire;
+// otherwise it accepts with one probability q(n). q is p for the amos
+// decider (section 2.3.1) and Corollary 1's f-resilient decider, p(n) for
+// section 5's eps-slack decider, and 0 for an LD decider, whose bad
+// centers reject. Each bad center draws its own coin, so with B bad
+// centers in a configuration
+//
+//   Pr[all nodes accept | configuration] = q^B.
+//
 // Deciders see the same View as construction algorithms plus the outputs.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -32,28 +42,28 @@ struct DeciderView {
   }
 };
 
-/// Deterministic decider (class LD when radius is constant).
+/// A local decider: class LD when radius is constant and q is 0, class
+/// BPLD when radius is constant and the guarantee exceeds 1/2.
 class Decider {
  public:
   virtual ~Decider() = default;
   virtual std::string name() const = 0;
   virtual int radius() const = 0;
-  /// The verdict at the ball's center.
-  virtual bool accept(const DeciderView& view) const = 0;
-};
+  /// The advertised guarantee p of Eq. (1), for reporting and
+  /// verification; 1 for a deterministic decider.
+  virtual double guarantee() const { return 1.0; }
+  /// The deterministic predicate at the ball's center.
+  virtual bool bad(const DeciderView& view) const = 0;
+  /// The probability that a bad center accepts on an n-node instance (n
+  /// is 0 unless the evaluation grants it); 0 for an LD decider.
+  virtual double q(std::uint64_t /*n*/) const { return 0.0; }
 
-/// Randomized Monte-Carlo decider (class BPLD when radius is constant and
-/// the guarantee exceeds 1/2). Coins are addressed through the provider by
-/// node identity, same contract as construction algorithms.
-class RandomizedDecider {
- public:
-  virtual ~RandomizedDecider() = default;
-  virtual std::string name() const = 0;
-  virtual int radius() const = 0;
-  /// The decider's advertised guarantee p (for reporting/verification).
-  virtual double guarantee() const = 0;
-  virtual bool accept(const DeciderView& view,
-                      const rand::CoinProvider& coins) const = 0;
+  /// The verdict at the ball's center. A good center accepts. A bad one
+  /// rejects when q(n) is 0, and otherwise accepts with probability q(n)
+  /// from one draw of rand::NodeRng(coins, its own identity). Coins are
+  /// addressed by node identity, the same contract as construction
+  /// algorithms.
+  bool accept(const DeciderView& view, const rand::CoinProvider& coins) const;
 };
 
 }  // namespace lnc::decide

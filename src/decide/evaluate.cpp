@@ -17,25 +17,6 @@ struct LabelingOutputs {
   const local::Label* member(graph::NodeId u) const { return &output[u]; }
 };
 
-template <typename Decide>
-DecisionOutcome evaluate_labeling(const local::Instance& inst,
-                                  std::span<const local::Label> output,
-                                  int radius, const EvaluateOptions& options,
-                                  Decide&& decide) {
-  const std::optional<fault::BallCensor> censor =
-      local::trial_censor(inst, options.fault, options.fault_coins);
-  LabelingOutputs outputs{output};
-  DecisionOutcome outcome;
-  std::uint8_t accepted = 1;
-  decide_each_node(
-      inst, radius, options, censor.has_value() ? &*censor : nullptr,
-      outputs,
-      [&](const DeciderView& view, std::size_t) { return decide(view); },
-      {0, inst.node_count()}, {&accepted, 1}, &outcome.rejecting);
-  outcome.accepted = accepted != 0;
-  return outcome;
-}
-
 }  // namespace
 
 EvaluateOptions trial_options(EvaluateOptions options,
@@ -51,20 +32,22 @@ EvaluateOptions trial_options(EvaluateOptions options,
 DecisionOutcome evaluate(const local::Instance& inst,
                          std::span<const local::Label> output,
                          const Decider& decider,
-                         const EvaluateOptions& options) {
-  return evaluate_labeling(
-      inst, output, decider.radius(), options,
-      [&](const DeciderView& view) { return decider.accept(view); });
-}
-
-DecisionOutcome evaluate(const local::Instance& inst,
-                         std::span<const local::Label> output,
-                         const RandomizedDecider& decider,
                          const rand::CoinProvider& coins,
                          const EvaluateOptions& options) {
-  return evaluate_labeling(
-      inst, output, decider.radius(), options,
-      [&](const DeciderView& view) { return decider.accept(view, coins); });
+  const std::optional<fault::BallCensor> censor =
+      local::trial_censor(inst, options.fault, options.fault_coins);
+  LabelingOutputs outputs{output};
+  DecisionOutcome outcome;
+  std::uint8_t accepted = 1;
+  decide_each_node(
+      inst, decider.radius(), options,
+      censor.has_value() ? &*censor : nullptr, outputs,
+      [&](const DeciderView& view, std::size_t) {
+        return decider.accept(view, coins);
+      },
+      {0, inst.node_count()}, {&accepted, 1}, &outcome.rejecting);
+  outcome.accepted = accepted != 0;
+  return outcome;
 }
 
 }  // namespace lnc::decide

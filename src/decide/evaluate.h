@@ -96,17 +96,12 @@ struct EvaluateOptions {
   std::span<const graph::BallTable> ball_tables;
 };
 
-/// Deterministic decider over the configuration.
+/// The decider over the configuration, with explicit decision coins (fix
+/// the seed upstream to run the paper's D_{sigma'}; a decider whose q is 0
+/// draws none).
 DecisionOutcome evaluate(const local::Instance& inst,
                          std::span<const local::Label> output,
                          const Decider& decider,
-                         const EvaluateOptions& options = {});
-
-/// Randomized decider with explicit coins (fix the seed upstream to run
-/// the paper's D_{sigma'}).
-DecisionOutcome evaluate(const local::Instance& inst,
-                         std::span<const local::Label> output,
-                         const RandomizedDecider& decider,
                          const rand::CoinProvider& coins,
                          const EvaluateOptions& options = {});
 

@@ -25,7 +25,6 @@ struct MemoOutputs {
   const local::RandomizedBallAlgorithm& algo;
   std::span<const local::TrialEnv> envs;  ///< the lanes
   const graph::BallFilter* censor;
-  bool grant_n;
   std::uint64_t halo;  ///< t_cons + t_dec, the coin window's margin
   local::ConstructionMemo& memo;
   std::span<rand::CoinTable> tables;  ///< the worker's, one per lane
@@ -88,7 +87,6 @@ struct MemoOutputs {
     local::View view;
     view.ball = &ball;
     view.instance = &inst;
-    if (grant_n) view.n_nodes = inst.node_count();
     local::Label* labels = memo.labels(u);
     for (std::size_t lane = 0; lane < lanes(); ++lane) {
       labels[lane] = algo.compute(view, tables[lane]);
@@ -102,7 +100,7 @@ struct MemoOutputs {
 
 local::ExperimentPlan acceptance_plan(
     std::string name, const local::Instance& inst,
-    std::span<const local::Label> output, const RandomizedDecider& decider,
+    std::span<const local::Label> output, const Decider& decider,
     std::uint64_t trials, std::uint64_t base_seed, EvaluateOptions options,
     bool success_on_accept) {
   local::ExperimentPlan plan;
@@ -124,7 +122,7 @@ local::ExperimentPlan acceptance_plan(
 local::ExperimentPlan construct_then_decide_plan(
     std::string name, const local::Instance& inst,
     const local::RandomizedBallAlgorithm& algo,
-    const RandomizedDecider& decider, std::uint64_t trials,
+    const Decider& decider, std::uint64_t trials,
     std::uint64_t base_seed, EvaluateOptions options, bool success_on_accept,
     local::ExecMode mode) {
   local::ExperimentPlan plan;
@@ -140,8 +138,8 @@ local::ExperimentPlan construct_then_decide_plan(
     // random graphs.
     plan.trial = [&inst, &algo, &decider, options, success_on_accept, mode](
                      const local::TrialEnv& env, local::ShardTally& tally) {
-      const local::Labeling& output = local::construct_trial(
-          env, inst, algo, mode, options.grant_n, options.fault);
+      const local::Labeling& output =
+          local::construct_trial(env, inst, algo, mode, options.fault);
       const rand::PhiloxCoins fault_coins = env.fault_coins();
       if (evaluate(inst, output, decider, env.decision_coins(),
                    trial_options(options, env, fault_coins))
@@ -184,7 +182,7 @@ local::ExperimentPlan construct_then_decide_plan(
     local::ConstructionMemo& memo = arena.construction_memo();
     memo.clear(inst.node_count(), envs.size());
     MemoOutputs outputs{
-        inst, algo, envs, filter, options.grant_n,
+        inst, algo, envs, filter,
         static_cast<std::uint64_t>(algo.radius() + decider.radius()), memo,
         arena.coin_tables(envs.size()), arena.ball_workspace().scratch};
     decide_each_node(
@@ -215,7 +213,7 @@ local::ExperimentPlan construct_then_decide_plan(
 
 local::ExperimentPlan guarantee_side_plan(
     std::string name, const ConfigurationSampler& sampler,
-    const RandomizedDecider& decider, bool want_accept, std::uint64_t trials,
+    const Decider& decider, bool want_accept, std::uint64_t trials,
     std::uint64_t base_seed, EvaluateOptions options) {
   local::ExperimentPlan plan;
   plan.name = std::move(name);

@@ -17,7 +17,7 @@ namespace lnc::decide {
 /// output span, and decider must outlive the plan's run.
 local::ExperimentPlan acceptance_plan(
     std::string name, const local::Instance& inst,
-    std::span<const local::Label> output, const RandomizedDecider& decider,
+    std::span<const local::Label> output, const Decider& decider,
     std::uint64_t trials, std::uint64_t base_seed,
     EvaluateOptions options = {}, bool success_on_accept = true);
 
@@ -36,7 +36,7 @@ local::ExperimentPlan acceptance_plan(
 local::ExperimentPlan construct_then_decide_plan(
     std::string name, const local::Instance& inst,
     const local::RandomizedBallAlgorithm& algo,
-    const RandomizedDecider& decider, std::uint64_t trials,
+    const Decider& decider, std::uint64_t trials,
     std::uint64_t base_seed, EvaluateOptions options = {},
     bool success_on_accept = true,
     local::ExecMode mode = local::ExecMode::kBalls);
@@ -46,7 +46,7 @@ local::ExperimentPlan construct_then_decide_plan(
 /// matches `want_accept`.
 local::ExperimentPlan guarantee_side_plan(
     std::string name, const ConfigurationSampler& sampler,
-    const RandomizedDecider& decider, bool want_accept, std::uint64_t trials,
+    const Decider& decider, bool want_accept, std::uint64_t trials,
     std::uint64_t base_seed, EvaluateOptions options = {});
 
 }  // namespace lnc::decide

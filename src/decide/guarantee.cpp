@@ -6,7 +6,7 @@
 
 namespace lnc::decide {
 
-GuaranteeReport measure_guarantee(const RandomizedDecider& decider,
+GuaranteeReport measure_guarantee(const Decider& decider,
                                   const ConfigurationSampler& yes_sampler,
                                   const ConfigurationSampler& no_sampler,
                                   const GuaranteeOptions& options) {

@@ -54,7 +54,7 @@ struct GuaranteeOptions {
 
 /// Estimates both sides of Eq. (1). Each trial draws one configuration
 /// from the corresponding sampler and one decision-coin seed.
-GuaranteeReport measure_guarantee(const RandomizedDecider& decider,
+GuaranteeReport measure_guarantee(const Decider& decider,
                                   const ConfigurationSampler& yes_sampler,
                                   const ConfigurationSampler& no_sampler,
                                   const GuaranteeOptions& options = {});

@@ -11,10 +11,10 @@ std::string LclDecider::name() const {
 
 int LclDecider::radius() const { return language_->radius(); }
 
-bool LclDecider::accept(const DeciderView& view) const {
+bool LclDecider::bad(const DeciderView& view) const {
   const lang::LabeledBall ball{view.view.ball, view.view.instance,
                                view.ball_output};
-  return !language_->is_bad_ball(ball);
+  return language_->is_bad_ball(ball);
 }
 
 }  // namespace lnc::decide

@@ -18,21 +18,24 @@ double ResilientDecider::default_p(std::size_t max_faults) {
   return std::sqrt(iv.lo * iv.hi);
 }
 
+bool ResilientDecider::admissible(std::size_t max_faults, double p) {
+  if (p < 0.0) p = default_p(max_faults);
+  const util::Interval iv = admissible_interval(max_faults);
+  return p > iv.lo && p < iv.hi;
+}
+
 ResilientDecider::ResilientDecider(const lang::LclLanguage& base,
                                    std::size_t max_faults, double p)
-    : base_(&base),
+    : LclDecider(base),
       max_faults_(max_faults),
       p_(p < 0.0 ? default_p(max_faults) : p) {
-  const util::Interval iv = admissible_interval(max_faults);
-  LNC_EXPECTS(p_ > iv.lo && p_ < iv.hi);
+  LNC_EXPECTS(admissible(max_faults, p_));
 }
 
 std::string ResilientDecider::name() const {
   return "resilient-decider(f=" + std::to_string(max_faults_) + ", " +
-         base_->name() + ", p=" + util::format_double(p_, 4) + ")";
+         language().name() + ", p=" + util::format_double(p_, 4) + ")";
 }
-
-int ResilientDecider::radius() const { return base_->radius(); }
 
 double ResilientDecider::guarantee() const {
   // min over the two error modes: p^f on yes instances, 1 - p^{f+1} on no
@@ -41,17 +44,6 @@ double ResilientDecider::guarantee() const {
   const double yes_side = std::pow(p_, f);
   const double no_side = 1.0 - std::pow(p_, f + 1.0);
   return std::min(yes_side, no_side);
-}
-
-bool ResilientDecider::accept(const DeciderView& view,
-                              const rand::CoinProvider& coins) const {
-  const lang::LabeledBall ball{view.view.ball, view.view.instance,
-                               view.ball_output};
-  if (!base_->is_bad_ball(ball)) return true;
-  const ident::Identity self =
-      view.view.instance->identity_of(view.view.ball->to_original(0));
-  rand::NodeRng rng(coins, self);
-  return rng.bernoulli(p_);
 }
 
 }  // namespace lnc::decide

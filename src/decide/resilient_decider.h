@@ -12,13 +12,13 @@
 // verifies both inequalities empirically across f.
 #pragma once
 
-#include "decide/decider.h"
-#include "lang/language.h"
+#include "decide/lcl_decider.h"
 #include "util/math.h"
 
 namespace lnc::decide {
 
-class ResilientDecider final : public RandomizedDecider {
+/// The LCL decider's bad(); q = p.
+class ResilientDecider final : public LclDecider {
  public:
   /// Uses the geometric mean of the admissible interval by default; a
   /// custom p must lie in (2^{-1/f}, 2^{-1/(f+1)}).
@@ -26,10 +26,8 @@ class ResilientDecider final : public RandomizedDecider {
                    double p = -1.0);
 
   std::string name() const override;
-  int radius() const override;
   double guarantee() const override;
-  bool accept(const DeciderView& view,
-              const rand::CoinProvider& coins) const override;
+  double q(std::uint64_t /*n*/) const override { return p_; }
 
   double p() const noexcept { return p_; }
   std::size_t max_faults() const noexcept { return max_faults_; }
@@ -38,9 +36,14 @@ class ResilientDecider final : public RandomizedDecider {
   static util::Interval admissible_interval(std::size_t max_faults);
   /// The default p: geometric mean of the interval endpoints.
   static double default_p(std::size_t max_faults);
+  /// Whether the p a decider built from (max_faults, p) would use, p or
+  /// the default when p < 0, lies strictly inside the interval. The
+  /// default does for every f up to 1e7 (the registry's cap); from about
+  /// f = 5.6e7 on, the interval is a few doubles wide and it can round
+  /// onto an end.
+  static bool admissible(std::size_t max_faults, double p);
 
  private:
-  const lang::LclLanguage* base_;
   std::size_t max_faults_;
   double p_;
 };

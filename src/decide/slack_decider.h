@@ -12,30 +12,27 @@
 // if eps-slack were in plain BPLD.
 #pragma once
 
-#include "decide/decider.h"
-#include "lang/language.h"
+#include "decide/lcl_decider.h"
 
 namespace lnc::decide {
 
-class SlackDecider final : public RandomizedDecider {
+/// The LCL decider's bad(), on an evaluation that grants n; q = p(n).
+class SlackDecider final : public LclDecider {
  public:
   SlackDecider(const lang::LclLanguage& base, double eps);
 
   std::string name() const override;
-  int radius() const override;
   /// Advertised guarantee; depends on n, so this reports the infimum over
   /// n >= 1 given the p-schedule (both sides exceed 1/2 for every n).
   double guarantee() const override { return 0.5; }
-  bool accept(const DeciderView& view,
-              const rand::CoinProvider& coins) const override;
-
+  /// Asserts that the evaluation granted n, at every center.
+  bool bad(const DeciderView& view) const override;
   /// The per-instance acceptance probability p(n) = default_p(eps * n).
-  double p_for(std::uint64_t n_nodes) const;
+  double q(std::uint64_t n_nodes) const override;
 
   double eps() const noexcept { return eps_; }
 
  private:
-  const lang::LclLanguage* base_;
   double eps_;
 };
 

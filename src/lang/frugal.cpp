@@ -1,5 +1,6 @@
 #include "lang/frugal.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/assert.h"
@@ -18,14 +19,26 @@ std::string FrugalColoring::name() const {
 }
 
 bool FrugalColoring::is_bad_ball(const LabeledBall& ball) const {
+  const auto palette = static_cast<local::Label>(colors_);
   const local::Label center_color = ball.output_of(0);
-  if (center_color >= static_cast<local::Label>(colors_)) return true;
-  std::vector<int> uses(static_cast<std::size_t>(colors_), 0);
-  for (graph::NodeId nbr : ball.ball->neighbors(0)) {
+  if (center_color >= palette) return true;
+  // Multiplicities are counted among the center's neighbours, so a ball
+  // costs its degree, whatever the palette size.
+  const auto neighbors = ball.ball->neighbors(0);
+  std::vector<local::Label> seen;
+  seen.reserve(neighbors.size());
+  for (graph::NodeId nbr : neighbors) {
     const local::Label c = ball.output_of(nbr);
-    if (c >= static_cast<local::Label>(colors_)) return true;
+    if (c >= palette) return true;
     if (c == center_color) return true;  // not proper
-    if (++uses[static_cast<std::size_t>(c)] > frugality_) return true;
+    seen.push_back(c);
+  }
+  // Sorted, a colour occurs more than `frugality` times iff some entry
+  // equals the one `frugality` places after it.
+  std::sort(seen.begin(), seen.end());
+  const auto limit = static_cast<std::size_t>(frugality_);
+  for (std::size_t i = 0; i + limit < seen.size(); ++i) {
+    if (seen[i] == seen[i + limit]) return true;
   }
   return false;
 }

@@ -87,7 +87,6 @@ EngineResult run_engine(const Instance& inst,
     env.input = inst.input_of(v);
     env.degree = inst.g.degree(v);
     if (succ_ports) env.succ_port = (*succ_ports)[v];
-    if (options.grant_n) env.n_nodes = n;
     if (options.coins != nullptr) {
       s.rngs_.emplace_back(*options.coins, inst.ids[v]);
       env.rng = &s.rngs_.back();

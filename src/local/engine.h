@@ -131,7 +131,6 @@ struct NodeEnv {
   Label input = 0;
   std::uint32_t degree = 0;
   std::optional<std::uint32_t> succ_port;  // ring orientation, if granted
-  std::optional<std::uint64_t> n_nodes;    // knowledge of n, if granted
   rand::NodeRng* rng = nullptr;            // null for deterministic programs
 };
 
@@ -236,7 +235,6 @@ class EngineScratch {
 
 struct EngineOptions {
   int max_rounds = 1 << 20;        ///< safety guard; hitting it is an error
-  bool grant_n = false;            ///< expose |V| via NodeEnv::n_nodes
   bool grant_ring_orientation = false;  ///< expose succ_port on cycle()
   const rand::CoinProvider* coins = nullptr;  ///< null => deterministic
 

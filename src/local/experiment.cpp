@@ -34,7 +34,6 @@ using ComputeFromView = std::function<Label(const View&)>;
 /// View interface hides.
 Label compute_on_reconstruction(const Knowledge& knowledge,
                                 ident::Identity center, int radius,
-                                std::optional<std::uint64_t> n_nodes,
                                 const ComputeFromView& compute,
                                 BallWorkspace& workspace) {
   const ReconstructedBall ball = reconstruct_ball(knowledge, center);
@@ -43,7 +42,6 @@ Label compute_on_reconstruction(const Knowledge& knowledge,
   View view;
   view.ball = &workspace.ball;
   view.instance = &ball.instance;
-  view.n_nodes = n_nodes;
   return compute(view);
 }
 
@@ -56,7 +54,6 @@ class SimulatingProgram final : public BallCollectorProgram {
       : BallCollectorProgram(radius), compute_(compute) {}
 
   bool init(const NodeEnv& env) override {
-    n_nodes_ = env.n_nodes;
     const bool done = BallCollectorProgram::init(env);
     if (done) finish();  // zero-round algorithm: compute immediately
     return done;
@@ -74,11 +71,10 @@ class SimulatingProgram final : public BallCollectorProgram {
   void finish() {
     BallWorkspace workspace;
     out_ = compute_on_reconstruction(knowledge(), self_identity(), radius(),
-                                     n_nodes_, *compute_, workspace);
+                                     *compute_, workspace);
   }
 
   const ComputeFromView* compute_;
-  std::optional<std::uint64_t> n_nodes_;
   Label out_ = 0;
 };
 
@@ -106,7 +102,6 @@ void run_messages_mode(const Instance& inst, const std::string& name,
                        const ExecOptions& options) {
   SimulatingFactory factory(name, radius, std::move(compute));
   EngineOptions engine_options;
-  engine_options.grant_n = options.grant_n;
   if (options.arena != nullptr) {
     engine_options.scratch = &options.arena->engine();
   }
@@ -119,7 +114,6 @@ void run_two_phase_mode(const Instance& inst, int radius,
                         const ComputeFromView& compute, Labeling& output,
                         const ExecOptions& options) {
   EngineOptions engine_options;
-  engine_options.grant_n = options.grant_n;
   std::vector<Knowledge> local_tables;
   std::vector<Knowledge>& tables = options.arena != nullptr
                                        ? options.arena->knowledge()
@@ -135,11 +129,9 @@ void run_two_phase_mode(const Instance& inst, int radius,
   BallWorkspace& workspace = options.arena != nullptr
                                  ? options.arena->ball_workspace()
                                  : local_workspace;
-  const std::optional<std::uint64_t> n_nodes =
-      options.grant_n ? std::optional<std::uint64_t>(n) : std::nullopt;
   for (graph::NodeId v = 0; v < n; ++v) {
     output[v] = compute_on_reconstruction(tables[v], inst.ids[v], radius,
-                                          n_nodes, compute, workspace);
+                                          compute, workspace);
   }
   if (options.arena != nullptr) {
     // Phase-one flooding was measured by the engine; phase two only
@@ -240,7 +232,6 @@ void run_construction_into(const Instance& inst,
     return;
   }
   RunOptions run_options;
-  run_options.grant_n = options.grant_n;
   run_options.ball_tables = options.ball_tables;
   if (options.arena != nullptr) {
     run_options.telemetry = &options.arena->telemetry();
@@ -276,12 +267,10 @@ Labeling run_construction(const Instance& inst,
 
 const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
                                 const RandomizedBallAlgorithm& algo,
-                                ExecMode mode, bool grant_n,
-                                const fault::FaultModel* fault) {
+                                ExecMode mode, const fault::FaultModel* fault) {
   const rand::PhiloxCoins coins = env.construction_coins();
   const rand::PhiloxCoins fault_coins = env.fault_coins();
   ExecOptions options;
-  options.grant_n = grant_n;
   options.arena = env.arena;
   options.fault = fault;
   options.fault_coins = &fault_coins;
@@ -306,16 +295,15 @@ ExperimentPlan construction_plan(std::string name, const Instance& inst,
                                  const RandomizedBallAlgorithm& algo,
                                  OutputPredicate predicate,
                                  std::uint64_t trials, std::uint64_t base_seed,
-                                 ExecMode mode, bool grant_n,
+                                 ExecMode mode,
                                  const fault::FaultModel* fault) {
   ExperimentPlan plan;
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
-  plan.trial = [&inst, &algo, predicate = std::move(predicate), mode, grant_n,
+  plan.trial = [&inst, &algo, predicate = std::move(predicate), mode,
                 fault](const TrialEnv& env, ShardTally& tally) {
-    if (predicate(inst,
-                  construct_trial(env, inst, algo, mode, grant_n, fault))) {
+    if (predicate(inst, construct_trial(env, inst, algo, mode, fault))) {
       ++tally.successes;
     }
   };
@@ -326,16 +314,16 @@ ExperimentPlan construction_value_plan(
     std::string name, const Instance& inst,
     const RandomizedBallAlgorithm& algo, OutputStatistic statistic,
     std::uint64_t trials, std::uint64_t base_seed, ExecMode mode,
-    bool grant_n, const fault::FaultModel* fault) {
+    const fault::FaultModel* fault) {
   ExperimentPlan plan;
   plan.name = std::move(name);
   plan.trials = trials;
   plan.base_seed = base_seed;
   plan.workload = WorkloadKind::kValue;
-  plan.trial = [&inst, &algo, statistic = std::move(statistic), mode, grant_n,
+  plan.trial = [&inst, &algo, statistic = std::move(statistic), mode,
                 fault](const TrialEnv& env, ShardTally& tally) {
-    tally.add_value(statistic(
-        inst, construct_trial(env, inst, algo, mode, grant_n, fault)));
+    tally.add_value(
+        statistic(inst, construct_trial(env, inst, algo, mode, fault)));
   };
   return plan;
 }

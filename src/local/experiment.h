@@ -42,7 +42,6 @@ const char* to_string(ExecMode mode) noexcept;
 std::optional<ExecMode> exec_mode_from_string(std::string_view text) noexcept;
 
 struct ExecOptions {
-  bool grant_n = false;
   /// Reusable per-worker storage; null uses call-local scratch.
   WorkerArena* arena = nullptr;
 
@@ -119,8 +118,7 @@ inline constexpr std::uint64_t kCoinTableBudget = std::uint64_t{4} << 20;
 /// the trial's coins bit for bit.
 const Labeling& construct_trial(const TrialEnv& env, const Instance& inst,
                                 const RandomizedBallAlgorithm& algo,
-                                ExecMode mode, bool grant_n,
-                                const fault::FaultModel* fault);
+                                ExecMode mode, const fault::FaultModel* fault);
 
 /// Per-output success / statistic checks. Callers close over languages,
 /// relaxations, or any other acceptance notion.
@@ -138,7 +136,6 @@ ExperimentPlan construction_plan(std::string name, const Instance& inst,
                                  OutputPredicate predicate,
                                  std::uint64_t trials, std::uint64_t base_seed,
                                  ExecMode mode = ExecMode::kBalls,
-                                 bool grant_n = false,
                                  const fault::FaultModel* fault = nullptr);
 
 /// Mean over fresh construction coins of statistic(inst, C(inst)).
@@ -146,7 +143,6 @@ ExperimentPlan construction_value_plan(
     std::string name, const Instance& inst,
     const RandomizedBallAlgorithm& algo, OutputStatistic statistic,
     std::uint64_t trials, std::uint64_t base_seed,
-    ExecMode mode = ExecMode::kBalls, bool grant_n = false,
-    const fault::FaultModel* fault = nullptr);
+    ExecMode mode = ExecMode::kBalls, const fault::FaultModel* fault = nullptr);
 
 }  // namespace lnc::local

@@ -35,7 +35,6 @@ void run_per_node(const Instance& inst, int radius, const RunOptions& options,
     View view;
     view.ball = &ball;
     view.instance = &inst;
-    if (options.grant_n) view.n_nodes = n;
     output[v] = compute(view);
     if (count) {
       announcements += ball.size();

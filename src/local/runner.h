@@ -27,7 +27,9 @@ namespace lnc::local {
 struct View {
   const graph::BallView* ball = nullptr;
   const Instance* instance = nullptr;
-  std::optional<std::uint64_t> n_nodes;  ///< set when knowledge of n granted
+  /// |V|, set only on decision views whose evaluation grants knowledge of
+  /// n (decide::EvaluateOptions::grant_n).
+  std::optional<std::uint64_t> n_nodes;
   const std::vector<ident::Identity>* id_override = nullptr;
 
   ident::Identity identity(graph::NodeId local) const noexcept {
@@ -106,8 +108,6 @@ const graph::BallTable* pick_ball_table(
     int radius, const graph::BallFilter* censor);
 
 struct RunOptions {
-  bool grant_n = false;
-
   /// When set, the run charges its modeled communication volume here (see
   /// local/telemetry.h: per inspected ball, one announcement per member
   /// and the ball's canonical encoding in words; max(radius, 1) rounds

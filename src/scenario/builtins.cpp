@@ -106,7 +106,7 @@ void register_topologies(Registry<TopologyEntry>& topologies) {
       {"hard-ring",
        "Claim-2 hard instance: C_n with consecutive identities starting at "
        "id-start (the identity-floor knob of the claim).",
-       {{"id-start", 1, "smallest identity (Claim 2's Imin)", 0, 1e18}},
+       {{"id-start", 1, "smallest identity (Claim 2's Imin)", 1, 1e18}},
        [](std::uint64_t n, const ParamMap& p, std::uint64_t /*seed*/) {
          const auto size = static_cast<graph::NodeId>(std::max<std::uint64_t>(n, 3));
          return core::consecutive_ring(
@@ -837,12 +837,12 @@ class LocalCountDecider final : public decide::Decider {
     return "local-count(t=" + std::to_string(radius_) + ")";
   }
   int radius() const override { return radius_; }
-  bool accept(const decide::DeciderView& view) const override {
+  bool bad(const decide::DeciderView& view) const override {
     int selected = 0;
     for (graph::NodeId local = 0; local < view.view.ball->size(); ++local) {
       if (view.output_of(local) == lang::Amos::kSelected) ++selected;
     }
-    return selected <= 1;
+    return selected > 1;
   }
 
  private:
@@ -868,10 +868,8 @@ void register_deciders(Registry<DeciderEntry>& deciders) {
        /*needs_lcl=*/true,
        /*needs_n=*/false,
        [](const lang::Language* language, const ParamMap&)
-           -> std::unique_ptr<decide::RandomizedDecider> {
-         const lang::LclLanguage* core = lcl_core(*language);
-         return std::make_unique<AsRandomizedDecider>(
-             std::make_unique<decide::LclDecider>(*core));
+           -> std::unique_ptr<decide::Decider> {
+         return std::make_unique<decide::LclDecider>(*lcl_core(*language));
        }});
   deciders.add(
       {"amos",
@@ -883,25 +881,24 @@ void register_deciders(Registry<DeciderEntry>& deciders) {
        /*needs_lcl=*/false,
        /*needs_n=*/false,
        [](const lang::Language*, const ParamMap& p)
-           -> std::unique_ptr<decide::RandomizedDecider> {
+           -> std::unique_ptr<decide::Decider> {
          return std::make_unique<decide::AmosDecider>(param(p, "p"));
        }});
   deciders.add(
       {"resilient",
        "Corollary-1 decider for f-resilient relaxations: bad balls accept "
        "with probability p in (2^-1/f, 2^-1/(f+1)).",
-       {{"faults", 1, "fault budget f", 1, 1e9},
+       {{"faults", 1, "fault budget f", 1, 1e7},
         {"p", -1, "per-bad-ball acceptance; -1 = interval geometric mean",
          -1, 1}},
        /*global_check=*/false,
        /*needs_lcl=*/true,
        /*needs_n=*/false,
        [](const lang::Language* language, const ParamMap& p)
-           -> std::unique_ptr<decide::RandomizedDecider> {
-         const lang::LclLanguage* core = lcl_core(*language);
+           -> std::unique_ptr<decide::Decider> {
          return std::make_unique<decide::ResilientDecider>(
-             *core, static_cast<std::size_t>(param(p, "faults")),
-             param(p, "p"));
+             *lcl_core(*language),
+             static_cast<std::size_t>(param(p, "faults")), param(p, "p"));
        }});
   deciders.add(
       {"slack",
@@ -912,9 +909,8 @@ void register_deciders(Registry<DeciderEntry>& deciders) {
        /*needs_lcl=*/true,
        /*needs_n=*/true,
        [](const lang::Language* language, const ParamMap& p)
-           -> std::unique_ptr<decide::RandomizedDecider> {
-         const lang::LclLanguage* core = lcl_core(*language);
-         return std::make_unique<decide::SlackDecider>(*core,
+           -> std::unique_ptr<decide::Decider> {
+         return std::make_unique<decide::SlackDecider>(*lcl_core(*language),
                                                        param(p, "eps"));
        }});
   deciders.add(
@@ -926,10 +922,9 @@ void register_deciders(Registry<DeciderEntry>& deciders) {
        /*needs_lcl=*/false,
        /*needs_n=*/false,
        [](const lang::Language*, const ParamMap& p)
-           -> std::unique_ptr<decide::RandomizedDecider> {
-         return std::make_unique<AsRandomizedDecider>(
-             std::make_unique<LocalCountDecider>(
-                 static_cast<int>(param(p, "radius"))));
+           -> std::unique_ptr<decide::Decider> {
+         return std::make_unique<LocalCountDecider>(
+             static_cast<int>(param(p, "radius")));
        }});
 }
 

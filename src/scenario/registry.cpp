@@ -200,7 +200,7 @@ std::unique_ptr<Construction> make_construction(const std::string& name,
   return entry->build(merged_params(entry->schema, params));
 }
 
-std::unique_ptr<decide::RandomizedDecider> make_decider(
+std::unique_ptr<decide::Decider> make_decider(
     const std::string& name, const lang::Language* language,
     const ParamMap& params) {
   const DeciderEntry* entry = deciders().find(name);

@@ -7,8 +7,9 @@
 //   construction  — Monte-Carlo / deterministic construction algorithms
 //                   (src/algo), uniformly runnable per trial whether they
 //                   are ball algorithms or engine node programs;
-//   decider       — randomized local deciders (src/decide), plus the
-//                   pseudo-decider "exact" (global membership check).
+//   decider       — local deciders (src/decide/decider.h: a bad-center
+//                   predicate and one acceptance probability q), plus
+//                   the pseudo-decider "exact" (global membership check).
 //
 // Each entry self-describes with a name, a parameter schema (numeric
 // knobs with defaults and docs), and a doc string, so drivers can list,
@@ -240,26 +241,10 @@ struct FaultEntry {
 // ---------------------------------------------------------------------------
 // Deciders
 
-/// Adapts a deterministic decider to the randomized interface (ignores the
-/// coins; guarantee 1), so every decider slot in the registry speaks
-/// RandomizedDecider.
-class AsRandomizedDecider final : public decide::RandomizedDecider {
- public:
-  explicit AsRandomizedDecider(std::unique_ptr<decide::Decider> inner)
-      : inner_(std::move(inner)) {}
-
-  std::string name() const override { return inner_->name(); }
-  int radius() const override { return inner_->radius(); }
-  double guarantee() const override { return 1.0; }
-  bool accept(const decide::DeciderView& view,
-              const rand::CoinProvider& /*coins*/) const override {
-    return inner_->accept(view);
-  }
-
- private:
-  std::unique_ptr<decide::Decider> inner_;
-};
-
+/// One registered decider: a name, a parameter schema and a builder of
+/// the one decide::Decider shape. A deterministic LD decider (lcl,
+/// local-count) and a randomized one (amos, resilient, slack) differ only
+/// in the q their decider reports.
 struct DeciderEntry {
   std::string name;
   std::string doc;
@@ -273,7 +258,7 @@ struct DeciderEntry {
   /// Evaluation must grant knowledge of n (the BPLD#node deciders).
   bool needs_n = false;
   /// `language` may be null for language-independent deciders (amos).
-  std::function<std::unique_ptr<decide::RandomizedDecider>(
+  std::function<std::unique_ptr<decide::Decider>(
       const lang::Language* language, const ParamMap& params)>
       build;
 };
@@ -336,7 +321,7 @@ std::unique_ptr<lang::Language> make_language(const std::string& name,
                                               const ParamMap& params = {});
 std::unique_ptr<Construction> make_construction(const std::string& name,
                                                 const ParamMap& params = {});
-std::unique_ptr<decide::RandomizedDecider> make_decider(
+std::unique_ptr<decide::Decider> make_decider(
     const std::string& name, const lang::Language* language,
     const ParamMap& params = {});
 std::shared_ptr<const fault::FaultModel> make_fault(

@@ -7,6 +7,7 @@
 
 #include "decide/evaluate.h"
 #include "decide/experiment_plans.h"
+#include "decide/resilient_decider.h"
 #include "fault/fault.h"
 #include "rand/coins.h"
 #include "util/assert.h"
@@ -39,7 +40,7 @@ local::TrialFinish workload_finish(local::WorkloadKind workload,
                                    const local::Instance* inst,
                                    const lang::Language* language,
                                    const StatisticEntry* statistic,
-                                   const decide::RandomizedDecider* decider,
+                                   const decide::Decider* decider,
                                    const decide::EvaluateOptions& eval_options,
                                    bool accept) {
   if (statistic != nullptr) {
@@ -244,6 +245,24 @@ std::string validate(const ScenarioSpec& spec) {
              "but '" + spec.language + "' has no LCL core";
     }
   }
+  // An explicit p for the resilient decider must lie strictly inside an
+  // interval that moves with f, which no declared range can hold. The
+  // default lies inside for every f its schema admits.
+  if (spec.decider == "resilient") {
+    const ParamMap merged = merged_params(decider->schema, spec.params);
+    const auto faults = static_cast<std::size_t>(param(merged, "faults"));
+    const double p = param(merged, "p");
+    if (p >= 0.0 && !decide::ResilientDecider::admissible(faults, p)) {
+      const util::Interval iv =
+          decide::ResilientDecider::admissible_interval(faults);
+      std::ostringstream os;
+      os.precision(10);
+      os << "decider 'resilient' needs p strictly inside (2^(-1/f), "
+         << "2^(-1/(f+1))) = (" << iv.lo << ", " << iv.hi
+         << ") at faults = " << faults << ", but p = " << p;
+      return os.str();
+    }
+  }
 
   // Node ids are 32-bit (kInvalidNode reserved); no execution mode can
   // exceed that.
@@ -365,7 +384,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
 
   const lang::Language* language = compiled.language_.get();
   const Construction* construction = compiled.construction_.get();
-  const decide::RandomizedDecider* decider = compiled.decider_.get();
+  const decide::Decider* decider = compiled.decider_.get();
   // Null for trivial models: every execution path below bypasses the
   // fault machinery entirely then, keeping fault="none" bit-identical to
   // pre-fault runs.
@@ -403,8 +422,7 @@ CompiledScenario compile(const ScenarioSpec& spec) {
                              const local::Instance& instance,
                              const local::TrialEnv& env) {
     if (ball != nullptr) {
-      local::construct_trial(env, instance, *ball, mode, /*grant_n=*/false,
-                             fault);
+      local::construct_trial(env, instance, *ball, mode, fault);
       return ball->radius();
     }
     Construction::RunOptions run_options;

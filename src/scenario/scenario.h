@@ -135,7 +135,7 @@ class CompiledScenario {
   const lang::Language& language() const noexcept { return *language_; }
   const Construction& construction() const noexcept { return *construction_; }
   /// Null for the "exact" pseudo-decider.
-  const decide::RandomizedDecider* decider() const noexcept {
+  const decide::Decider* decider() const noexcept {
     return decider_.get();
   }
   /// The spec's fault model (never null; trivial() for fault="none").
@@ -149,7 +149,7 @@ class CompiledScenario {
   ScenarioSpec spec_;
   std::unique_ptr<lang::Language> language_;
   std::unique_ptr<Construction> construction_;
-  std::unique_ptr<decide::RandomizedDecider> decider_;
+  std::unique_ptr<decide::Decider> decider_;
   std::shared_ptr<const fault::FaultModel> fault_model_;
   std::vector<GridPoint> points_;
 };

@@ -4,7 +4,9 @@
 // construct-then-decide loop against an independent two-pass reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,12 +21,14 @@
 #include "decide/slack_decider.h"
 #include "fault/fault.h"
 #include "graph/generators.h"
+#include "graph/metrics.h"
 #include "lang/amos.h"
 #include "lang/coloring.h"
 #include "lang/mis.h"
 #include "local/batch_runner.h"
 #include "local/experiment.h"
 #include "obs/trace.h"
+#include "rand/splitmix.h"
 #include "scenario/presets.h"
 #include "scenario/registry.h"
 #include "scenario/sweep.h"
@@ -38,14 +42,17 @@ local::Instance ring_instance(graph::NodeId n) {
   return local::make_instance(graph::cycle(n), ident::consecutive(n));
 }
 
+// Coins for deciders whose q is 0: they never draw one.
+const rand::PhiloxCoins kUnread(0, rand::Stream::kDecision);
+
 TEST(LclDecider, AcceptsExactlyMembers) {
   const lang::ProperColoring lang(3);
   const LclDecider decider(lang);
   const local::Instance inst = ring_instance(6);
   const local::Labeling proper = {0, 1, 0, 1, 0, 1};
   const local::Labeling clash = {0, 0, 1, 0, 1, 2};
-  EXPECT_TRUE(evaluate(inst, proper, decider).accepted);
-  const DecisionOutcome bad = evaluate(inst, clash, decider);
+  EXPECT_TRUE(evaluate(inst, proper, decider, kUnread).accepted);
+  const DecisionOutcome bad = evaluate(inst, clash, decider, kUnread);
   EXPECT_FALSE(bad.accepted);
   // The rejecting set is exactly the bad-ball centers.
   EXPECT_EQ(bad.rejecting, lang.bad_ball_centers(inst, clash));
@@ -62,7 +69,7 @@ TEST(LclDecider, OneSidedNoFalseRejects) {
     for (graph::NodeId v = 0; v < n; ++v) y[v] = v % 2;
     if (n % 2 == 1) y[n - 1] = 2;
     ASSERT_TRUE(lang.contains(inst, y));
-    EXPECT_TRUE(evaluate(inst, y, decider).accepted);
+    EXPECT_TRUE(evaluate(inst, y, decider, kUnread).accepted);
   }
 }
 
@@ -213,7 +220,7 @@ TEST(SlackDecider, RequiresKnowledgeOfN) {
   options.grant_n = true;  // without this the decider traps
   const DecisionOutcome outcome = evaluate(inst, y, decider, coins, options);
   (void)outcome;  // any verdict is fine; the point is it ran with n granted
-  EXPECT_GT(decider.p_for(100), decider.p_for(10));
+  EXPECT_GT(decider.q(100), decider.q(10));
 }
 
 TEST(FarFrom, RestrictsVerdictsToDistantNodes) {
@@ -224,17 +231,17 @@ TEST(FarFrom, RestrictsVerdictsToDistantNodes) {
   // Single clash at the edge (0, 1): bad balls at nodes 0 and 1 only.
   const local::Labeling y = {0, 0, 1, 0, 1, 0, 1, 0,
                              1, 0, 1, 0, 1, 0, 1, 2};
-  ASSERT_FALSE(evaluate(inst, y, decider).accepted);
+  ASSERT_FALSE(evaluate(inst, y, decider, kUnread).accepted);
 
   // Far from node 0 with radius 2: both rejecting nodes are inside the
   // exclusion ball, so the restricted run ACCEPTS.
   EvaluateOptions far_options;
   far_options.far_from = FarFrom{0, 2};
-  EXPECT_TRUE(evaluate(inst, y, decider, far_options).accepted);
+  EXPECT_TRUE(evaluate(inst, y, decider, kUnread, far_options).accepted);
 
   // Far from the antipodal node 8: the rejections count again.
   far_options.far_from = FarFrom{8, 2};
-  EXPECT_FALSE(evaluate(inst, y, decider, far_options).accepted);
+  EXPECT_FALSE(evaluate(inst, y, decider, kUnread, far_options).accepted);
 }
 
 TEST(FarFrom, UnreachableNodesAlwaysCount) {
@@ -253,7 +260,8 @@ TEST(FarFrom, UnreachableNodesAlwaysCount) {
   const local::Labeling y = {0, 1, 0, 1, 0, 0, 1, 2};
   EvaluateOptions options;
   options.far_from = FarFrom{0, 3};  // u in the FIRST component
-  const DecisionOutcome outcome = evaluate(inst, y, decider, options);
+  const DecisionOutcome outcome =
+      evaluate(inst, y, decider, kUnread, options);
   EXPECT_FALSE(outcome.accepted);  // the far clash still counts
 }
 
@@ -264,7 +272,7 @@ TEST(FarFrom, UnreachableNodesAlwaysCount) {
 // the reference the streaming loop must match bit for bit.
 local::ExperimentPlan two_pass_reference(
     const local::Instance& inst, const local::RandomizedBallAlgorithm& algo,
-    const RandomizedDecider& decider, std::uint64_t trials,
+    const Decider& decider, std::uint64_t trials,
     std::uint64_t base_seed, const EvaluateOptions& options,
     bool success_on_accept) {
   return local::custom_plan(
@@ -273,7 +281,6 @@ local::ExperimentPlan two_pass_reference(
        success_on_accept](const local::TrialEnv& env) {
         const rand::PhiloxCoins fault_coins = env.fault_coins();
         local::ExecOptions exec_options;
-        exec_options.grant_n = options.grant_n;
         exec_options.arena = env.arena;
         exec_options.fault = options.fault;
         exec_options.fault_coins = &fault_coins;
@@ -320,7 +327,7 @@ void expect_plan_matches_two_pass(
     const std::string& topology, std::uint64_t n,
     const scenario::ParamMap& params,
     const local::RandomizedBallAlgorithm& algo,
-    const RandomizedDecider& decider, const EvaluateOptions& options,
+    const Decider& decider, const EvaluateOptions& options,
     std::uint64_t trials, bool success_on_accept = true) {
   const std::shared_ptr<const local::Instance> materialized =
       scenario::interned_instance(topology, n, params);
@@ -379,8 +386,7 @@ TEST(ConstructThenDecide, PlanMatchesTheTwoPassReference) {
   const lang::ProperColoring coloring_lang(3);
   const algo::UniformRandomColoring coloring(3);
   const lang::MaximalIndependentSet mis;
-  const scenario::AsRandomizedDecider mis_decider(
-      std::make_unique<LclDecider>(mis));
+  const LclDecider mis_decider(mis);
   const std::unique_ptr<scenario::Construction> luby_ball =
       scenario::make_construction("luby-ball", {{"phases", 4}});
   const local::RandomizedBallAlgorithm& luby = *luby_ball->ball_algorithm();
@@ -605,8 +611,7 @@ TEST(BallTables, CensoredTrialsNeverReadATable) {
       scenario::make_construction("luby-ball", {{"phases", 4}});
   const local::RandomizedBallAlgorithm& luby = *luby_ball->ball_algorithm();
   const lang::MaximalIndependentSet mis;
-  const scenario::AsRandomizedDecider decider(
-      std::make_unique<LclDecider>(mis));
+  const LclDecider decider(mis);
   const auto crash = fault::make_crash(0.05, 1);
   EvaluateOptions options;
   options.fault = crash.get();
@@ -661,8 +666,7 @@ local::ExperimentPlan plain_coin_value_reference(
 // identities must overflow the budget and fall back.
 TEST(CoinTables, TableRunsMatchPlainPhiloxRuns) {
   const lang::MaximalIndependentSet mis;
-  const scenario::AsRandomizedDecider mis_decider(
-      std::make_unique<LclDecider>(mis));
+  const LclDecider mis_decider(mis);
   const local::OutputStatistic label_sum = [](const local::Instance&,
                                               const local::Labeling& out) {
     double sum = 0;
@@ -671,7 +675,7 @@ TEST(CoinTables, TableRunsMatchPlainPhiloxRuns) {
   };
   const auto compare = [&](const local::Instance& inst,
                            const local::RandomizedBallAlgorithm& algo,
-                           const RandomizedDecider& decider,
+                           const Decider& decider,
                            const EvaluateOptions& options, bool fits) {
     const std::uint64_t span =
         inst.ids.max_identity() - inst.ids.min_identity() + 1;
@@ -698,7 +702,7 @@ TEST(CoinTables, TableRunsMatchPlainPhiloxRuns) {
     const local::ShardTally got_sum = runner.run_shard(
         local::construction_value_plan("labels", inst, algo, label_sum,
                                        kTrials, 29, local::ExecMode::kBalls,
-                                       /*grant_n=*/false, options.fault),
+                                       options.fault),
         all);
     ASSERT_FALSE(want_sum.value_sum.is_zero());
     expect_tallies_equal(got_sum, want_sum);
@@ -753,6 +757,105 @@ TEST(CoinTables, TableRunsMatchPlainPhiloxRuns) {
     options.grant_n = true;
     compare(ring_instance(60), coloring, SlackDecider(coloring_lang, 0.65),
             options, true);
+  }
+}
+
+// Every registered local decider has the one shape of decide/decider.h:
+// a good center accepts, and a bad one draws exactly one coin when q > 0
+// and none when q = 0, so then it rejects. With one private coin per bad
+// center, Pr[all accept | labeling] = q^B over the B bad centers. The bad
+// centers here come from the languages' own bad-ball scans and from the
+// selected nodes, not from the deciders' bad().
+TEST(Deciders, OneCoinPerBadCenter) {
+  using BadCenters = std::function<std::vector<graph::NodeId>(
+      const local::Instance&, const local::Labeling&)>;
+  const lang::ProperColoring coloring(3);
+  const lang::MaximalIndependentSet mis;
+  const auto lcl_scan = [](const lang::LclLanguage& language) -> BadCenters {
+    return [&language](const local::Instance& inst,
+                       const local::Labeling& y) {
+      return language.bad_ball_centers(inst, y);
+    };
+  };
+  // Centers whose radius-t ball holds at least `at_least` selected nodes.
+  const auto selected_within = [](int t, int at_least) -> BadCenters {
+    return [t, at_least](const local::Instance& inst,
+                         const local::Labeling& y) {
+      std::vector<graph::NodeId> centers;
+      for (graph::NodeId v = 0; v < inst.node_count(); ++v) {
+        const std::vector<int> dist = graph::bfs_distances(inst.g, v);
+        int selected = 0;
+        for (graph::NodeId u = 0; u < inst.node_count(); ++u) {
+          if (dist[u] >= 0 && dist[u] <= t &&
+              y[u] == lang::Amos::kSelected) {
+            ++selected;
+          }
+        }
+        if (selected >= at_least) centers.push_back(v);
+      }
+      return centers;
+    };
+  };
+  struct Case {
+    const char* decider;
+    scenario::ParamMap params;
+    const lang::Language* language;
+    std::uint64_t labels;  ///< labels drawn uniformly from [0, labels)
+    BadCenters bad_centers;
+  };
+  const lang::Amos amos;
+  const Case cases[] = {
+      {"lcl", {}, &coloring, 3, lcl_scan(coloring)},
+      {"lcl", {}, &mis, 2, lcl_scan(mis)},
+      {"amos", {}, &amos, 2, selected_within(0, 1)},
+      {"resilient", {{"faults", 2}}, &coloring, 3, lcl_scan(coloring)},
+      {"slack", {{"eps", 0.1}}, &coloring, 3, lcl_scan(coloring)},
+      {"local-count", {{"radius", 2}}, &amos, 2, selected_within(2, 2)},
+  };
+  std::set<std::string> covered;
+  for (const Case& c : cases) covered.insert(c.decider);
+  for (const scenario::DeciderEntry* entry : scenario::deciders().all()) {
+    EXPECT_TRUE(entry->global_check || covered.count(entry->name) == 1)
+        << entry->name << " has no case";
+  }
+  const graph::Graph graphs[] = {graph::cycle(30), graph::torus(6, 6)};
+  rand::SplitMix64 rng(19);
+  for (const Case& c : cases) {
+    const std::unique_ptr<Decider> decider =
+        scenario::make_decider(c.decider, c.language, c.params);
+    SCOPED_TRACE(decider->name());
+    EvaluateOptions options;
+    options.grant_n = scenario::deciders().find(c.decider)->needs_n;
+    if (c.decider == std::string("lcl") ||
+        c.decider == std::string("local-count")) {
+      EXPECT_EQ(decider->guarantee(), 1.0);
+    }
+    std::uint64_t bad_total = 0;
+    for (const graph::Graph& g : graphs) {
+      const graph::NodeId n = g.node_count();
+      const local::Instance inst =
+          local::make_instance(g, ident::random_permutation(n, rng.next()));
+      const double q = decider->q(options.grant_n ? n : 0);
+      for (int trial = 0; trial < 40; ++trial) {
+        local::Labeling y(n);
+        for (local::Label& label : y) label = rng.next_below(c.labels);
+        const std::vector<graph::NodeId> bad = c.bad_centers(inst, y);
+        const rand::PhiloxCoins inner(rng.next(), rand::Stream::kDecision);
+        const rand::CountingCoins coins(inner);
+        const DecisionOutcome outcome =
+            evaluate(inst, y, *decider, coins, options);
+        EXPECT_EQ(coins.total_draws(), q > 0.0 ? bad.size() : 0u);
+        if (q == 0.0) {
+          EXPECT_EQ(outcome.rejecting, bad);
+        } else {
+          EXPECT_TRUE(std::includes(bad.begin(), bad.end(),
+                                    outcome.rejecting.begin(),
+                                    outcome.rejecting.end()));
+        }
+        bad_total += bad.size();
+      }
+    }
+    EXPECT_GT(bad_total, 0u);
   }
 }
 

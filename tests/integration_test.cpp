@@ -35,13 +35,14 @@ namespace {
 TEST(Pipeline, ColeVishkinPlusLclDecider) {
   const lang::ProperColoring lang(3);
   const decide::LclDecider decider(lang);
+  const rand::PhiloxCoins unread(0, rand::Stream::kDecision);  // q = 0
   for (graph::NodeId n : {16u, 64u, 256u}) {
     const local::Instance inst = core::consecutive_ring(n);
     const local::EngineResult constructed =
         algo::run_cole_vishkin(inst, util::floor_log2(n) + 1);
     ASSERT_TRUE(constructed.completed);
-    EXPECT_TRUE(
-        decide::evaluate(inst, constructed.output, decider).accepted);
+    EXPECT_TRUE(decide::evaluate(inst, constructed.output, decider, unread)
+                    .accepted);
     // Rounds stay tiny while n explodes (log* signature).
     EXPECT_LE(constructed.rounds, 9);
   }
@@ -149,6 +150,7 @@ TEST(Pipeline, ConnectedGlueBoostsRejection) {
 TEST(Pipeline, WeakColoringConstructAndDecide) {
   const lang::WeakColoring lang(2);
   const decide::LclDecider decider(lang);
+  const rand::PhiloxCoins unread(0, rand::Stream::kDecision);  // q = 0
   const local::Instance inst = core::consecutive_ring(40);
   const std::uint64_t trials = 60;
   local::BatchRunner runner;
@@ -159,7 +161,7 @@ TEST(Pipeline, WeakColoringConstructAndDecide) {
             algo::run_weak_color_mc(inst, coins, 6);
         const bool member = lang.contains(inst, result.output);
         const bool accepted =
-            decide::evaluate(inst, result.output, decider).accepted;
+            decide::evaluate(inst, result.output, decider, unread).accepted;
         return member == accepted;  // LD decider is exact
       }));
   EXPECT_EQ(agreement.successes, trials);

@@ -13,6 +13,7 @@
 #include "lang/mis.h"
 #include "lang/relax.h"
 #include "lang/weak_coloring.h"
+#include "rand/splitmix.h"
 
 namespace lnc::lang {
 namespace {
@@ -162,6 +163,35 @@ TEST(Frugal, FrugalityBoundsNeighborhoodColorUse) {
   // colors but the palette has only {0,1,2} minus center color — so on
   // K_{1,3}, 1-frugal 3-coloring is impossible; 2-frugal succeeds:
   EXPECT_TRUE(FrugalColoring(3, 2).contains(star, local::Labeling{0, 1, 2, 1}));
+}
+
+// Multiplicities are counted among a center's neighbours, not over the
+// palette: at 1e9 colours a ball costs what it does at 4, and labelings
+// inside the small palette get the same verdicts from both.
+TEST(Frugal, HugePaletteMatchesTheSmallPaletteVerdicts) {
+  const graph::Graph graphs[] = {graph::cycle(60), graph::torus(6, 6),
+                                 graph::star(9), graph::hypercube(4)};
+  rand::SplitMix64 rng(11);
+  std::size_t centers = 0;
+  std::size_t bad = 0;
+  for (const graph::Graph& g : graphs) {
+    const graph::NodeId n = g.node_count();
+    const local::Instance inst = local::make_instance(g, ident::consecutive(n));
+    for (const int frugality : {1, 2, 3}) {
+      const FrugalColoring small(4, frugality);
+      const FrugalColoring huge(1000000000, frugality);
+      for (int trial = 0; trial < 50; ++trial) {
+        local::Labeling y(n);
+        for (local::Label& label : y) label = rng.next_below(4);
+        const std::vector<graph::NodeId> want = small.bad_ball_centers(inst, y);
+        EXPECT_EQ(huge.bad_ball_centers(inst, y), want);
+        centers += n;
+        bad += want.size();
+      }
+    }
+  }
+  EXPECT_GT(bad, 0u);
+  EXPECT_LT(bad, centers);
 }
 
 TEST(Lll, EventHoldsWhenNeighborhoodAgrees) {

@@ -247,23 +247,5 @@ TEST(Engine, IsolatedNodesHaltInstantly) {
   EXPECT_EQ(result.output[0], inst.ids[1]);  // paired: max of the two
 }
 
-TEST(Runner, GrantNExposesNodeCount) {
-  const Instance inst = ring_instance(6);
-  class NAlgorithm final : public BallAlgorithm {
-   public:
-    std::string name() const override { return "n-reader"; }
-    int radius() const override { return 0; }
-    Label compute(const View& view) const override {
-      return view.n_nodes.value_or(0);
-    }
-  };
-  RunOptions options;
-  options.grant_n = true;
-  const Labeling with_n = run_ball_algorithm(inst, NAlgorithm{}, options);
-  EXPECT_EQ(with_n[0], 6u);
-  const Labeling without = run_ball_algorithm(inst, NAlgorithm{});
-  EXPECT_EQ(without[0], 0u);
-}
-
 }  // namespace
 }  // namespace lnc::local

@@ -965,6 +965,42 @@ TEST(Validation, RejectsOutOfRangeAndNanParameters) {
   EXPECT_NE(scenario::validate(spec).find("range"), std::string::npos);
 }
 
+// Values a component cannot take are diagnosed here, not left to abort in
+// its constructor: the resilient decider's p, explicit or default, must
+// lie strictly inside (2^(-1/f), 2^(-1/(f+1))), so an explicit p is
+// checked against that interval and f is capped where the default still
+// is; hard-ring identities start at 1.
+TEST(Validation, InadmissibleResilientPAndIdStartAreDiagnosed) {
+  ScenarioSpec spec;
+  spec.name = "admissible";
+  spec.topology = "ring";
+  spec.language = "resilient-coloring";
+  spec.construction = "rand-coloring";
+  spec.decider = "resilient";
+  spec.n_grid = {12};
+  EXPECT_EQ(scenario::validate(spec), "");
+  spec.params = {{"p", 0.6}};  // inside (0.5, 0.7071) at f = 1
+  EXPECT_EQ(scenario::validate(spec), "");
+  for (const double p : {0.0, 0.3, 1.0}) {
+    spec.params = {{"p", p}};
+    EXPECT_NE(scenario::validate(spec).find("strictly inside"),
+              std::string::npos)
+        << "p = " << p;
+  }
+  spec.params = {{"faults", 1e7}};
+  EXPECT_EQ(scenario::validate(spec), "");
+  spec.params = {{"faults", 1e9}};
+  EXPECT_NE(scenario::validate(spec).find("range"), std::string::npos);
+
+  spec.topology = "hard-ring";
+  spec.language = "coloring";
+  spec.decider = "lcl";
+  spec.params = {{"id-start", 1}};
+  EXPECT_EQ(scenario::validate(spec), "");
+  spec.params = {{"id-start", 0}};
+  EXPECT_NE(scenario::validate(spec).find("id-start"), std::string::npos);
+}
+
 TEST(ValueSweep, CanMergeRejectsMismatchedCounterWidths) {
   // A shard file from a binary generation with a different counter-slot
   // layout must be refused with a diagnostic, not an abort.

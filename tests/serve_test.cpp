@@ -589,6 +589,32 @@ TEST(DaemonProtocol, RejectsBadRequestsWithoutDying) {
   EXPECT_EQ(service.stats().trials_computed, 0u);
 }
 
+// Parameter values inside their declared ranges that once aborted the
+// daemon are answered with an error, and the next query is served.
+TEST(DaemonProtocol, InadmissibleParametersAreErrorsAndServingGoesOn) {
+  serve::ServiceOptions options;
+  options.threads = 1;
+  serve::SweepService service(fresh_dir("inadmissible"), options);
+  const std::string query =
+      "{\"scenario\": \"hard-ring-resilient-coloring\", \"trials\": 4, "
+      "\"n\": [12]";
+  for (const char* params : {
+           "{\"p\": 0}",
+           "{\"p\": 0.3}",
+           "{\"p\": 1}",
+           "{\"faults\": 1e9}",
+           "{\"id-start\": 0}",
+       }) {
+    const std::string response = serve::handle_request_line(
+        service, query + ", \"params\": " + params + "}");
+    EXPECT_NE(response.find("\"status\": \"error\""), std::string::npos)
+        << params << " -> " << response;
+  }
+  EXPECT_EQ(service.stats().trials_computed, 0u);
+  const std::string next = serve::handle_request_line(service, query + "}");
+  EXPECT_NE(next.find("\"status\": \"ok\""), std::string::npos) << next;
+}
+
 TEST(DaemonProtocol, DeeplyNestedRequestIsAnErrorNotACrash) {
   serve::ServiceOptions options;
   options.threads = 1;

@@ -80,23 +80,5 @@ TEST(Simulate, ReconstructionMatchesBallMembership) {
   }
 }
 
-TEST(Simulate, GrantNReachesTheAlgorithm) {
-  class NReader final : public BallAlgorithm {
-   public:
-    std::string name() const override { return "n-reader"; }
-    int radius() const override { return 1; }
-    Label compute(const View& view) const override {
-      return view.n_nodes.value_or(0);
-    }
-  };
-  const Instance inst = labeled_instance(graph::cycle(9), 2);
-  ExecOptions options;
-  options.grant_n = true;
-  for (const ExecMode mode : {ExecMode::kMessages, ExecMode::kTwoPhase}) {
-    EXPECT_EQ(run_construction(inst, NReader{}, mode, options)[0], 9u)
-        << to_string(mode);
-  }
-}
-
 }  // namespace
 }  // namespace lnc::local
